@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .specfun import (
     Accuracy,
     ConvergenceError,
-    gamma,
     inv_reg_gamma_upper,
     log_gamma,
     log_reg_gamma_upper,

@@ -10,7 +10,6 @@ __all__ = [
     "DEFAULT_ACCURACY",
     "ConvergenceError",
     "log_gamma",
-    "gamma",
     "reg_gamma_lower",
     "reg_gamma_upper",
     "log_reg_gamma_upper",
@@ -71,13 +70,8 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def gamma(x: float) -> float:
-    """Gamma function for x > 0."""
-    return math.exp(log_gamma(x))
-
-
-def _lower_series(a: float, x: float, acc: Accuracy) -> float:
-    """P(a, x) by the ascending series; valid and fast for x < a + 1."""
+def _lower_series(a: float, x: float, lg_a: float, acc: Accuracy) -> float:
+    """P(a, x) by the ascending series, lg_a = log Gamma(a); for x < a + 1."""
     term = 1.0 / a
     total = term
     ap = a
@@ -86,7 +80,7 @@ def _lower_series(a: float, x: float, acc: Accuracy) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * acc.rel_tol:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return total * math.exp(-x + a * math.log(x) - lg_a)
     raise ConvergenceError(
         f"incomplete gamma series did not converge for a={a}, x={x} "
         f"within {acc.max_iter} iterations"
@@ -124,19 +118,16 @@ def _upper_cf(a: float, x: float, acc: Accuracy) -> float:
 def _check_domain(a: float, x: float) -> None:
     if not a > 0.0:
         raise ValueError(f"shape parameter must be positive, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got x={x}")
+    if not x >= 0.0:
+        raise ValueError(f"argument must be a nonnegative number, got x={x}")
 
 
 def reg_gamma_lower(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Regularized lower incomplete gamma P(a, x), in [0, 1]."""
     _check_domain(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x, acc)
-    q = _upper_cf(a, x, acc) * math.exp(-x + a * math.log(x) - log_gamma(a))
-    return 1.0 - q
+    if 0.0 < x < a + 1.0:
+        return _lower_series(a, x, log_gamma(a), acc)
+    return 1.0 - reg_gamma_upper(a, x, acc)
 
 
 def reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -149,60 +140,69 @@ def reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> flo
     _check_domain(a, x)
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < a + 1.0:
-        return 1.0 - _lower_series(a, x, acc)
+        return 1.0 - _lower_series(a, x, log_gamma(a), acc)
     return _upper_cf(a, x, acc) * math.exp(-x + a * math.log(x) - log_gamma(a))
 
 
 def log_reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """log Q(a, x); finite even where Q underflows a double."""
     _check_domain(a, x)
-    if x == 0.0:
-        return 0.0
+    if 0.0 < x < math.inf:
+        return _log_q(a, x, log_gamma(a), acc)
+    return 0.0 if x == 0.0 else -math.inf
+
+
+def _log_q(a: float, x: float, lg_a: float, acc: Accuracy) -> float:
+    """log Q(a, x) for finite x > 0, given lg_a = log Gamma(a)."""
     if x < a + 1.0:
-        return math.log1p(-_lower_series(a, x, acc))
-    return math.log(_upper_cf(a, x, acc)) - x + a * math.log(x) - log_gamma(a)
+        return math.log1p(-_lower_series(a, x, lg_a, acc))
+    return math.log(_upper_cf(a, x, acc)) - x + a * math.log(x) - lg_a
 
 
 def inv_reg_gamma_upper(a: float, q: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Solve Q(a, x) = q for x, 0 < q < 1.
 
-    Newton iteration on log Q (well conditioned in both tails) safeguarded
-    by a maintained bracket; bisects whenever the Newton step leaves it.
+    Halley steps on f(x) = log Q(a, x) - log q, one log Q evaluation each,
+    from the power law P ~ x^a / Gamma(a + 1) or the upper-tail asymptote
+    log Q ~ (a - 1) log x - x - log Gamma(a).  A step that leaves the bracket
+    of the iterates bisects it.  Stops on a step below ``acc.rel_tol``
+    relative or on |f| <= 5e-15 |log q|, the noise floor of log Q.
     """
-    if not a > 0.0:
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
+    if not (a > 0.0 and 0.0 < q < 1.0):
+        raise ValueError(f"need a > 0 and 0 < q < 1, got a={a}, q={q}")
     log_q = math.log(q)
     lg_a = log_gamma(a)
 
-    # bracket the root around the mean of the gamma(a) law
-    lo, hi = a, a
-    for _ in range(acc.max_iter):
-        if log_reg_gamma_upper(a, lo, acc) >= log_q:
-            break
-        lo *= 0.5
-    for _ in range(acc.max_iter):
-        if log_reg_gamma_upper(a, hi, acc) <= log_q:
-            break
-        hi = hi * 2.0 + 1.0
+    # P(a, x) <= x^a / Gamma(a + 1): a lower bound, tight for small roots
+    log_x = (math.log1p(-q) + lg_a + math.log(a)) / a
+    if log_x < -708.0:  # below the smallest normal double
+        raise ValueError(
+            f"the root of Q(a, x) = q underflows a double for a={a}, q={q}")
+    x = math.exp(log_x)
+    tail = -log_q - lg_a
+    if tail > max(x, 1.0):
+        x = tail
+        for _ in range(3):
+            x = tail + (a - 1.0) * math.log(x)
 
-    x = 0.5 * (lo + hi)
+    lo, hi = 0.0, math.inf
     for _ in range(acc.max_iter):
-        f = log_reg_gamma_upper(a, x, acc) - log_q
-        # d/dx log Q = -x^(a-1) e^(-x) / (Gamma(a) Q)
-        dlog = -math.exp(-x + (a - 1.0) * math.log(x) - lg_a
-                         - log_reg_gamma_upper(a, x, acc))
-        if f > 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        step = -f / dlog
-        x_new = x + step
+        log_qx = _log_q(a, x, lg_a, acc)
+        f = log_qx - log_q
+        if abs(f) <= 5e-15 * abs(log_q):
+            return x
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        # h = -f'(x) = x^(a-1) e^(-x) / (Gamma(a) Q), clamped to stay finite
+        log_h = (a - 1.0) * math.log(x) - x - lg_a - log_qx
+        h = math.exp(min(max(log_h, -700.0), 700.0))
+        newton = f / h
+        x_new = x + newton / max(1.0 + 0.5 * newton * ((a - 1.0) / x - 1.0 + h), 0.5)
         if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= acc.rel_tol * abs(x_new):
+            x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        if abs(x_new - x) <= acc.rel_tol * x_new:
             return x_new
         x = x_new
     raise ConvergenceError(

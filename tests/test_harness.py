@@ -215,6 +215,11 @@ class TestCli:
         val = float(capsys.readouterr().out)
         assert 0.0 <= val <= 1.0
 
+    def test_exact_nan_is_config_error(self, capsys):
+        assert main(["exact", "--v", "2", "--p", "1", "--r", "1", "--y", "nan",
+                     "--n", "1000"]) == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_expand(self, capsys):
         assert main(["expand", "--v", "2", "--p", "2", "--r", "1", "--x", "0",
                      "--theorem", "2", "--n", "100000"]) == 0

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gedpower import specfun
 from gedpower.specfun import (
     Accuracy,
     ConvergenceError,
-    gamma,
     inv_reg_gamma_upper,
     log_gamma,
     log_reg_gamma_upper,
@@ -49,9 +49,6 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             log_gamma(-1.5)
 
-    def test_gamma_exponentiates(self):
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-
 
 class TestRegGamma:
     def test_lower_at_zero(self):
@@ -89,6 +86,17 @@ class TestRegGamma:
             reg_gamma_lower(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_gamma_upper(1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "fn", [reg_gamma_lower, reg_gamma_upper, log_reg_gamma_upper])
+    def test_nan_argument_rejected(self, fn):
+        with pytest.raises(ValueError, match="nan"):
+            fn(0.5, math.nan)
+
+    def test_infinite_argument_limits(self):
+        assert reg_gamma_upper(0.5, math.inf) == 0.0
+        assert log_reg_gamma_upper(0.5, math.inf) == -math.inf
+        assert reg_gamma_lower(0.5, math.inf) == 1.0
 
     def test_iteration_cap_reported_distinctly(self):
         slow = Accuracy(rel_tol=1e-14, max_iter=100)
@@ -146,6 +154,47 @@ class TestInverse:
     def test_round_trip(self, a, q):
         x = inv_reg_gamma_upper(a, q)
         assert reg_gamma_upper(a, x) == pytest.approx(q, rel=1e-13)
+
+    def test_edge_grid(self):
+        # every call returns a root within the log Q noise floor or raises
+        # an error with a message; on the supported shapes a = 1/v,
+        # v in [0.5, 4], every call returns a root
+        qs = [float(q) for q in np.geomspace(1e-300, 0.5, 25)]
+        qs += [1.0 - float(w) for w in np.geomspace(1e-16, 0.5, 20)]
+        for a in np.geomspace(0.01, 20.0, 25):
+            a = float(a)
+            supported = 0.25 <= a <= 2.0
+            for q in qs:
+                try:
+                    x = inv_reg_gamma_upper(a, q)
+                except (ConvergenceError, ValueError) as exc:
+                    assert not supported, (a, q, exc)
+                    assert str(exc) and "math domain" not in str(exc)
+                    continue
+                resid = abs(log_reg_gamma_upper(a, x) - math.log(q))
+                assert resid <= max(1e-13, 5e-15 * abs(math.log(q))), (a, q, x)
+
+    def test_root_below_double_range(self):
+        with pytest.raises(ValueError, match="underflows"):
+            inv_reg_gamma_upper(0.01, 1.0 - 1e-16)
+
+    def test_evaluations_per_call(self, monkeypatch):
+        # solver work guard: log Q evaluations per inverse call
+        counts = []
+        log_q = specfun._log_q
+
+        def counting(*args):
+            counts[-1] += 1
+            return log_q(*args)
+
+        monkeypatch.setattr(specfun, "_log_q", counting)
+        qs = [float(q) for q in np.geomspace(1e-300, 0.5, 30)]
+        qs += [1.0 - float(w) for w in np.geomspace(1e-15, 0.5, 20)]
+        for a in (0.25, 1.0 / 3.0, 0.5, 0.75, 1.0, 1.5, 2.0):
+            for q in qs:
+                counts.append(0)
+                inv_reg_gamma_upper(a, q)
+        assert max(counts) <= 5  # measured maximum: 4
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
