@@ -4,76 +4,13 @@ verifiable first- and second-order Gumbel expansions."""
 
 __version__ = "0.1.0"
 
-from .specfun import (
-    Accuracy,
-    ConvergenceError,
-    inv_reg_gamma_upper,
-    log_gamma,
-    log_reg_gamma_upper,
-    reg_gamma_lower,
-    reg_gamma_upper,
-)
-from .ged import (
-    GedParams,
-    TailExpansion,
-    cdf,
-    log_survival,
-    make_params,
-    pdf,
-    powered_abs_survival,
-    powered_abs_survival_expansion,
-    quantile,
-    sample_stream,
-    survival,
-    tail_expansion_coefficients,
-    tail_survival_expansion,
-)
-from .norming import (
-    AuxFG,
-    BnSolution,
-    LinearNorming,
-    aux_f_g,
-    gumbel_constants,
-    hall_constants,
-    optimal_constants,
-    power_constants,
-    solve_bn,
-)
-from .orderstats import (
-    BudgetError,
-    OrderStatSpec,
-    cdf_gap_from_deficit,
-    exact_powered_cdf,
-    lower_tail_mass,
-    mc_powered_cdf,
-    poisson_powered_cdf,
-    upper_orderstat_cdf,
-)
-from .expansions import (
-    ExpansionEval,
-    TheoremCase,
-    case_norming,
-    classify_case,
-    correction_b,
-    correction_h,
-    correction_q,
-    correction_s,
-    exact_deficit,
-    gumbel,
-    gumbel_r,
-    gumbel_r_identities,
-    lemma3_transfer,
-    normed_threshold,
-    theorem_expansion,
-    theta_deficit,
-)
-from .harness import (
-    CSV_HEADER,
-    ConfigError,
-    SweepConfig,
-    VerificationRow,
-    emit,
-    run_sweep,
-)
+from . import expansions, ged, harness, norming, orderstats, specfun
+from .specfun import *  # noqa: F401,F403
+from .ged import *  # noqa: F401,F403
+from .norming import *  # noqa: F401,F403
+from .orderstats import *  # noqa: F401,F403
+from .expansions import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (specfun.__all__ + ged.__all__ + norming.__all__ + orderstats.__all__
+           + expansions.__all__ + harness.__all__)

@@ -195,17 +195,28 @@ def _sweep_config(args) -> SweepConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config!r} must hold a JSON "
+                              f"object, got {type(file_cfg).__name__}")
 
     def pick(flag_value, key, default=None):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, default)
 
-    v_list = pick(args.v and _parse_list(args.v, float), "v")
-    p_list = pick(args.p and _parse_list(args.p, float), "p")
-    r_list = pick(args.r and _parse_list(args.r, int), "r")
-    n_ladder = pick(args.n and _parse_list(args.n, _parse_n_item), "n")
-    ln_ladder = pick(args.ln_n and _parse_list(args.ln_n, float), "ln_n")
+    def grid(flag_text, key, conv):
+        if flag_text is not None:
+            return _parse_list(flag_text, conv)
+        value = file_cfg.get(key)
+        if value is not None and not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+        return value
+
+    v_list = grid(args.v, "v", float)
+    p_list = grid(args.p, "p", float)
+    r_list = grid(args.r, "r", int)
+    n_ladder = grid(args.n, "n", _parse_n_item)
+    ln_ladder = grid(args.ln_n, "ln_n", float)
     if v_list is None or p_list is None or r_list is None:
         raise ConfigError("verify needs --v, --p and --r (flags or config file)")
     return SweepConfig(

@@ -46,7 +46,6 @@ __all__ = [
     "correction_q",
     "correction_s",
     "correction_b",
-    "lemma3_transfer",
     "theorem_expansion",
 ]
 
@@ -272,22 +271,6 @@ def correction_b(v: float, x: float) -> float:
         + (2.0 * vi * vi - 22.0 * vi + 32.0)
     )
     return poly * math.exp(-x)
-
-
-def lemma3_transfer(one_minus_theta: float, r: int, x: float) -> float:
-    """Quadratic transfer from tail deficit to CDF deficit.
-
-    Lambda(x) [1 - (1-theta)(r - 1 - e^(-x))/2] (1-theta) e^(-rx)/(r-1)!,
-    i.e. P(|M_{n,r}|^p <= z^p) - Lambda_r(x) up to O(n^-1) and cubic terms
-    in the deficit.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not abs(one_minus_theta) < 1.0:
-        raise ValueError(f"|1 - theta| must be < 1, got {one_minus_theta}")
-    d = one_minus_theta
-    return (gumbel(x) * (1.0 - 0.5 * d * (r - 1.0 - math.exp(-x))) * d
-            * math.exp(-r * x) / math.factorial(r - 1))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ quantiles, sampling, and the closed-form tail expansions used by the
 higher-order limit theory."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .specfun import (
 
 __all__ = [
     "GedParams",
-    "TailExpansion",
     "make_params",
     "pdf",
     "cdf",
@@ -29,7 +29,6 @@ __all__ = [
     "tail_expansion_coefficients",
     "tail_survival_expansion",
     "powered_abs_survival",
-    "powered_abs_survival_expansion",
 ]
 
 _LOG2 = math.log(2.0)
@@ -55,10 +54,13 @@ class GedParams:
 
 
 def make_params(v: float) -> GedParams:
-    """Build GedParams from the shape parameter v > 0."""
+    """Build GedParams from v > 0; v < 0.0086 (lambda not a normal double) is rejected."""
     if not v > 0.0:
         raise ValueError(f"shape parameter v must be positive, got {v}")
     lam = math.exp(0.5 * (-2.0 / v * _LOG2 + log_gamma(1.0 / v) - log_gamma(3.0 / v)))
+    if not (math.isfinite(lam) and lam >= sys.float_info.min):
+        raise ValueError(f"scale lambda = {lam} of shape v = {v} is outside "
+                         "the normal double range")
     degenerate = abs(1.0 + 2.0 * (1.0 / v - 1.0) * lam**v) < 1e-8
     return GedParams(v=v, lam=lam, tail_factor_degenerate=degenerate)
 
@@ -74,12 +76,6 @@ def pdf(params: GedParams, x: float) -> float:
     """Density g_v(x) = v exp(-|x/lambda|^v / 2) / (lambda 2^(1+1/v) Gamma(1/v))."""
     u = abs(x / params.lam) ** params.v
     return math.exp(_log_norm_const(params) - 0.5 * u)
-
-
-def log_pdf(params: GedParams, x: float) -> float:
-    """log g_v(x); finite far beyond where the density underflows."""
-    u = abs(x / params.lam) ** params.v
-    return _log_norm_const(params) - 0.5 * u
 
 
 def survival(params: GedParams, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
@@ -122,7 +118,10 @@ def quantile(params: GedParams, u: float, acc: Accuracy = DEFAULT_ACCURACY) -> f
     return params.lam * (2.0 * y) ** (1.0 / params.v)
 
 
-def sample_stream(params: GedParams, count: int, seed: int) -> np.ndarray:
+# the seed annotation is a string: evaluating np.random at definition time
+# would import numpy.random with the package, about 6 MB of resident memory
+def sample_stream(params: GedParams, count: int,
+                  seed: "int | np.random.SeedSequence") -> np.ndarray:
     """Draw ``count`` i.i.d. GED(v) variates, deterministic per (seed, count).
 
     |X| = lambda (2 Y)^(1/v) with Y ~ Gamma(1/v, 1), attached to an
@@ -130,21 +129,13 @@ def sample_stream(params: GedParams, count: int, seed: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     y = rng.standard_gamma(1.0 / params.v, size=count)
     signs = rng.integers(0, 2, size=count) * 2 - 1
     return signs * params.lam * (2.0 * y) ** (1.0 / params.v)
 
 
-@dataclass(frozen=True)
-class TailExpansion:
-    """Correction coefficients of the upper-tail expansion in powers of x^-v."""
-
-    coefficients: tuple[float, ...]
-    order: int
-
-
-def tail_expansion_coefficients(params: GedParams, order: int) -> TailExpansion:
+def tail_expansion_coefficients(params: GedParams, order: int) -> tuple[float, ...]:
     """Coefficients c_k of 1 - G_v(x) ~ (2 lam^v / v) {1 + sum c_k x^(-kv)} x^(1-v) g_v(x).
 
     c_1 = 2 (1/v - 1) lam^v, and each further c_k appends a factor
@@ -158,7 +149,7 @@ def tail_expansion_coefficients(params: GedParams, order: int) -> TailExpansion:
     for k in range(1, order + 1):
         running *= 2.0 * (1.0 / v - k) * lam**v
         coeffs.append(running)
-    return TailExpansion(coefficients=tuple(coeffs), order=order)
+    return tuple(coeffs)
 
 
 def tail_survival_expansion(params: GedParams, x: float, order: int) -> float:
@@ -171,10 +162,9 @@ def tail_survival_expansion(params: GedParams, x: float, order: int) -> float:
         raise ValueError("tail expansion degenerates at v = 1; use survival()")
     if not x > 1.0:
         raise ValueError(f"need x > 1 so that x^-v < 1, got x={x}")
-    exp_ = tail_expansion_coefficients(params, order)
     v = params.v
     series = 1.0
-    for k, c in enumerate(exp_.coefficients, start=1):
+    for k, c in enumerate(tail_expansion_coefficients(params, order), start=1):
         series += c * x ** (-k * v)
     lead = 2.0 * params.lam**v / v * x ** (1.0 - v)
     return lead * series * pdf(params, x)
@@ -185,23 +175,3 @@ def powered_abs_survival(params: GedParams, y: float, acc: Accuracy = DEFAULT_AC
     if y < 0.0:
         raise ValueError(f"y must be nonnegative, got {y}")
     return 2.0 * survival(params, y ** (1.0 / params.v), acc)
-
-
-def powered_abs_survival_expansion(params: GedParams, y: float, order: int) -> float:
-    """Asymptotic form of 1 - F(y): the prefactor
-    2^(1-1/v) lam^(v-1) / Gamma(1/v) times {1 + sum c_k y^-k} y^(1/v-1) e^(-y/(2 lam^v)),
-    with the same c_k as the plain tail expansion.  Diagnostic companion to
-    :func:`powered_abs_survival`.
-    """
-    if abs(params.v - 1.0) <= 1e-12:
-        raise ValueError("expansion degenerates at v = 1")
-    if not y > 1.0:
-        raise ValueError(f"need y > 1, got y={y}")
-    v, lam = params.v, params.lam
-    exp_ = tail_expansion_coefficients(params, order)
-    series = 1.0
-    for k, c in enumerate(exp_.coefficients, start=1):
-        series += c * y ** (-k)
-    log_pref = ((1.0 - 1.0 / v) * _LOG2 + (v - 1.0) * math.log(lam) - log_gamma(1.0 / v))
-    return (math.exp(log_pref) * series * y ** (1.0 / v - 1.0)
-            * math.exp(-y / (2.0 * lam**v)))

@@ -10,6 +10,7 @@ import numpy as np
 
 from .expansions import (
     DEFAULT_Q_VARIANT,
+    EQ_TOL,
     classify_case,
     case_norming,
     exact_deficit,
@@ -17,11 +18,13 @@ from .expansions import (
 )
 from .ged import make_params
 from .orderstats import (
+    BudgetError,
     OrderStatSpec,
     cdf_gap_from_deficit,
     mc_powered_cdf,
     poisson_remainder_bound,
 )
+from .specfun import ConvergenceError
 
 __all__ = [
     "ConfigError",
@@ -35,6 +38,7 @@ __all__ = [
 CSV_HEADER = ("v,p,r,n,x,exact,limit,err,scaled_err1,target1,"
               "scaled_err2,target2,theta_deficit,remainder_bound,error")
 _ROW_KEYS = CSV_HEADER.split(",")
+_NON_FINITE = ("nan", "inf", "-inf")
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
 
@@ -119,7 +123,7 @@ def _resolve_theorem(theorem: str | None, v: float, p: float):
     if theorem in ("1", "2"):
         return classify_case(v, p, theorem=int(theorem))
     if theorem is None:
-        branch = 1 if abs(v - 1.0) <= 1e-12 else 2
+        branch = 1 if abs(v - 1.0) <= EQ_TOL else 2
         return classify_case(v, p, theorem=branch)
     case = classify_case(v, p, theorem=1 if theorem.startswith("t1") else 2)
     if case.tag != theorem:
@@ -163,15 +167,15 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
             scaled_err2=scaled_err2, target2=target2,
             theta_deficit=deficit, remainder_bound=bound, error=error,
         )
-    except Exception as exc:  # per-row: record, never abort the sweep
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        # a numerical or domain failure is recorded on its row; any other
+        # exception is a program bug and stops the sweep
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return VerificationRow(v=v, p=p, r=r, n=n_value, x=x, error=msg)
 
 
 def _mc_note(config, params, case, norming, r, n, x, exact, row_index) -> str:
     """Cross-check the exact value against Monte Carlo; note 3-sigma misses."""
-    from .orderstats import BudgetError
-
     y = norming.scale * x + norming.shift
     spec = OrderStatSpec(n=int(n), r=r, p=case.p)
     row_seed = int(np.random.SeedSequence((config.seed, row_index)).generate_state(1)[0])
@@ -214,53 +218,24 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     return rows
 
 
-def _fmt_float(value: float) -> str:
-    return format(value, ".17g")
-
-
-def _row_values(row: VerificationRow) -> list:
-    return [row.v, row.p, row.r, row.n, row.x, row.exact, row.limit, row.err,
-            row.scaled_err1, row.target1, row.scaled_err2, row.target2,
-            row.theta_deficit, row.remainder_bound, row.error]
-
-
-def _csv_lines(rows: list[VerificationRow]) -> list[str]:
-    lines = [CSV_HEADER]
-    for row in rows:
-        vals = _row_values(row)
-        cells = []
-        for key, val in zip(_ROW_KEYS, vals):
-            if key == "r":
-                cells.append(str(int(val)))
-            elif key == "error":
-                cells.append(val)
-            elif key == "n" and float(val).is_integer() and abs(val) < 2**53:
-                cells.append(str(int(val)))
-            else:
-                cells.append(_fmt_float(val))
-        lines.append(",".join(cells))
-    return lines
-
-
-def _json_scalar(key: str, val) -> str:
-    if key == "error":
-        return json.dumps(val)
-    if key == "r":
-        return str(int(val))
-    if key == "n" and float(val).is_integer() and abs(val) < 2**53:
-        return str(int(val))
-    f = float(val)
-    if math.isnan(f) or math.isinf(f):
-        return "null"
-    return _fmt_float(f)
+def _cells(row: VerificationRow) -> list[str]:
+    """The CSV cells of one row in header order; the JSON format reuses them."""
+    cells = [format(float(getattr(row, key)), ".17g") for key in _ROW_KEYS[:-1]]
+    cells[2] = str(int(row.r))
+    if float(row.n).is_integer() and abs(row.n) < 2**53:
+        cells[3] = str(int(row.n))
+    cells.append(row.error)
+    return cells
 
 
 def _json_text(rows: list[VerificationRow]) -> str:
     out = ["["]
     for i, row in enumerate(rows):
+        cells = _cells(row)
+        cells[-1] = json.dumps(row.error)
         fields = ", ".join(
-            f"{json.dumps(k)}: {_json_scalar(k, v)}"
-            for k, v in zip(_ROW_KEYS, _row_values(row))
+            f"{json.dumps(k)}: {'null' if c in _NON_FINITE else c}"
+            for k, c in zip(_ROW_KEYS, cells)
         )
         out.append("  {" + fields + ("}," if i + 1 < len(rows) else "}"))
     out.append("]")
@@ -280,7 +255,7 @@ def rows_from_json(text: str) -> list[VerificationRow]:
 def emit(rows: list[VerificationRow], fmt: str, path: str) -> str:
     """Write rows to ``path`` as csv or json; bytes are deterministic."""
     if fmt == "csv":
-        text = "\n".join(_csv_lines(rows)) + "\n"
+        text = "\n".join([CSV_HEADER, *(",".join(_cells(r)) for r in rows)]) + "\n"
     elif fmt == "json":
         text = _json_text(rows)
     else:

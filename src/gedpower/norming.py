@@ -10,7 +10,6 @@ asymptotic sweeps can run far beyond any representable n.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .ged import GedParams
 from .specfun import Accuracy, ConvergenceError, DEFAULT_ACCURACY, log_gamma
@@ -18,14 +17,12 @@ from .specfun import Accuracy, ConvergenceError, DEFAULT_ACCURACY, log_gamma
 __all__ = [
     "LinearNorming",
     "BnSolution",
-    "AuxFG",
     "resolve_log_n",
     "gumbel_constants",
     "power_constants",
     "solve_bn",
     "hall_constants",
     "optimal_constants",
-    "aux_f_g",
 ]
 
 
@@ -55,10 +52,6 @@ class BnSolution:
     b_n: float
     residual: float
     log_n: float
-
-    @property
-    def n(self) -> float:
-        return math.exp(self.log_n)
 
 
 def resolve_log_n(n: int | float | None, log_n: float | None, min_n: float = 2.0) -> float:
@@ -233,25 +226,3 @@ def optimal_constants(params: GedParams, n: int | float | None = None, *,
         p=v,
         log_n=sol.log_n,
     )
-
-
-class AuxFG(NamedTuple):
-    """Auxiliary pair (f(t), g(t)) of the powered-tail product form."""
-
-    f: float
-    g: float
-
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.f) < 1e-10
-
-
-def aux_f_g(params: GedParams, t: float) -> AuxFG:
-    """f(t) = 2 lam^v (1 + 2 lam^v (1/v - 1) / t), g(t) = 1 - 4 (1/v -1)(1/v - 2) lam^(2v) / t^2."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    v, lam = params.v, params.lam
-    vi = 1.0 / v
-    f = 2.0 * lam**v * (1.0 + 2.0 * lam**v * (vi - 1.0) / t)
-    g = 1.0 - 4.0 * (vi - 1.0) * (vi - 2.0) * lam ** (2.0 * v) / t**2
-    return AuxFG(f=f, g=g)

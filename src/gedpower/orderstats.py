@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ged import GedParams, log_survival, survival
+from .ged import GedParams, log_survival, sample_stream, survival
 from .specfun import Accuracy, DEFAULT_ACCURACY
 
 __all__ = [
     "OrderStatSpec",
     "BudgetError",
-    "upper_orderstat_cdf",
     "exact_powered_cdf",
     "poisson_powered_cdf",
     "lower_tail_mass",
@@ -58,18 +57,21 @@ def _log_binom(n: float, j: int) -> float:
     return math.fsum(math.log((n - i) / (i + 1.0)) for i in range(j))
 
 
+def _binom_head(n: float, r: int, log_a: float, log_b: float) -> float:
+    """sum_{j<r} C(n,j) a^j b^(n-j), each addend built in log space."""
+    total = 0.0
+    for j in range(r):
+        total += math.exp(_log_binom(n, j) + j * log_a + (n - j) * log_b)
+    return total
+
+
 def _upper_sum(n: float, r: int, s: float) -> float:
-    """sum_{j<r} C(n,j) s^j (1-s)^(n-j), each addend built in log space."""
+    """P(M_{n,r} <= t) = sum_{j<r} C(n,j) s^j (1-s)^(n-j) with s = survival(t)."""
     if s <= 0.0:
         return 1.0
     if s >= 1.0:
         return 0.0
-    total = 0.0
-    log_s = math.log(s)
-    log_1ms = math.log1p(-s)
-    for j in range(r):
-        total += math.exp(_log_binom(n, j) + j * log_s + (n - j) * log_1ms)
-    return min(total, 1.0)
+    return min(_binom_head(n, r, math.log(s), math.log1p(-s)), 1.0)
 
 
 def lower_tail_mass(n: float, r: int, s: float) -> float:
@@ -82,21 +84,7 @@ def lower_tail_mass(n: float, r: int, s: float) -> float:
         return 0.0
     if s >= 1.0:
         return 1.0
-    total = 0.0
-    log_s = math.log(s)
-    log_1ms = math.log1p(-s)
-    for j in range(r):
-        log_term = _log_binom(n, j) + j * log_1ms + (n - j) * log_s
-        if log_term > -745.0:
-            total += math.exp(log_term)
-    return total
-
-
-def upper_orderstat_cdf(params: GedParams, spec: OrderStatSpec, z: float,
-                        acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """P(M_{n,r} <= z): at most r-1 of the n draws exceed z."""
-    s = survival(params, z, acc)
-    return _upper_sum(float(spec.n), spec.r, s)
+    return _binom_head(n, r, math.log1p(-s), math.log(s))
 
 
 def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
@@ -253,10 +241,8 @@ def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
     t = y ** (1.0 / spec.p) if y >= 0.0 else -1.0
     hits = 0
     for idx, size in enumerate(_mc_chunk_sizes(reps, spec.n)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, idx))))
-        g = rng.standard_gamma(1.0 / params.v, size=(size, spec.n))
-        signs = rng.integers(0, 2, size=(size, spec.n)) * 2 - 1
-        xs = signs * params.lam * (2.0 * g) ** (1.0 / params.v)
+        xs = sample_stream(params, size * spec.n,
+                           np.random.SeedSequence((seed, idx))).reshape(size, spec.n)
         m = np.partition(xs, spec.n - spec.r, axis=1)[:, spec.n - spec.r]
         if y >= 0.0:
             hits += int(np.count_nonzero(np.abs(m) <= t))

@@ -61,3 +61,19 @@ def mp_gumbel_r(r: int, x) -> mp.mpf:
     x = mp.mpf(x)
     lam = mp.e ** (-mp.e ** (-x))
     return lam * mp.fsum(mp.e ** (-j * x) / mp.factorial(j) for j in range(r))
+
+
+def lemma3_transfer(one_minus_theta: float, r: int, x: float) -> float:
+    """Quadratic transfer from tail deficit to CDF deficit.
+
+    Lambda(x) [1 - (1-theta)(r - 1 - e^(-x))/2] (1-theta) e^(-rx)/(r-1)!,
+    i.e. P(|M_{n,r}|^p <= z^p) - Lambda_r(x) up to O(n^-1) and cubic terms
+    in the deficit.  The reference the exact gap engine is checked against.
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if not abs(one_minus_theta) < 1.0:
+        raise ValueError(f"|1 - theta| must be < 1, got {one_minus_theta}")
+    d = one_minus_theta
+    return (math.exp(-math.exp(-x)) * (1.0 - 0.5 * d * (r - 1.0 - math.exp(-x))) * d
+            * math.exp(-r * x) / math.factorial(r - 1))

@@ -1,0 +1,72 @@
+"""The package's export list, its import cost, and the demos that use it."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import gedpower
+from gedpower import expansions, ged, harness, norming, orderstats, specfun
+
+SUBMODULES = (specfun, ged, norming, orderstats, expansions, harness)
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def _env() -> dict:
+    """The environment for a child process that imports this gedpower."""
+    src = str(Path(gedpower.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p)
+    return env
+
+
+def test_all_holds_no_modules():
+    for name in gedpower.__all__:
+        assert not isinstance(getattr(gedpower, name), types.ModuleType), name
+
+
+def test_all_is_the_union_of_the_submodules():
+    union = [name for mod in SUBMODULES for name in mod.__all__]
+    assert len(set(union)) == len(union)
+    assert sorted(gedpower.__all__) == sorted(union)
+    for mod in SUBMODULES:
+        for name in mod.__all__:
+            assert getattr(gedpower, name) is getattr(mod, name)
+
+
+@pytest.mark.parametrize("name", [
+    "aux_f_g", "AuxFG", "powered_abs_survival_expansion", "log_pdf",
+    "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
+])
+def test_deleted_names_are_gone(name):
+    with pytest.raises(ImportError):
+        exec(f"from gedpower import {name}", {})
+
+
+def test_bn_solution_has_no_n_property():
+    assert not hasattr(gedpower.BnSolution, "n")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the Monte Carlo path loads numpy.random when it first runs; importing
+    # the package earlier costs every other caller about 6 MB
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import gedpower; print(before or 'numpy.random' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+def test_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

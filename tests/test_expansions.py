@@ -16,14 +16,13 @@ from gedpower.expansions import (
     gumbel,
     gumbel_r,
     gumbel_r_identities,
-    lemma3_transfer,
     normed_threshold,
     theorem_expansion,
     theta_deficit,
 )
 from gedpower.ged import make_params
 from gedpower.norming import solve_bn
-from oracles import brute_upper_orderstat_cdf, mp_gumbel_r
+from oracles import brute_upper_orderstat_cdf, lemma3_transfer, mp_gumbel_r
 
 mp.mp.dps = 50
 

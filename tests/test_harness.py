@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -123,6 +124,15 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[0].error != ""
 
+    def test_program_bug_stops_the_sweep(self, monkeypatch):
+        # only numerical and domain failures become row notes
+        def broken(*args, **kwargs):
+            raise TypeError("broken deficit")
+
+        monkeypatch.setattr("gedpower.harness.exact_deficit", broken)
+        with pytest.raises(TypeError, match="broken deficit"):
+            run_sweep(t1i_config())
+
     def test_mc_cross_check_clean(self):
         cfg = SweepConfig(
             v_list=(1.0,), p_list=(1.0,), r_list=(1,),
@@ -180,6 +190,33 @@ class TestEmit:
             emit([], "csv", str(tmp_path / "no" / "such" / "file.csv"))
 
 
+class TestGoldenBytes:
+    """sha256 of emitted sweeps, pinned from the formatter, sampler and
+    binomial sums as they were before those paths were merged."""
+
+    # Seed 4 puts two 3-sigma notes (z=3.51, z=-3.29) on this grid, so the
+    # bytes depend on the Monte Carlo stream; n = 8 gives error rows.
+    EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
+                   n_ladder=(8, 100, 1000), x_min=-3.0, x_max=1.5, x_step=1.5,
+                   mc_reps=200, seed=4)
+    # log n = 750 makes n = inf ("inf" in CSV, null in JSON) and t1_i errors
+    LOG_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
+                 log_n_ladder=(10.0, 100.0, 750.0), x_min=-1.0, x_max=2.0,
+                 x_step=1.5)
+
+    @pytest.mark.parametrize("grid,fmt,digest", [
+        ("EXACT_N", "csv", "e6a4adf047aed71554279430a91a7515221c2b7cc54b5fe2321113b273bca0a8"),
+        ("EXACT_N", "json", "faae4e8fcd6365263b70f6a28ba1886e11aa35659c2e89e1c494fe17c2c2e0a8"),
+        ("LOG_N", "csv", "e036e80f3064b42c1c9e5fab572421c9821e05ab432ea9f701734ce6f7e83b47"),
+        ("LOG_N", "json", "6afa8f99b2a63df02b0559e6325d4e6f552a4f823cad3947c94b940a1e3b9095"),
+    ])
+    def test_sweep_digest(self, tmp_path, grid, fmt, digest):
+        rows = run_sweep(SweepConfig(**getattr(self, grid)))
+        path = tmp_path / f"rows.{fmt}"
+        emit(rows, fmt, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestCli:
     def test_dist(self, capsys):
         assert main(["dist", "--v", "2", "--what", "pdf", "--x", "0"]) == 0
@@ -193,6 +230,11 @@ class TestCli:
 
     def test_dist_missing_arg_is_config_error(self, capsys):
         assert main(["dist", "--v", "1", "--what", "quantile"]) == 2
+
+    def test_dist_underflowing_scale_is_config_error(self, capsys):
+        assert main(["dist", "--v", "1e-3", "--what", "survival", "--x", "1"]) == 2
+        assert "normal double range" in capsys.readouterr().err
+        assert main(["dist", "--v", "0.01", "--what", "survival", "--x", "1"]) == 0
 
     def test_norming_and_solve_bn(self, capsys):
         assert main(["norming", "--family", "power", "--v", "1", "--p", "1",
@@ -265,6 +307,19 @@ class TestCli:
                    "--r", "1,2"])  # override r
         assert rc == 0
         assert len(json.loads(out.read_text())) == 2
+
+    @pytest.mark.parametrize("cfg,message", [
+        ([1.0, 2.0], "JSON object"),
+        ({"v": 1.0, "p": 1.0, "r": 1, "n": [100]}, "must be a list"),
+    ])
+    def test_verify_malformed_config_is_config_error(self, tmp_path, capsys,
+                                                     cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["verify", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "rows.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_missing_out_is_config_error(self, tmp_path):
         assert main(["verify", "--v", "1", "--p", "1", "--r", "1",

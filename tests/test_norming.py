@@ -4,7 +4,6 @@ import pytest
 
 from gedpower.ged import make_params, survival
 from gedpower.norming import (
-    aux_f_g,
     gumbel_constants,
     hall_constants,
     optimal_constants,
@@ -207,31 +206,6 @@ class TestOptimalConstants:
     def test_rejects_laplace(self):
         with pytest.raises(ValueError):
             optimal_constants(make_params(1.0), 10**6)
-
-
-class TestAuxFG:
-    def test_limits(self):
-        params = make_params(4.0)
-        pair = aux_f_g(params, 1e12)
-        assert pair.g == pytest.approx(1.0, abs=1e-12)
-        assert pair.f == pytest.approx(2.0 * params.lam**4, rel=1e-10)
-
-    def test_normal_degenerate_point(self):
-        # v = 2, lam = 1, t = 1: f = 2 (1 + 2 (1/2 - 1)) = 0
-        pair = aux_f_g(make_params(2.0), 1.0)
-        assert pair.f == pytest.approx(0.0, abs=1e-12)
-        assert pair.degenerate
-
-    def test_substitution_small_shape(self):
-        params = make_params(0.5)
-        lam_v = params.lam**0.5
-        pair = aux_f_g(params, 10.0)
-        assert pair.f == pytest.approx(2.0 * lam_v * (1.0 + 0.2 * lam_v), rel=1e-12)
-        assert not pair.degenerate
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            aux_f_g(make_params(2.0), 0.0)
 
 
 def test_mode_exclusivity():

@@ -15,7 +15,6 @@ from gedpower.orderstats import (
     lower_tail_mass,
     mc_powered_cdf,
     poisson_powered_cdf,
-    upper_orderstat_cdf,
 )
 from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf
 
@@ -23,20 +22,22 @@ mp.mp.dps = 50
 
 
 class TestUpperOrderstatCdf:
+    """The upper binomial sum, through exact_powered_cdf at p = 1."""
+
     def test_maximum_of_one_is_cdf(self):
         params = make_params(1.0)
         spec = OrderStatSpec(n=1, r=1, p=1.0)
         for z in (-1.0, 0.0, 2.0):
-            assert upper_orderstat_cdf(params, spec, z) == pytest.approx(
-                cdf(params, z), rel=1e-13
+            assert exact_powered_cdf(params, spec, z) == pytest.approx(
+                max(0.0, cdf(params, z) - cdf(params, -z)), rel=1e-13
             )
 
     def test_two_sample_square_identity(self):
         params = make_params(2.0)
         spec = OrderStatSpec(n=2, r=1, p=1.0)
         for z in (0.0, 0.7, 2.0):
-            assert upper_orderstat_cdf(params, spec, z) == pytest.approx(
-                cdf(params, z) ** 2, rel=1e-13
+            assert exact_powered_cdf(params, spec, z) == pytest.approx(
+                cdf(params, z) ** 2 - cdf(params, -z) ** 2, rel=1e-13
             )
 
     def test_brute_force_binomial(self):
@@ -46,8 +47,9 @@ class TestUpperOrderstatCdf:
         z = gumbel_constants(params, n).shift
         s = survival(params, z)
         spec = OrderStatSpec(n=n, r=3, p=1.0)
-        oracle = float(brute_upper_orderstat_cdf(n, 3, s))
-        assert upper_orderstat_cdf(params, spec, z) == pytest.approx(oracle, rel=1e-13)
+        oracle = float(brute_upper_orderstat_cdf(n, 3, s)
+                       - brute_lower_orderstat_mass(n, 3, s))
+        assert exact_powered_cdf(params, spec, z) == pytest.approx(oracle, rel=1e-13)
 
     def test_brute_force_various_ranks(self):
         params = make_params(0.5)
@@ -55,8 +57,9 @@ class TestUpperOrderstatCdf:
         spec_zs = [(r, quantile(params, 1.0 - r / n)) for r in (1, 2, 5)]
         for r, z in spec_zs:
             s = survival(params, z)
-            got = upper_orderstat_cdf(params, OrderStatSpec(n=n, r=r, p=1.0), z)
-            assert got == pytest.approx(float(brute_upper_orderstat_cdf(n, r, s)), rel=1e-13)
+            got = exact_powered_cdf(params, OrderStatSpec(n=n, r=r, p=1.0), z)
+            oracle = brute_upper_orderstat_cdf(n, r, s) - brute_lower_orderstat_mass(n, r, s)
+            assert got == pytest.approx(float(oracle), rel=1e-13)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
