@@ -12,11 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .expansions import (
-    DEFAULT_Q_VARIANT,
-    classify_case,
-    theorem_expansion,
-)
+from .expansions import classify_case, theorem_expansion
 from .ged import cdf, make_params, pdf, quantile, survival
 from .harness import ConfigError, SweepConfig, emit, run_sweep
 from .norming import (
@@ -102,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--theorem", choices=("1", "2"), required=True)
-    sp.add_argument("--q-variant", dest="q_variant",
-                    choices=("eq22", "eq34"), default=DEFAULT_Q_VARIANT)
     _add_mode_args(sp)
 
     sp = subs.add_parser("verify", help="run a sweep and write CSV/JSON rows")
@@ -123,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
     sp.add_argument("--seed", type=int)
     sp.add_argument("--mc-reps", dest="mc_reps", type=int)
-    sp.add_argument("--q-variant", dest="q_variant", choices=("eq22", "eq34"))
 
     sp = subs.add_parser("simulate", help="Monte Carlo estimate of the exact law")
     sp.add_argument("--v", type=float, required=True)
@@ -178,7 +171,7 @@ def _cmd_expand(args) -> str:
     params = make_params(args.v)
     case = classify_case(args.v, args.p, theorem=int(args.theorem))
     ee = theorem_expansion(params, case, args.r, args.n, args.x,
-                           log_n=args.ln_n, q_variant=args.q_variant)
+                           log_n=args.ln_n)
     return _fmt(ee.leading, ee.first_order, ee.second_order,
                 ee.scale_first, ee.scale_second)
 
@@ -190,14 +183,52 @@ def _cmd_simulate(args) -> str:
     return _fmt(est, se)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+# every key a config file may hold, with the check each value (each item,
+# for a grid key) must pass
+_CONFIG_CHECKS = {
+    "v": _is_number, "p": _is_number, "r": _is_whole, "ln_n": _is_number,
+    "n": lambda value: _is_whole(value) and 1 <= value < 2**63,
+    "x_min": _is_number, "x_max": _is_number, "x_step": _is_number,
+    "seed": _is_whole, "mc_reps": _is_whole,
+    "theorem": _is_text, "out": _is_text, "format": _is_text,
+}
+_GRID_KEYS = ("v", "p", "r", "n", "ln_n")
+
+
+def _read_config(path: str) -> dict:
+    """Load a verify config file; reject unknown keys and mistyped values."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON "
+                          f"object, got {type(cfg).__name__}")
+    for key, value in cfg.items():
+        if key not in _CONFIG_CHECKS:
+            raise ConfigError(f"unknown config key {key!r}; expected one of "
+                              f"{', '.join(_CONFIG_CHECKS)}")
+        if key in _GRID_KEYS and not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+        items = value if key in _GRID_KEYS else [value]
+        if not all(_CONFIG_CHECKS[key](item) for item in items):
+            raise ConfigError(f"config key {key!r} has a value of the wrong "
+                              f"type: {value!r}")
+    return cfg
+
+
 def _sweep_config(args) -> SweepConfig:
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {args.config!r} must hold a JSON "
-                              f"object, got {type(file_cfg).__name__}")
+    file_cfg = _read_config(args.config) if args.config else {}
 
     def pick(flag_value, key, default=None):
         if flag_value is not None:
@@ -207,10 +238,7 @@ def _sweep_config(args) -> SweepConfig:
     def grid(flag_text, key, conv):
         if flag_text is not None:
             return _parse_list(flag_text, conv)
-        value = file_cfg.get(key)
-        if value is not None and not isinstance(value, list):
-            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-        return value
+        return file_cfg.get(key)
 
     v_list = grid(args.v, "v", float)
     p_list = grid(args.p, "p", float)
@@ -233,7 +261,6 @@ def _sweep_config(args) -> SweepConfig:
         fmt=pick(args.fmt, "format", "csv"),
         seed=int(pick(args.seed, "seed", 0)),
         mc_reps=int(pick(args.mc_reps, "mc_reps", 0)),
-        q_variant=pick(args.q_variant, "q_variant", DEFAULT_Q_VARIANT),
     )
 
 

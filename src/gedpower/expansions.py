@@ -19,7 +19,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 import math
 from dataclasses import dataclass
 
-from .ged import GedParams, log_survival, make_params
+from .ged import EQ_TOL, GedParams, log_survival, make_params
 from .norming import (
     LinearNorming,
     hall_constants,
@@ -31,7 +31,6 @@ from .norming import (
 from .specfun import log_gamma
 
 __all__ = [
-    "EQ_TOL",
     "TheoremCase",
     "ExpansionEval",
     "gumbel",
@@ -48,9 +47,6 @@ __all__ = [
     "correction_b",
     "theorem_expansion",
 ]
-
-EQ_TOL = 1e-12  # tie tolerance for v = 1 and p = v routing
-DEFAULT_Q_VARIANT = "eq34"  # numerically adjudicated winner; see README
 
 
 def gumbel(x: float) -> float:
@@ -154,48 +150,35 @@ def exact_deficit(params: GedParams, case: TheoremCase,
 
 
 def _lemma_deficit(params: GedParams, case: TheoremCase, x: float,
-                   log_n: float, order: int, q_variant: str) -> float:
-    """Closed-form prediction of 1 - theta at expansion order 1 or 2."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+                   log_n: float) -> float:
+    """Closed-form prediction of 1 - theta through second order."""
     v, p = case.v, case.p
     if case.tag == "t1_i":
         return 0.0
     if case.tag == "t1_ii":
         half_log = log_n - math.log(2.0)
-        out = (1.0 - p) * x * x / (2.0 * half_log)
-        if order == 2:
-            out -= ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
-                    * x**3 / (24.0 * half_log**2))
-        return out
+        return ((1.0 - p) * x * x / (2.0 * half_log)
+                - ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
+                   * x**3 / (24.0 * half_log**2)))
     if case.tag == "t1_iii":
         vi = 1.0 / v
         ll = math.log(log_n)
-        out = (1.0 - vi) ** 3 * ll * ll / (2.0 * log_n)
-        if order == 2:
-            out -= ((1.0 - vi) ** 2
-                    * (1.0 - math.log(2.0) - log_gamma(vi) + x) * ll / log_n)
-        return out
+        return ((1.0 - vi) ** 3 * ll * ll / (2.0 * log_n)
+                - ((1.0 - vi) ** 2
+                   * (1.0 - math.log(2.0) - log_gamma(vi) + x) * ll / log_n))
     b = solve_bn(params, log_n=log_n).b_n
     bv = b**case.v
     ex = math.exp(x)
     if case.tag == "t2_i":
-        out = correction_h(v, p, x) * ex / bv
-        if order == 2:
-            out += correction_q(v, p, x, variant=q_variant) * ex / bv**2
-        return out
+        return correction_h(v, p, x) * ex / bv + correction_q(v, p, x) * ex / bv**2
     if case.tag == "t2_ii":
-        out = correction_s(v, x) * ex / bv**2
-        if order == 2:
-            out += correction_b(v, x) * ex / bv**3
-        return out
+        return correction_s(v, x) * ex / bv**2 + correction_b(v, x) * ex / bv**3
     raise ValueError(f"unknown case tag {case.tag!r}")
 
 
 def theta_deficit(params: GedParams, case: TheoremCase,
                   n: int | float | None, x: float, *,
-                  log_n: float | None = None, order: int = 2,
-                  q_variant: str = DEFAULT_Q_VARIANT) -> tuple[float, float]:
+                  log_n: float | None = None) -> tuple[float, float]:
     """(exact, predicted) tail deficit 1 - theta at the case's normed point.
 
     The exact channel never touches the expansions, so comparing the two
@@ -203,7 +186,7 @@ def theta_deficit(params: GedParams, case: TheoremCase,
     """
     norming = case_norming(params, case, n, log_n=log_n)
     exact = exact_deficit(params, case, norming, x)
-    predicted = _lemma_deficit(params, case, x, norming.log_n, order, q_variant)
+    predicted = _lemma_deficit(params, case, x, norming.log_n)
     return exact, predicted
 
 
@@ -222,29 +205,22 @@ def correction_h(v: float, p: float, x: float) -> float:
     return poly * math.exp(-x)
 
 
-def correction_q(v: float, p: float, x: float,
-                 variant: str = DEFAULT_Q_VARIANT) -> float:
+def correction_q(v: float, p: float, x: float) -> float:
     """Second-order correction q_v(x) of the calibration-root case.
 
-    The two published forms of its constant term disagree; both are kept
-    behind ``variant`` ("eq34" carries -4(1/v-1)(1/v-2) lam^2v, "eq22"
-    carries -4(1/v-1)^2 lam^2v).  Numerical fits of the exact deficit
-    select "eq34"; see the README verification notes.
+    The two published forms of its constant term disagree; this is the
+    eq34 form, -4(1/v-1)(1/v-2) lam^2v, which numerical fits of the exact
+    deficit select over eq22's -4(1/v-1)^2 lam^2v (see the README
+    verification notes).
     """
     _check_v_not_one(v, "correction_q")
     lam2 = make_params(v).lam ** (2.0 * v)
     vi = 1.0 / v
-    if variant == "eq34":
-        const = -4.0 * (vi - 1.0) * (vi - 2.0) * lam2
-    elif variant == "eq22":
-        const = -4.0 * (vi - 1.0) * (vi - 1.0) * lam2
-    else:
-        raise ValueError(f"variant must be 'eq22' or 'eq34', got {variant!r}")
     poly = (-0.5 * lam2 * vi * vi * (v - p) ** 2 * x**4
             + vi * vi * (v - p) * lam2 * (2.0 - 4.0 * v / 3.0 - 4.0 * p / 3.0) * x**3
             - 2.0 * vi * vi * (1.0 - v) * lam2 * x * x
             - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2 * x
-            + const)
+            - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2)
     return poly * math.exp(-x)
 
 
@@ -324,8 +300,7 @@ def _t1_iii_targets(v: float, r: int, x: float) -> tuple[float, float]:
 
 def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
                       n: int | float | None, x: float, *,
-                      log_n: float | None = None,
-                      q_variant: str = DEFAULT_Q_VARIANT) -> ExpansionEval:
+                      log_n: float | None = None) -> ExpansionEval:
     """Leading term, correction terms, and scale factors at one grid point.
 
     The scale factors are the divergent multipliers attached to each order:
@@ -370,7 +345,7 @@ def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
         if case.tag == "t2_i":
             s1, s2 = bv, bv * bv
             t1 = h * pref
-            q = correction_q(v, p, x, variant=q_variant)
+            q = correction_q(v, p, x)
             t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
         else:
             s1, s2 = bv * bv, bv**3

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    DEFAULT_ACCURACY,
-    Accuracy,
     inv_reg_gamma_upper,
     log_gamma,
     log_reg_gamma_upper,
@@ -18,6 +16,7 @@ from .specfun import (
 )
 
 __all__ = [
+    "EQ_TOL",
     "GedParams",
     "make_params",
     "pdf",
@@ -28,9 +27,9 @@ __all__ = [
     "sample_stream",
     "tail_expansion_coefficients",
     "tail_survival_expansion",
-    "powered_abs_survival",
 ]
 
+EQ_TOL = 1e-12  # tie tolerance for v = 1 and p = v routing
 _LOG2 = math.log(2.0)
 
 
@@ -78,43 +77,43 @@ def pdf(params: GedParams, x: float) -> float:
     return math.exp(_log_norm_const(params) - 0.5 * u)
 
 
-def survival(params: GedParams, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def survival(params: GedParams, x: float) -> float:
     """Upper tail 1 - G_v(x) with full relative accuracy for x >= 0.
 
     For x >= 0 this is Q(1/v, (x/lambda)^v / 2) / 2 with Q the regularized
     upper incomplete gamma, evaluated directly rather than as 1 - cdf.
     """
     if x < 0.0:
-        return 1.0 - survival(params, -x, acc)
+        return 1.0 - survival(params, -x)
     u = (x / params.lam) ** params.v / 2.0
-    return 0.5 * reg_gamma_upper(1.0 / params.v, u, acc)
+    return 0.5 * reg_gamma_upper(1.0 / params.v, u)
 
 
-def log_survival(params: GedParams, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def log_survival(params: GedParams, x: float) -> float:
     """log(1 - G_v(x)) for x >= 0; finite even where the tail underflows."""
     if x < 0.0:
         raise ValueError("log_survival is defined for x >= 0")
     u = (x / params.lam) ** params.v / 2.0
-    return log_reg_gamma_upper(1.0 / params.v, u, acc) - _LOG2
+    return log_reg_gamma_upper(1.0 / params.v, u) - _LOG2
 
 
-def cdf(params: GedParams, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def cdf(params: GedParams, x: float) -> float:
     """Distribution function G_v(x); symmetric about G_v(0) = 1/2."""
     if x < 0.0:
-        return survival(params, -x, acc)
-    return 1.0 - survival(params, x, acc)
+        return survival(params, -x)
+    return 1.0 - survival(params, x)
 
 
-def quantile(params: GedParams, u: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def quantile(params: GedParams, u: float) -> float:
     """Inverse of cdf on (0, 1); odd around u = 1/2."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must be in (0, 1), got {u}")
     if u == 0.5:
         return 0.0
     if u < 0.5:
-        return -quantile(params, 1.0 - u, acc)
+        return -quantile(params, 1.0 - u)
     # survival(x) = (1 - u)  =>  Q(1/v, (x/lam)^v / 2) = 2 (1 - u)
-    y = inv_reg_gamma_upper(1.0 / params.v, 2.0 * (1.0 - u), acc)
+    y = inv_reg_gamma_upper(1.0 / params.v, 2.0 * (1.0 - u))
     return params.lam * (2.0 * y) ** (1.0 / params.v)
 
 
@@ -158,7 +157,7 @@ def tail_survival_expansion(params: GedParams, x: float, order: int) -> float:
     Rejects v = 1 (all correction terms vanish and the exact tail is
     elementary there) and x with x^-v >= 1, where the series is meaningless.
     """
-    if abs(params.v - 1.0) <= 1e-12:
+    if abs(params.v - 1.0) <= EQ_TOL:
         raise ValueError("tail expansion degenerates at v = 1; use survival()")
     if not x > 1.0:
         raise ValueError(f"need x > 1 so that x^-v < 1, got x={x}")
@@ -168,10 +167,3 @@ def tail_survival_expansion(params: GedParams, x: float, order: int) -> float:
         series += c * x ** (-k * v)
     lead = 2.0 * params.lam**v / v * x ** (1.0 - v)
     return lead * series * pdf(params, x)
-
-
-def powered_abs_survival(params: GedParams, y: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Survival 1 - F(y) of |X|^v, i.e. 2 (1 - G_v(y^(1/v))), for y >= 0."""
-    if y < 0.0:
-        raise ValueError(f"y must be nonnegative, got {y}")
-    return 2.0 * survival(params, y ** (1.0 / params.v), acc)

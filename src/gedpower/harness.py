@@ -9,14 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansions import (
-    DEFAULT_Q_VARIANT,
-    EQ_TOL,
     classify_case,
     case_norming,
     exact_deficit,
     theorem_expansion,
 )
-from .ged import make_params
+from .ged import EQ_TOL, make_params
 from .orderstats import (
     BudgetError,
     OrderStatSpec,
@@ -64,7 +62,6 @@ class SweepConfig:
     fmt: str = "csv"
     seed: int = 0
     mc_reps: int = 0
-    q_variant: str = DEFAULT_Q_VARIANT
 
     def __post_init__(self):
         if not self.v_list or not self.p_list or not self.r_list:
@@ -84,8 +81,6 @@ class SweepConfig:
             raise ConfigError("empty x grid: x_max < x_min")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.q_variant not in ("eq22", "eq34"):
-            raise ConfigError(f"q_variant must be eq22 or eq34, got {self.q_variant!r}")
         if self.theorem is not None and self.theorem not in ("1", "2") + _CASE_TAGS:
             raise ConfigError(f"theorem filter must be 1, 2 or a case tag, "
                               f"got {self.theorem!r}")
@@ -147,8 +142,7 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         else:
             gap = cdf_gap_from_deficit(r, x, deficit, log_n=log_n)
             bound = poisson_remainder_bound(r, x, deficit, log_n)
-        ee = theorem_expansion(params, case, r, n, x, log_n=log_n,
-                               q_variant=config.q_variant)
+        ee = theorem_expansion(params, case, r, n, x, log_n=log_n)
         limit = ee.leading
         target1 = ee.first_order * ee.scale_first
         target2 = ee.second_order * ee.scale_second

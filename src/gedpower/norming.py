@@ -11,8 +11,8 @@ asymptotic sweeps can run far beyond any representable n.
 import math
 from dataclasses import dataclass
 
-from .ged import GedParams
-from .specfun import Accuracy, ConvergenceError, DEFAULT_ACCURACY, log_gamma
+from .ged import EQ_TOL, GedParams
+from .specfun import MAX_ITER, REL_TOL, ConvergenceError, log_gamma
 
 __all__ = [
     "LinearNorming",
@@ -28,13 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearNorming:
-    """An affine (scale, shift) pair with the inputs that produced it."""
+    """An affine (scale, shift) pair and the log n it was built for."""
 
     scale: float
     shift: float
-    family: str  # "gumbel" | "power" | "hall" | "optimal"
-    v: float
-    p: float
     log_n: float
 
     def __post_init__(self):
@@ -81,8 +78,7 @@ def gumbel_constants(params: GedParams, n: int | float | None = None, *,
     shift = pref * ln ** (1.0 / v) - scale * (
         (v - 1.0) / v * math.log(ln) + math.log(2.0) + log_gamma(1.0 / v)
     )
-    return LinearNorming(scale=scale, shift=shift, family="gumbel",
-                         v=v, p=1.0, log_n=ln)
+    return LinearNorming(scale=scale, shift=shift, log_n=ln)
 
 
 def power_constants(params: GedParams, p: float, n: int | float | None = None, *,
@@ -99,9 +95,6 @@ def power_constants(params: GedParams, p: float, n: int | float | None = None, *
     return LinearNorming(
         scale=p * base.scale * base.shift ** (p - 1.0),
         shift=base.shift ** p,
-        family="power",
-        v=params.v,
-        p=p,
         log_n=base.log_n,
     )
 
@@ -114,8 +107,7 @@ def _calibration_log_lhs(params: GedParams, b: float) -> float:
 
 
 def solve_bn(params: GedParams, n: int | float | None = None, *,
-             log_n: float | None = None,
-             acc: Accuracy = DEFAULT_ACCURACY) -> BnSolution:
+             log_n: float | None = None) -> BnSolution:
     """Solve the calibration equation LHS(b) = n for b > 0.
 
     Works on log LHS(b) = log n (the raw equation spans hundreds of orders
@@ -140,11 +132,15 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
         b_stat = (2.0 * lam**v * (1.0 - v) / v) ** (1.0 / v)
         lo = max(lo, b_stat * (1.0 + 1e-9))
     trace: list[tuple[float, float]] = []
-    for _ in range(acc.max_iter):
+    for _ in range(MAX_ITER):
         if f(hi) >= 0.0:
-            break
+            if hi > lo:
+                break
+            # small v and log n put b_0 below b_stat, on the decreasing
+            # branch; restart hi on the increasing branch
+            hi = lo
         hi *= 2.0
-    for _ in range(acc.max_iter):
+    for _ in range(MAX_ITER):
         if f(lo) <= 0.0:
             break
         if v < 1.0 and lo <= b_stat * (1.0 + 1e-8):
@@ -157,8 +153,8 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
     # the log LHS is ~log n near the root, so its double-precision
     # evaluation noise scales with log n; the residual target does too
     f_tol = max(1e-13, abs(ln) * 5e-15)
-    b = min(max(b0, lo), hi)
-    for _ in range(acc.max_iter):
+    b, b_prev = min(max(b0, lo), hi), math.nan
+    for _ in range(MAX_ITER):
         fb = f(b)
         trace.append((b, fb))
         if fb > 0.0:
@@ -169,10 +165,14 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
         b_new = b + step
         if not lo <= b_new <= hi:
             b_new = 0.5 * (lo + hi)
-        if abs(fb) < f_tol and abs(b_new - b) <= acc.rel_tol * abs(b_new):
+        if abs(fb) < f_tol and abs(b_new - b) <= REL_TOL * abs(b_new):
             b = b_new
             break
-        b = b_new
+        if abs(fb) < f_tol and b_new == b_prev:
+            # two iterates alternate at the rounding noise of f, which for
+            # small v resolves b only to ~1e-13 relative
+            break
+        b_prev, b = b, b_new
     else:
         raise ConvergenceError(
             f"calibration solve did not converge for v={v}, log_n={ln}; "
@@ -182,27 +182,22 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
 
 
 def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,
-                   log_n: float | None = None,
-                   acc: Accuracy = DEFAULT_ACCURACY) -> LinearNorming:
+                   log_n: float | None = None) -> LinearNorming:
     """Norming built on the calibration root: (2 p lam^v b^(p-v) / v, b^p)."""
     if not p > 0.0:
         raise ValueError(f"power index must be positive, got {p}")
-    sol = solve_bn(params, n, log_n=log_n, acc=acc)
+    sol = solve_bn(params, n, log_n=log_n)
     v, lam = params.v, params.lam
     b = sol.b_n
     return LinearNorming(
         scale=2.0 * p / v * lam**v * b ** (p - v),
         shift=b**p,
-        family="hall",
-        v=v,
-        p=p,
         log_n=sol.log_n,
     )
 
 
 def optimal_constants(params: GedParams, n: int | float | None = None, *,
-                      log_n: float | None = None,
-                      acc: Accuracy = DEFAULT_ACCURACY) -> LinearNorming:
+                      log_n: float | None = None) -> LinearNorming:
     """Rate-optimal norming for the power-equals-shape case.
 
     shift = b^v + 4 (1/v - 1) lam^(2v) b^(-v) and scale = f(b^v) with the
@@ -211,18 +206,15 @@ def optimal_constants(params: GedParams, n: int | float | None = None, *,
     the powered family already covers it.
     """
     v, lam = params.v, params.lam
-    if abs(v - 1.0) <= 1e-12:
+    if abs(v - 1.0) <= EQ_TOL:
         raise ValueError(
             "optimal constants are undefined at v = 1; use power_constants"
         )
-    sol = solve_bn(params, n, log_n=log_n, acc=acc)
+    sol = solve_bn(params, n, log_n=log_n)
     bv = sol.b_n**v
     corr = 4.0 * (1.0 / v - 1.0) * lam ** (2.0 * v) / bv
     return LinearNorming(
         scale=2.0 * lam**v + corr,
         shift=bv + corr,
-        family="optimal",
-        v=v,
-        p=v,
         log_n=sol.log_n,
     )

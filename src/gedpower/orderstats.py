@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ged import GedParams, log_survival, sample_stream, survival
-from .specfun import Accuracy, DEFAULT_ACCURACY
 
 __all__ = [
     "OrderStatSpec",
@@ -32,7 +31,7 @@ _MC_CHUNK_DRAWS = 1 << 22
 
 
 class BudgetError(RuntimeError):
-    """A Monte Carlo request exceeds the configured draw budget."""
+    """A Monte Carlo request needs more n * reps draws than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,7 @@ def lower_tail_mass(n: float, r: int, s: float) -> float:
     return _binom_head(n, r, math.log1p(-s), math.log(s))
 
 
-def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
-                      acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float:
     """P(|M_{n,r}|^p <= y), exactly two-sided.
 
     Equals P(M_{n,r} <= t) - P(M_{n,r} < -t) at t = y^(1/p), so it carries
@@ -97,13 +95,13 @@ def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
     if y < 0.0:
         return 0.0
     t = y ** (1.0 / spec.p)
-    s = survival(params, t, acc)
+    s = survival(params, t)
     n = float(spec.n)
     return max(0.0, _upper_sum(n, spec.r, s) - lower_tail_mass(n, spec.r, s))
 
 
 def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
-                        log_n: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+                        log_n: float) -> float:
     """log-n-mode counterpart of :func:`exact_powered_cdf`.
 
     For sample sizes given only through log n the binomial sum collapses to
@@ -115,7 +113,7 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     t = y ** (1.0 / p)
-    log_mu = log_n + log_survival(params, t, acc)
+    log_mu = log_n + log_survival(params, t)
     if log_mu > 700.0:
         return 0.0
     mu = math.exp(log_mu)
@@ -223,8 +221,7 @@ def _mc_chunk_sizes(reps: int, n: int) -> list[int]:
 
 
 def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
-                   reps: int, seed: int,
-                   budget: int = _MC_DEFAULT_BUDGET) -> tuple[float, float]:
+                   reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr.
 
     Replications are split into fixed-size chunks, each with its own child
@@ -234,10 +231,9 @@ def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if spec.n * reps > budget:
-        raise BudgetError(
-            f"n * reps = {spec.n * reps} exceeds the draw budget {budget}"
-        )
+    if spec.n * reps > _MC_DEFAULT_BUDGET:
+        raise BudgetError(f"n * reps = {spec.n * reps} exceeds the draw "
+                          f"budget {_MC_DEFAULT_BUDGET}")
     t = y ** (1.0 / spec.p) if y >= 0.0 else -1.0
     hits = 0
     for idx, size in enumerate(_mc_chunk_sizes(reps, spec.n)):

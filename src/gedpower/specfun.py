@@ -3,11 +3,8 @@ family, self-contained so the rest of the library has a single, testable
 source of tail accuracy."""
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
     "ConvergenceError",
     "log_gamma",
     "reg_gamma_lower",
@@ -21,21 +18,9 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation hit its iteration cap before converging."""
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Evaluation targets for the series / continued-fraction loops."""
-
-    rel_tol: float = 1e-14
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.max_iter < 100:
-            raise ValueError(f"max_iter must be >= 100, got {self.max_iter}")
-
-
-DEFAULT_ACCURACY = Accuracy()
+# targets of the series, continued-fraction and inverse iterations
+REL_TOL = 1e-14
+MAX_ITER = 500
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error below
 # 1e-15 on the real half-line shifted to x >= 0.5, which is what the
@@ -70,24 +55,24 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _lower_series(a: float, x: float, lg_a: float, acc: Accuracy) -> float:
+def _lower_series(a: float, x: float, lg_a: float) -> float:
     """P(a, x) by the ascending series, lg_a = log Gamma(a); for x < a + 1."""
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(acc.max_iter):
+    for _ in range(MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * acc.rel_tol:
+        if abs(term) < abs(total) * REL_TOL:
             return total * math.exp(-x + a * math.log(x) - lg_a)
     raise ConvergenceError(
         f"incomplete gamma series did not converge for a={a}, x={x} "
-        f"within {acc.max_iter} iterations"
+        f"within {MAX_ITER} iterations"
     )
 
 
-def _upper_cf(a: float, x: float, acc: Accuracy) -> float:
+def _upper_cf(a: float, x: float) -> float:
     """Continued fraction for Q(a, x) * Gamma(a) * exp(x - a log x);
     valid for x >= a + 1 (modified Lentz)."""
     tiny = 1e-300
@@ -95,7 +80,7 @@ def _upper_cf(a: float, x: float, acc: Accuracy) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_iter + 1):
+    for i in range(1, MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -107,11 +92,11 @@ def _upper_cf(a: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return h
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge for a={a}, "
-        f"x={x} within {acc.max_iter} iterations"
+        f"x={x} within {MAX_ITER} iterations"
     )
 
 
@@ -122,15 +107,15 @@ def _check_domain(a: float, x: float) -> None:
         raise ValueError(f"argument must be a nonnegative number, got x={x}")
 
 
-def reg_gamma_lower(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), in [0, 1]."""
     _check_domain(a, x)
     if 0.0 < x < a + 1.0:
-        return _lower_series(a, x, log_gamma(a), acc)
-    return 1.0 - reg_gamma_upper(a, x, acc)
+        return _lower_series(a, x, log_gamma(a))
+    return 1.0 - reg_gamma_upper(a, x)
 
 
-def reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 
     In the continued-fraction region (x >= a + 1, where Q may be far below
@@ -143,32 +128,32 @@ def reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> flo
     if x == math.inf:
         return 0.0
     if x < a + 1.0:
-        return 1.0 - _lower_series(a, x, log_gamma(a), acc)
-    return _upper_cf(a, x, acc) * math.exp(-x + a * math.log(x) - log_gamma(a))
+        return 1.0 - _lower_series(a, x, log_gamma(a))
+    return _upper_cf(a, x) * math.exp(-x + a * math.log(x) - log_gamma(a))
 
 
-def log_reg_gamma_upper(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def log_reg_gamma_upper(a: float, x: float) -> float:
     """log Q(a, x); finite even where Q underflows a double."""
     _check_domain(a, x)
     if 0.0 < x < math.inf:
-        return _log_q(a, x, log_gamma(a), acc)
+        return _log_q(a, x, log_gamma(a))
     return 0.0 if x == 0.0 else -math.inf
 
 
-def _log_q(a: float, x: float, lg_a: float, acc: Accuracy) -> float:
+def _log_q(a: float, x: float, lg_a: float) -> float:
     """log Q(a, x) for finite x > 0, given lg_a = log Gamma(a)."""
     if x < a + 1.0:
-        return math.log1p(-_lower_series(a, x, lg_a, acc))
-    return math.log(_upper_cf(a, x, acc)) - x + a * math.log(x) - lg_a
+        return math.log1p(-_lower_series(a, x, lg_a))
+    return math.log(_upper_cf(a, x)) - x + a * math.log(x) - lg_a
 
 
-def inv_reg_gamma_upper(a: float, q: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def inv_reg_gamma_upper(a: float, q: float) -> float:
     """Solve Q(a, x) = q for x, 0 < q < 1.
 
     Halley steps on f(x) = log Q(a, x) - log q, one log Q evaluation each,
     from the power law P ~ x^a / Gamma(a + 1) or the upper-tail asymptote
     log Q ~ (a - 1) log x - x - log Gamma(a).  A step that leaves the bracket
-    of the iterates bisects it.  Stops on a step below ``acc.rel_tol``
+    of the iterates bisects it.  Stops on a step below ``REL_TOL``
     relative or on |f| <= 5e-15 |log q|, the noise floor of log Q.
     """
     if not (a > 0.0 and 0.0 < q < 1.0):
@@ -189,8 +174,8 @@ def inv_reg_gamma_upper(a: float, q: float, acc: Accuracy = DEFAULT_ACCURACY) ->
             x = tail + (a - 1.0) * math.log(x)
 
     lo, hi = 0.0, math.inf
-    for _ in range(acc.max_iter):
-        log_qx = _log_q(a, x, lg_a, acc)
+    for _ in range(MAX_ITER):
+        log_qx = _log_q(a, x, lg_a)
         f = log_qx - log_q
         if abs(f) <= 5e-15 * abs(log_q):
             return x
@@ -202,10 +187,10 @@ def inv_reg_gamma_upper(a: float, q: float, acc: Accuracy = DEFAULT_ACCURACY) ->
         x_new = x + newton / max(1.0 + 0.5 * newton * ((a - 1.0) / x - 1.0 + h), 0.5)
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        if abs(x_new - x) <= acc.rel_tol * x_new:
+        if abs(x_new - x) <= REL_TOL * x_new:
             return x_new
         x = x_new
     raise ConvergenceError(
         f"inverse incomplete gamma did not converge for a={a}, q={q} "
-        f"within {acc.max_iter} iterations"
+        f"within {MAX_ITER} iterations"
     )

@@ -1,5 +1,7 @@
 """The package's export list, its import cost, and the demos that use it."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -41,6 +43,7 @@ def test_all_is_the_union_of_the_submodules():
 @pytest.mark.parametrize("name", [
     "aux_f_g", "AuxFG", "powered_abs_survival_expansion", "log_pdf",
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
+    "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
@@ -49,6 +52,21 @@ def test_deleted_names_are_gone(name):
 
 def test_bn_solution_has_no_n_property():
     assert not hasattr(gedpower.BnSolution, "n")
+
+
+def test_no_function_takes_a_single_valued_setting():
+    removed = {"acc", "variant", "q_variant", "budget"}
+    for name in gedpower.__all__:
+        obj = getattr(gedpower, name)
+        if inspect.isfunction(obj):
+            assert not removed & set(inspect.signature(obj).parameters), name
+    assert "order" not in inspect.signature(gedpower.theta_deficit).parameters
+
+
+def test_stored_fields():
+    fields = [f.name for f in dataclasses.fields(gedpower.LinearNorming)]
+    assert fields == ["scale", "shift", "log_n"]
+    assert "q_variant" not in [f.name for f in dataclasses.fields(gedpower.SweepConfig)]
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -123,16 +123,6 @@ class TestCorrections:
                 -(x * x + 3.0 * x + 3.5) * math.exp(-x), rel=1e-12
             )
 
-    def test_q_variants_differ_only_in_constant(self):
-        for v, p in ((2.0, 1.0), (0.5, 3.0), (4.0, 2.0)):
-            lam2 = make_params(v).lam ** (2.0 * v)
-            vi = 1.0 / v
-            gap = (-4.0 * (vi - 1.0) * (vi - 2.0) + 4.0 * (vi - 1.0) ** 2) * lam2
-            for x in (-1.0, 0.0, 1.7):
-                diff = (correction_q(v, p, x, variant="eq34")
-                        - correction_q(v, p, x, variant="eq22"))
-                assert diff == pytest.approx(gap * math.exp(-x), rel=1e-12)
-
     def test_q_transcription_cross_check(self):
         # x^4..x^1 coefficients must negate the deficit-bracket transcription
         v, p = 2.0, 1.0
@@ -142,7 +132,7 @@ class TestCorrections:
         xs = np.array([0.5, 1.0, 2.0, 3.0])
         vandermonde = np.vander(xs, N=5, increasing=True)[:, 1:]  # x^1..x^4
         consts = np.array([
-            correction_q(v, p, x, variant="eq34") * math.exp(x) for x in xs
+            correction_q(v, p, x) * math.exp(x) for x in xs
         ]) - vandermonde @ (-bracket[::-1])
         assert np.allclose(consts, consts[0], atol=1e-10)
 
@@ -153,10 +143,6 @@ class TestCorrections:
             correction_s(1.0, 0.0)
         with pytest.raises(ValueError):
             correction_b(1.0, 0.0)
-
-    def test_bad_variant(self):
-        with pytest.raises(ValueError):
-            correction_q(2.0, 1.0, 0.0, variant="eq99")
 
 
 class TestQVariantAdjudication:
@@ -183,9 +169,12 @@ class TestQVariantAdjudication:
         r1 = 2.0 * fits[1] - fits[0]
         r2 = 2.0 * fits[2] - fits[1]
         fitted = (4.0 * r2 - r1) / 3.0
-        q34 = correction_q(v, p, x, variant="eq34")
-        q22 = correction_q(v, p, x, variant="eq22")
+        q34 = correction_q(v, p, x)
         scale = make_params(v).lam ** (2.0 * v)
+        # eq22 swaps the constant -4(1/v-1)(1/v-2) lam^2v for -4(1/v-1)^2 lam^2v
+        vi = 1.0 / v
+        q22 = q34 + (4.0 * (vi - 1.0) * (vi - 2.0)
+                     - 4.0 * (vi - 1.0) ** 2) * scale * math.exp(-x)
         assert abs(fitted - q34) <= 1e-3 * max(abs(q34), scale)
         assert abs(fitted - q22) > 100.0 * abs(fitted - q34) + 0.1 * scale
 
@@ -400,7 +389,7 @@ class TestTheoremExpansion:
         pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * lam
         h = correction_h(4.0, 1.0, x)
         t1 = h * pref
-        q = correction_q(4.0, 1.0, x, variant="eq34")
+        q = correction_q(4.0, 1.0, x)
         t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
         assert ee.first_order * ee.scale_first == pytest.approx(t1, rel=1e-12)
         assert ee.second_order * ee.scale_second == pytest.approx(t2, rel=1e-12)

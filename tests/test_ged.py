@@ -11,7 +11,6 @@ from gedpower.ged import (
     log_survival,
     make_params,
     pdf,
-    powered_abs_survival,
     quantile,
     sample_stream,
     survival,
@@ -267,19 +266,3 @@ class TestTailExpansion:
             assert tail_survival_expansion(params, x, 1) == pytest.approx(
                 survival(params, x), rel=5e-14
             )
-
-
-class TestPoweredSurvival:
-    def test_at_zero(self):
-        assert powered_abs_survival(make_params(1.0), 0.0) == 1.0
-
-    def test_laplace_point(self):
-        assert powered_abs_survival(make_params(1.0), 1.0) == pytest.approx(
-            math.exp(-math.sqrt(2.0)), rel=1e-13
-        )
-
-    def test_normal_point(self):
-        # |X|^2 <= 4 <=> |X| <= 2
-        assert powered_abs_survival(make_params(2.0), 4.0) == pytest.approx(
-            special.erfc(2.0 / math.sqrt(2.0)), rel=1e-12
-        )

@@ -49,8 +49,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             t1i_config(fmt="xml")
         with pytest.raises(ConfigError):
-            t1i_config(q_variant="latest")
-        with pytest.raises(ConfigError):
             t1i_config(theorem="t9_x")
         with pytest.raises(ConfigError):
             t1i_config(mc_reps=-1)
@@ -311,6 +309,18 @@ class TestCli:
     @pytest.mark.parametrize("cfg,message", [
         ([1.0, 2.0], "JSON object"),
         ({"v": 1.0, "p": 1.0, "r": 1, "n": [100]}, "must be a list"),
+        ({"v": ["a"], "p": [1.0], "r": [1], "n": [100]}, "'v'"),
+        ({"v": [1.0], "p": [1.0], "r": [1.5], "n": [100]}, "'r'"),
+        ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "x_max": "2"},
+         "'x_max'"),
+        ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "seed": True},
+         "'seed'"),
+        ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "theorem": 1},
+         "'theorem'"),
+        ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "q_variant": "eq22"},
+         "unknown config key 'q_variant'"),
+        ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "x_stp": 0.5},
+         "unknown config key 'x_stp'"),
     ])
     def test_verify_malformed_config_is_config_error(self, tmp_path, capsys,
                                                      cfg, message):

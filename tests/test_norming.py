@@ -145,6 +145,25 @@ class TestSolveBn:
         b = solve_bn(params, log_n=15.0 * math.log(10.0))
         assert a.b_n == pytest.approx(b.b_n, rel=1e-12)
 
+    @pytest.mark.parametrize("v,log_n", [
+        (0.05, 5.0), (0.05, 7.0), (0.1, 3.0), (0.01, 5.0), (0.02, 5.0),
+        (0.01, 10.0), (0.01, 20.0), (0.01, 700.0), (0.02, 7.0), (0.02, 20.0),
+    ])
+    def test_small_shape_root_below_b0(self, v, log_n):
+        # b_0 lies below the minimum b_stat of the log LHS here, and the
+        # small-v iterates alternate at the rounding noise of the log LHS;
+        # both used to exhaust the iteration cap
+        params = make_params(v)
+        lam = params.lam
+        sol = solve_bn(params, log_n=log_n)
+        b_stat = (2.0 * lam**v * (1.0 - v) / v) ** (1.0 / v)
+        assert sol.b_n > b_stat
+        log_lhs = (math.log(2.0) / v + (1.0 - v) * math.log(lam)
+                   + math.lgamma(1.0 / v) + (v - 1.0) * math.log(sol.b_n)
+                   + sol.b_n**v / (2.0 * lam**v))
+        assert abs(math.expm1(log_lhs - log_n)) <= 1e-12
+        assert abs(sol.residual) <= 1e-12
+
     def test_no_root_reported(self):
         # for v < 1 and tiny n the increasing branch never reaches n
         with pytest.raises(ConvergenceError):
