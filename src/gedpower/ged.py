@@ -31,6 +31,7 @@ __all__ = [
 
 EQ_TOL = 1e-12  # tie tolerance for v = 1 and p = v routing
 _LOG2 = math.log(2.0)
+_SIGN_BLOCK = 1 << 15  # variates signed per step of sample_stream
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,20 @@ def sample_stream(params: GedParams, count: int,
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     y = rng.standard_gamma(1.0 / params.v, size=count)
-    signs = rng.integers(0, 2, size=count) * 2 - 1
-    return signs * params.lam * (2.0 * y) ** (1.0 / params.v)
+    # The signs follow all the gammas in the stream.  They are drawn and
+    # applied one cache-sized block at a time: a sign draw takes 32 bits of
+    # the generator whatever the block, so the stream is the same as one
+    # call's, and no temporary is as large as y.  Multiplying by +-1.0 is
+    # exact, so each variate equals sign * lam * (2 y)^(1/v) to the bit.
+    for lo in range(0, count, _SIGN_BLOCK):
+        block = y[lo:lo + _SIGN_BLOCK]
+        signs = rng.integers(0, 2, size=block.size) * 2.0
+        signs -= 1.0
+        block *= 2.0
+        block **= 1.0 / params.v
+        block *= params.lam
+        block *= signs
+    return y
 
 
 def tail_expansion_coefficients(params: GedParams, order: int) -> tuple[float, ...]:

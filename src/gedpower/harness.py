@@ -17,9 +17,9 @@ from .expansions import (
 from .ged import EQ_TOL, make_params
 from .orderstats import (
     BudgetError,
-    OrderStatSpec,
     cdf_gap_from_deficit,
-    mc_powered_cdf,
+    mc_score,
+    mc_top_order_stats,
     poisson_remainder_bound,
 )
 from .specfun import ConvergenceError
@@ -66,8 +66,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.v_list or not self.p_list or not self.r_list:
             raise ConfigError("v, p and r grids must be nonempty")
-        if any(v <= 0 for v in self.v_list) or any(p <= 0 for p in self.p_list):
-            raise ConfigError("v and p values must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in self.v_list + self.p_list):
+            raise ConfigError("v and p values must be finite and positive")
         if any(r < 1 for r in self.r_list):
             raise ConfigError("ranks must be >= 1")
         if bool(self.n_ladder) == bool(self.log_n_ladder):
@@ -75,6 +75,8 @@ class SweepConfig:
         ladder = self.n_ladder or self.log_n_ladder
         if any(b <= a for a, b in zip(ladder, ladder[1:])) :
             raise ConfigError("the n ladder must be strictly increasing")
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.x_step))):
+            raise ConfigError("x_min, x_max and x_step must be finite")
         if not self.x_step > 0:
             raise ConfigError(f"x_step must be positive, got {self.x_step}")
         if self.x_max < self.x_min:
@@ -86,6 +88,8 @@ class SweepConfig:
                               f"got {self.theorem!r}")
         if self.mc_reps < 0:
             raise ConfigError("mc_reps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def x_grid(self) -> tuple[float, ...]:
         count = int(math.floor((self.x_max - self.x_min) / self.x_step + 1e-9)) + 1
@@ -129,7 +133,7 @@ def _resolve_theorem(theorem: str | None, v: float, p: float):
 
 def _eval_point(config: SweepConfig, v: float, p: float, r: int,
                 n: int | None, log_n: float | None, x: float,
-                row_index: int) -> VerificationRow:
+                tables: dict, cell: tuple[int, int]) -> VerificationRow:
     n_value = float(n) if n is not None else math.exp(log_n) if log_n < 700 else math.inf
     try:
         params = make_params(v)
@@ -152,8 +156,9 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         exact = min(1.0, max(0.0, limit + gap))
         error = ""
         if config.mc_reps > 0 and n is not None:
-            error = _mc_note(config, params, case, norming, r, n, x,
-                             exact, row_index)
+            y = norming.scale * x + norming.shift
+            error = _mc_note(config, tables, cell, params, r, n, case.p, y,
+                             exact)
         return VerificationRow(
             v=v, p=p, r=r, n=n_value, x=x,
             exact=exact, limit=limit, err=gap,
@@ -168,15 +173,23 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         return VerificationRow(v=v, p=p, r=r, n=n_value, x=x, error=msg)
 
 
-def _mc_note(config, params, case, norming, r, n, x, exact, row_index) -> str:
-    """Cross-check the exact value against Monte Carlo; note 3-sigma misses."""
-    y = norming.scale * x + norming.shift
-    spec = OrderStatSpec(n=int(n), r=r, p=case.p)
-    row_seed = int(np.random.SeedSequence((config.seed, row_index)).generate_state(1)[0])
-    try:
-        est, se = mc_powered_cdf(params, spec, y, config.mc_reps, row_seed)
-    except BudgetError:
+def _mc_note(config, tables, cell, params, r, n, p, y, exact) -> str:
+    """Cross-check the exact value against Monte Carlo; note 3-sigma misses.
+
+    The (v, n) cell's table of top order statistics is drawn at its first
+    Monte Carlo row, stored in ``tables`` under ``cell`` = (v index, n
+    index), and shared by every r, p and x of the cell.
+    """
+    if cell not in tables:
+        seed = int(np.random.SeedSequence((config.seed, *cell)).generate_state(1)[0])
+        try:
+            tables[cell] = mc_top_order_stats(
+                params, n, min(max(config.r_list), n), config.mc_reps, seed)
+        except BudgetError:
+            tables[cell] = None
+    if tables[cell] is None:
         return "mc_skipped_budget"
+    est, se = mc_score(tables[cell], r, p, y)
     if se == 0.0:
         se = math.sqrt(0.25 / config.mc_reps)
     z = (est - exact) / se
@@ -197,13 +210,16 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
              * len(ladder) * len(xs))
     done = 0
-    for v in sorted(config.v_list):
+    for vi, v in enumerate(sorted(config.v_list)):
+        # Monte Carlo tables of this v's cells; every cell of a v is done
+        # before the next v starts
+        tables: dict = {}
         for p in sorted(config.p_list):
             for r in sorted(config.r_list):
-                for n, log_n in ladder:
+                for ni, (n, log_n) in enumerate(ladder):
                     for x in xs:
                         rows.append(_eval_point(config, v, p, r, n, log_n, x,
-                                                row_index=done))
+                                                tables, (vi, ni)))
                         done += 1
                         if progress is not None and done % 50 == 0:
                             print(f"{done}/{total} points", file=progress)

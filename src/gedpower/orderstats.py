@@ -23,6 +23,8 @@ __all__ = [
     "lower_tail_mass",
     "cdf_gap_from_deficit",
     "poisson_remainder_bound",
+    "mc_top_order_stats",
+    "mc_score",
     "mc_powered_cdf",
 ]
 
@@ -51,16 +53,18 @@ class OrderStatSpec:
             raise ValueError(f"p must be positive, got {self.p}")
 
 
-def _log_binom(n: float, j: int) -> float:
-    """log C(n, j) as a compensated sum of log((n - i) / (i + 1))."""
-    return math.fsum(math.log((n - i) / (i + 1.0)) for i in range(j))
-
-
 def _binom_head(n: float, r: int, log_a: float, log_b: float) -> float:
-    """sum_{j<r} C(n,j) a^j b^(n-j), each addend built in log space."""
+    """sum_{j<r} C(n,j) a^j b^(n-j), each addend built in log space.
+
+    log C(n, j) is the compensated sum of log((n - i) / (i + 1)) over i < j;
+    each of those logs is taken once.
+    """
     total = 0.0
+    log_ratios: list[float] = []
     for j in range(r):
-        total += math.exp(_log_binom(n, j) + j * log_a + (n - j) * log_b)
+        total += math.exp(math.fsum(log_ratios) + j * log_a + (n - j) * log_b)
+        if j + 1 < r:
+            log_ratios.append(math.log((n - j) / (j + 1.0)))
     return total
 
 
@@ -208,40 +212,54 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     return le_cam + two_sided
 
 
-def _mc_chunk_sizes(reps: int, n: int) -> list[int]:
-    """Deterministic partition of reps into chunks of ~2^22 draws."""
-    per_chunk = max(1, _MC_CHUNK_DRAWS // max(n, 1))
-    sizes = []
-    left = reps
-    while left > 0:
-        take = min(per_chunk, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
+                       seed: int) -> np.ndarray:
+    """The signed r_max largest of each of ``reps`` GED(v) samples of size n.
+
+    Returns a (reps, r_max) array, largest first, so column r - 1 holds the
+    r-th largest M_{n,r} of every replication.  Replications are split into
+    chunks of about 2^22 draws, each with its own child seed derived from
+    (seed, chunk index), so the table is deterministic per seed regardless
+    of memory pressure.  One partial selection (introselect) per chunk places
+    all r_max top values; nothing is fully sorted.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= r_max <= n:
+        raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
+    if n * reps > _MC_DEFAULT_BUDGET:
+        raise BudgetError(f"n * reps = {n * reps} exceeds the draw "
+                          f"budget {_MC_DEFAULT_BUDGET}")
+    per_chunk = max(1, _MC_CHUNK_DRAWS // n)
+    top = np.empty((reps, r_max))
+    for idx, start in enumerate(range(0, reps, per_chunk)):
+        size = min(per_chunk, reps - start)
+        xs = sample_stream(params, size * n,
+                           np.random.SeedSequence((seed, idx))).reshape(size, n)
+        xs.partition(range(n - r_max, n), axis=1)
+        top[start:start + size] = xs[:, n - r_max:][:, ::-1]
+    return top
+
+
+def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]:
+    """Estimate of P(|M_{n,r}|^p <= y) from a :func:`mc_top_order_stats`
+    table, with its binomial stderr.
+
+    |M|^p <= y holds exactly when |M| <= y^(1/p), so one table serves every
+    rank up to its width, every power and every threshold.
+    """
+    if math.isnan(y):
+        raise ValueError("threshold y must not be nan")
+    t = y ** (1.0 / p) if y >= 0.0 else -1.0
+    reps = top.shape[0]
+    est = int(np.count_nonzero(np.abs(top[:, r - 1]) <= t)) / reps
+    stderr = math.sqrt(est * (1.0 - est) / reps)
+    return est, stderr
 
 
 def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
                    reps: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr.
-
-    Replications are split into fixed-size chunks, each with its own child
-    seed derived from (seed, chunk index), so the estimate is deterministic
-    per seed regardless of memory pressure.  The r-th largest is taken by
-    partial selection (introselect), not a full sort.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if spec.n * reps > _MC_DEFAULT_BUDGET:
-        raise BudgetError(f"n * reps = {spec.n * reps} exceeds the draw "
-                          f"budget {_MC_DEFAULT_BUDGET}")
-    t = y ** (1.0 / spec.p) if y >= 0.0 else -1.0
-    hits = 0
-    for idx, size in enumerate(_mc_chunk_sizes(reps, spec.n)):
-        xs = sample_stream(params, size * spec.n,
-                           np.random.SeedSequence((seed, idx))).reshape(size, spec.n)
-        m = np.partition(xs, spec.n - spec.r, axis=1)[:, spec.n - spec.r]
-        if y >= 0.0:
-            hits += int(np.count_nonzero(np.abs(m) <= t))
-    est = hits / reps
-    stderr = math.sqrt(est * (1.0 - est) / reps)
-    return est, stderr
+    """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr,
+    drawn from a table of the top r order statistics."""
+    top = mc_top_order_stats(params, spec.n, spec.r, reps, seed)
+    return mc_score(top, spec.r, spec.p, y)

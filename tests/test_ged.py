@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from gedpower.ged import (
+    _SIGN_BLOCK,
     cdf,
     log_survival,
     make_params,
@@ -203,6 +204,17 @@ class TestSampling:
     def test_unit_variance_any_shape(self, v):
         xs = sample_stream(make_params(v), 10**6, seed=11)
         assert xs.var() == pytest.approx(1.0, rel=2e-2)
+
+    @pytest.mark.parametrize("v", (0.3, 0.5, 1.0, 1.5, 2.0, 4.0))
+    def test_blocked_signs_match_one_call_draw(self, v):
+        # signs drawn block by block give the bits of one integers() call
+        params = make_params(v)
+        count = 3 * _SIGN_BLOCK + 5
+        rng = np.random.default_rng(17)
+        y = rng.standard_gamma(1.0 / v, size=count)
+        signs = rng.integers(0, 2, size=count) * 2 - 1
+        expected = signs * params.lam * (2.0 * y) ** (1.0 / v)
+        assert sample_stream(params, count, seed=17).tobytes() == expected.tobytes()
 
     def test_laplace_tail_frequency(self):
         n = 10**6

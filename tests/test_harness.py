@@ -53,6 +53,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             t1i_config(mc_reps=-1)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(v_list=(math.nan,)), dict(v_list=(math.inf,)),
+        dict(p_list=(1.0, math.nan)), dict(p_list=(-1.0,)),
+        dict(x_min=-math.inf), dict(x_max=math.inf), dict(x_step=math.nan),
+        dict(seed=-1),
+    ])
+    def test_non_finite_and_negative_inputs(self, overrides):
+        with pytest.raises(ConfigError):
+            t1i_config(**overrides)
+
     def test_x_grid_inclusive(self):
         cfg = t1i_config()
         assert cfg.x_grid() == (-0.5, 0.0, 0.5, 1.0, 1.5)
@@ -131,6 +141,28 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="broken deficit"):
             run_sweep(t1i_config())
 
+    def test_mc_draws_once_per_v_n_cell(self, monkeypatch):
+        import gedpower.orderstats as orderstats
+
+        counts = []
+        real = orderstats.sample_stream
+
+        def counting(params, count, seed):
+            counts.append(count)
+            return real(params, count, seed)
+
+        monkeypatch.setattr(orderstats, "sample_stream", counting)
+        n_ladder, reps = (30, 200), 50
+        cfg = SweepConfig(
+            v_list=(1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
+            n_ladder=n_ladder, x_min=0.0, x_max=1.5, x_step=0.5,
+            mc_reps=reps, seed=3,
+        )
+        rows = run_sweep(cfg)
+        assert len(rows) == 2 * 2 * 3 * 2 * 4
+        assert not any(r.error and not r.error.startswith("mc_") for r in rows)
+        assert sum(counts) == 2 * sum(n_ladder) * reps
+
     def test_mc_cross_check_clean(self):
         cfg = SweepConfig(
             v_list=(1.0,), p_list=(1.0,), r_list=(1,),
@@ -192,8 +224,8 @@ class TestGoldenBytes:
     """sha256 of emitted sweeps, pinned from the formatter, sampler and
     binomial sums as they were before those paths were merged."""
 
-    # Seed 4 puts two 3-sigma notes (z=3.51, z=-3.29) on this grid, so the
-    # bytes depend on the Monte Carlo stream; n = 8 gives error rows.
+    # With one Monte Carlo table per (v, n) cell, seed 4 puts no 3-sigma
+    # note on this grid; n = 8 gives error rows.
     EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                    n_ladder=(8, 100, 1000), x_min=-3.0, x_max=1.5, x_step=1.5,
                    mc_reps=200, seed=4)
@@ -203,8 +235,8 @@ class TestGoldenBytes:
                  x_step=1.5)
 
     @pytest.mark.parametrize("grid,fmt,digest", [
-        ("EXACT_N", "csv", "e6a4adf047aed71554279430a91a7515221c2b7cc54b5fe2321113b273bca0a8"),
-        ("EXACT_N", "json", "faae4e8fcd6365263b70f6a28ba1886e11aa35659c2e89e1c494fe17c2c2e0a8"),
+        ("EXACT_N", "csv", "f60c78193ce2d609a46f558d2a4386bac750f80047e079ef728a338764d2235d"),
+        ("EXACT_N", "json", "bb7cb5c3024fb1925ab0def0ca74fb9a69f088b644f6c2747c9307b889ca9380"),
         ("LOG_N", "csv", "e036e80f3064b42c1c9e5fab572421c9821e05ab432ea9f701734ce6f7e83b47"),
         ("LOG_N", "json", "6afa8f99b2a63df02b0559e6325d4e6f552a4f823cad3947c94b940a1e3b9095"),
     ])
@@ -273,6 +305,11 @@ class TestCli:
         est, se = map(float, capsys.readouterr().out.split())
         assert 0.0 <= est <= 1.0 and se >= 0.0
 
+    def test_simulate_nan_threshold_is_config_error(self, capsys):
+        assert main(["simulate", "--v", "1", "--p", "1", "--r", "1", "--y",
+                     "nan", "--n", "100", "--mc-reps", "10"]) == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_exit_code_convergence(self, capsys):
         # v < 1 with tiny n has no calibration root: exit 3
         assert main(["solve-bn", "--v", "0.5", "--n", "2"]) == 3
@@ -330,6 +367,23 @@ class TestCli:
                    "--out", str(tmp_path / "rows.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_verify_infinite_x_max_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--v", "1", "--p", "1", "--r", "1", "--n", "100",
+                     "--x-min", "0", "--x-max", "inf",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_verify_nan_shape_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--v", "nan", "--p", "1", "--r", "1", "--n", "100",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_verify_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--v", "1", "--p", "1", "--r", "1", "--n", "100",
+                     "--seed", "-1", "--mc-reps", "10",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_verify_missing_out_is_config_error(self, tmp_path):
         assert main(["verify", "--v", "1", "--p", "1", "--r", "1",

@@ -10,10 +10,13 @@ from gedpower.norming import gumbel_constants, hall_constants, power_constants
 from gedpower.orderstats import (
     BudgetError,
     OrderStatSpec,
+    _binom_head,
     cdf_gap_from_deficit,
     exact_powered_cdf,
     lower_tail_mass,
     mc_powered_cdf,
+    mc_score,
+    mc_top_order_stats,
     poisson_powered_cdf,
 )
 from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf
@@ -70,6 +73,28 @@ class TestUpperOrderstatCdf:
             OrderStatSpec(n=5, r=0, p=1.0)
         with pytest.raises(ValueError):
             OrderStatSpec(n=5, r=1, p=0.0)
+
+
+def _binom_head_per_term(n, r, log_a, log_b):
+    """Reference: rebuild log C(n, j) from scratch for every addend."""
+    total = 0.0
+    for j in range(r):
+        log_binom = math.fsum(math.log((n - i) / (i + 1.0)) for i in range(j))
+        total += math.exp(log_binom + j * log_a + (n - j) * log_b)
+    return total
+
+
+@pytest.mark.parametrize("n", [8.0, 1e3, 1e15])
+@pytest.mark.parametrize("r", [1, 5, 20])
+def test_binom_head_matches_per_term_rebuild(n, r):
+    for s in (0.5 / n, 2.0 / n, 0.3):
+        args = (n, r, math.log(s), math.log1p(-s))
+        if r > n + 1:  # C(n, j) = 0 for j > n: both reach log(0)
+            for fn in (_binom_head, _binom_head_per_term):
+                with pytest.raises(ValueError):
+                    fn(*args)
+        else:
+            assert _binom_head(*args) == _binom_head_per_term(*args)
 
 
 class TestExactPoweredCdf:
@@ -246,3 +271,45 @@ class TestMonteCarlo:
         spec = OrderStatSpec(n=10**6, r=1, p=1.0)
         with pytest.raises(BudgetError):
             mc_powered_cdf(params, spec, 1.0, reps=10**6, seed=0)
+        with pytest.raises(BudgetError):
+            mc_top_order_stats(params, 10**6, 3, reps=10**6, seed=0)
+
+    # (v, n, r, p, y, reps, seed) -> (est, se), computed when each rank had
+    # its own single-kth partition; the last case spans two chunks
+    @pytest.mark.parametrize("case,expected", [
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.4915, 0.01117872421164419)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.854, 0.009117163301524586)),
+        ((4.0, 100000, 2, 1.5, 4.8, 60, 5),
+         (0.6166666666666667, 0.06276794416591015)),
+    ])
+    def test_pinned_estimates(self, case, expected):
+        v, n, r, p, y, reps, seed = case
+        spec = OrderStatSpec(n=n, r=r, p=p)
+        assert mc_powered_cdf(make_params(v), spec, y, reps, seed) == expected
+
+    def test_table_columns_score_like_mc_powered_cdf(self):
+        params = make_params(1.5)
+        n, r_max, reps, seed, p = 40, 6, 3000, 21, 1.5
+        top = mc_top_order_stats(params, n, r_max, reps, seed)
+        assert top.shape == (reps, r_max)
+        assert np.all(top[:, :-1] >= top[:, 1:])  # largest first
+        for r in range(1, r_max + 1):
+            y = 1.6 ** p
+            est = np.count_nonzero(np.abs(top[:, r - 1]) <= 1.6) / reps
+            spec = OrderStatSpec(n=n, r=r, p=p)
+            assert mc_powered_cdf(params, spec, y, reps, seed) == (
+                est, math.sqrt(est * (1.0 - est) / reps))
+            assert mc_score(top, r, p, y)[0] == est
+
+    def test_table_width_can_be_n(self):
+        top = mc_top_order_stats(make_params(2.0), 5, 5, reps=7, seed=1)
+        assert top.shape == (7, 5)
+        assert np.all(top[:, :-1] >= top[:, 1:])
+        with pytest.raises(ValueError):
+            mc_top_order_stats(make_params(2.0), 5, 6, reps=7, seed=1)
+
+    def test_nan_threshold_rejected(self):
+        params = make_params(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            mc_powered_cdf(params, OrderStatSpec(n=10, r=1, p=1.0),
+                           math.nan, reps=10, seed=0)
