@@ -40,7 +40,7 @@ def second_order_table(title, config):
 def adjudicate(v, p, x=0.0):
     params = make_params(v)
     case = classify_case(v, p, theorem=2)
-    h = correction_h(v, p, x)
+    h = correction_h(params, p, x)
     fits = []
     for bv in (400.0, 800.0, 1600.0):
         b = bv ** (1.0 / v)
@@ -52,7 +52,7 @@ def adjudicate(v, p, x=0.0):
         fits.append((d - h * math.exp(x) / bv) * bv**2 * math.exp(-x))
     r1, r2 = 2.0 * fits[1] - fits[0], 2.0 * fits[2] - fits[1]
     fitted = (4.0 * r2 - r1) / 3.0
-    q34 = correction_q(v, p, x)
+    q34 = correction_q(params, p, x)
     # eq22 swaps the constant -4(1/v-1)(1/v-2) lam^2v for -4(1/v-1)^2 lam^2v
     vi = 1.0 / v
     q22 = q34 + (4.0 * (vi - 1.0) * (vi - 2.0)

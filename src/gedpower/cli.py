@@ -290,7 +290,8 @@ def main(argv=None) -> int:
         }[args.command]
         print(handler(args))
         return 0
-    except (ConfigError, BudgetError, ValueError, OSError) as exc:
+    except (ConfigError, BudgetError, ValueError, OSError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

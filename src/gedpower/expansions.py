@@ -19,7 +19,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 import math
 from dataclasses import dataclass
 
-from .ged import EQ_TOL, GedParams, log_survival, make_params
+from .ged import EQ_TOL, GedParams, log_survival
 from .norming import (
     LinearNorming,
     hall_constants,
@@ -166,13 +166,14 @@ def _lemma_deficit(params: GedParams, case: TheoremCase, x: float,
         return ((1.0 - vi) ** 3 * ll * ll / (2.0 * log_n)
                 - ((1.0 - vi) ** 2
                    * (1.0 - math.log(2.0) - log_gamma(vi) + x) * ll / log_n))
-    b = solve_bn(params, log_n=log_n).b_n
-    bv = b**case.v
+    bv = solve_bn(params, log_n=log_n).b_n ** v
     ex = math.exp(x)
     if case.tag == "t2_i":
-        return correction_h(v, p, x) * ex / bv + correction_q(v, p, x) * ex / bv**2
+        return (correction_h(params, p, x) * ex / bv
+                + correction_q(params, p, x) * ex / bv**2)
     if case.tag == "t2_ii":
-        return correction_s(v, x) * ex / bv**2 + correction_b(v, x) * ex / bv**3
+        return (correction_s(params, x) * ex / bv**2
+                + correction_b(params, x) * ex / bv**3)
     raise ValueError(f"unknown case tag {case.tag!r}")
 
 
@@ -195,17 +196,17 @@ def _check_v_not_one(v: float, name: str) -> None:
         raise ValueError(f"{name} degenerates at v = 1")
 
 
-def correction_h(v: float, p: float, x: float) -> float:
+def correction_h(params: GedParams, p: float, x: float) -> float:
     """First-order correction h_v(x) of the calibration-root case."""
-    lam_v = make_params(v).lam ** v
-    vi = 1.0 / v
+    v, vi = params.v, 1.0 / params.v
+    lam_v = params.lam ** v
     poly = (vi * (v - p) * lam_v * x * x
             - 2.0 * vi * (1.0 - v) * lam_v * x
             - 2.0 * (vi - 1.0) * lam_v)
     return poly * math.exp(-x)
 
 
-def correction_q(v: float, p: float, x: float) -> float:
+def correction_q(params: GedParams, p: float, x: float) -> float:
     """Second-order correction q_v(x) of the calibration-root case.
 
     The two published forms of its constant term disagree; this is the
@@ -213,9 +214,9 @@ def correction_q(v: float, p: float, x: float) -> float:
     deficit select over eq22's -4(1/v-1)^2 lam^2v (see the README
     verification notes).
     """
+    v, vi = params.v, 1.0 / params.v
     _check_v_not_one(v, "correction_q")
-    lam2 = make_params(v).lam ** (2.0 * v)
-    vi = 1.0 / v
+    lam2 = params.lam ** (2.0 * v)
     poly = (-0.5 * lam2 * vi * vi * (v - p) ** 2 * x**4
             + vi * vi * (v - p) * lam2 * (2.0 - 4.0 * v / 3.0 - 4.0 * p / 3.0) * x**3
             - 2.0 * vi * vi * (1.0 - v) * lam2 * x * x
@@ -224,22 +225,22 @@ def correction_q(v: float, p: float, x: float) -> float:
     return poly * math.exp(-x)
 
 
-def correction_s(v: float, x: float) -> float:
+def correction_s(params: GedParams, x: float) -> float:
     """Second-order correction s_v(x) of the corrected (p = v) case."""
+    v, vi = params.v, 1.0 / params.v
     _check_v_not_one(v, "correction_s")
-    lam2 = make_params(v).lam ** (2.0 * v)
-    vi = 1.0 / v
+    lam2 = params.lam ** (2.0 * v)
     poly = 2.0 * (vi - 1.0) * lam2 * (
         x * x - 2.0 * (vi - 2.0) * x - (3.0 * vi - 5.0)
     )
     return poly * math.exp(-x)
 
 
-def correction_b(v: float, x: float) -> float:
+def correction_b(params: GedParams, x: float) -> float:
     """Third-order correction b_v(x) of the corrected (p = v) case."""
+    v, vi = params.v, 1.0 / params.v
     _check_v_not_one(v, "correction_b")
-    lam3 = make_params(v).lam ** (3.0 * v)
-    vi = 1.0 / v
+    lam3 = params.lam ** (3.0 * v)
     poly = -4.0 / 3.0 * (vi - 1.0) * lam3 * (
         (4.0 - vi) * (vi - 1.0) * x**3
         - 6.0 * (vi - 2.0) * x * x
@@ -339,18 +340,16 @@ def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
         t1, t2 = _t1_iii_targets(v, r, x)
     else:
         bv = solve_bn(params, log_n=ln).b_n ** v
-        lam = gumbel(x)
-        pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * lam
-        h = correction_h(v, p, x)
+        pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * gumbel(x)
         if case.tag == "t2_i":
             s1, s2 = bv, bv * bv
+            h, q = correction_h(params, p, x), correction_q(params, p, x)
             t1 = h * pref
-            q = correction_q(v, p, x)
             t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
         else:
             s1, s2 = bv * bv, bv**3
-            t1 = correction_s(v, x) * pref
-            t2 = correction_b(v, x) * pref
+            t1 = correction_s(params, x) * pref
+            t2 = correction_b(params, x) * pref
 
     return ExpansionEval(
         leading=leading,

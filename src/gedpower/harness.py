@@ -39,6 +39,7 @@ _ROW_KEYS = CSV_HEADER.split(",")
 _NON_FINITE = ("nan", "inf", "-inf")
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
+_MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
 
 
 class ConfigError(ValueError):
@@ -75,12 +76,15 @@ class SweepConfig:
         ladder = self.n_ladder or self.log_n_ladder
         if any(b <= a for a, b in zip(ladder, ladder[1:])) :
             raise ConfigError("the n ladder must be strictly increasing")
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.x_step))):
-            raise ConfigError("x_min, x_max and x_step must be finite")
+        if not all(map(math.isfinite, (*self.log_n_ladder, self.x_min,
+                                       self.x_max, self.x_step))):
+            raise ConfigError("log n, x_min, x_max and x_step must be finite")
         if not self.x_step > 0:
             raise ConfigError(f"x_step must be positive, got {self.x_step}")
         if self.x_max < self.x_min:
             raise ConfigError("empty x grid: x_max < x_min")
+        if not (self.x_max - self.x_min) / self.x_step + 1e-9 < _MAX_X_POINTS:
+            raise ConfigError(f"the x grid has more than {_MAX_X_POINTS} points")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.theorem is not None and self.theorem not in ("1", "2") + _CASE_TAGS:

@@ -99,13 +99,6 @@ def power_constants(params: GedParams, p: float, n: int | float | None = None, *
     )
 
 
-def _calibration_log_lhs(params: GedParams, b: float) -> float:
-    """log of 2^(1/v) lam^(1-v) Gamma(1/v) b^(v-1) exp(b^v / (2 lam^v))."""
-    v, lam = params.v, params.lam
-    return (math.log(2.0) / v + (1.0 - v) * math.log(lam) + log_gamma(1.0 / v)
-            + (v - 1.0) * math.log(b) + b**v / (2.0 * lam**v))
-
-
 def solve_bn(params: GedParams, n: int | float | None = None, *,
              log_n: float | None = None) -> BnSolution:
     """Solve the calibration equation LHS(b) = n for b > 0.
@@ -117,19 +110,22 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
     """
     ln = resolve_log_n(n, log_n, min_n=2)
     v, lam = params.v, params.lam
+    # log LHS(b) = head + (v - 1) log b + b^v / (2 lam^v)
+    head = math.log(2.0) / v + (1.0 - v) * math.log(lam) + log_gamma(1.0 / v)
+    two_lam_v = 2.0 * lam**v
 
     def f(b: float) -> float:
-        return _calibration_log_lhs(params, b) - ln
+        return head + (v - 1.0) * math.log(b) + b**v / two_lam_v - ln
 
     def fprime(b: float) -> float:
-        return (v - 1.0) / b + v * b ** (v - 1.0) / (2.0 * lam**v)
+        return (v - 1.0) / b + v * b ** (v - 1.0) / two_lam_v
 
-    b0 = (2.0 * lam**v * ln) ** (1.0 / v)
+    b0 = (two_lam_v * ln) ** (1.0 / v)
     lo, hi = 0.5 * b0, 2.0 * b0
     if v < 1.0:
         # the log LHS decreases up to b_stat and increases after it; the
         # calibration root we want lies on the increasing branch
-        b_stat = (2.0 * lam**v * (1.0 - v) / v) ** (1.0 / v)
+        b_stat = (two_lam_v * (1.0 - v) / v) ** (1.0 / v)
         lo = max(lo, b_stat * (1.0 + 1e-9))
     trace: list[tuple[float, float]] = []
     for _ in range(MAX_ITER):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -104,22 +105,23 @@ class TestCaseRouting:
 class TestCorrections:
     def test_h_at_zero(self):
         for v, p in ((0.5, 1.0), (2.0, 3.0), (4.0, 1.0)):
-            lam_v = make_params(v).lam ** v
-            assert correction_h(v, p, 0.0) == pytest.approx(
+            params = make_params(v)
+            lam_v = params.lam ** v
+            assert correction_h(params, p, 0.0) == pytest.approx(
                 -2.0 * (1.0 / v - 1.0) * lam_v, rel=1e-13
             )
 
     def test_h_normal_power_two(self):
         # v = 2, p = 2: h(x) = (x + 1) e^(-x)
         for x in (-1.0, 0.0, 0.5, 2.0):
-            assert correction_h(2.0, 2.0, x) == pytest.approx(
+            assert correction_h(make_params(2.0), 2.0, x) == pytest.approx(
                 (x + 1.0) * math.exp(-x), rel=1e-12, abs=1e-14
             )
 
     def test_s_normal(self):
         # v = 2: s(x) = -(x^2 + 3x + 3.5) e^(-x)
         for x in (-0.5, 0.0, 1.0, 3.0):
-            assert correction_s(2.0, x) == pytest.approx(
+            assert correction_s(make_params(2.0), x) == pytest.approx(
                 -(x * x + 3.0 * x + 3.5) * math.exp(-x), rel=1e-12
             )
 
@@ -132,17 +134,17 @@ class TestCorrections:
         xs = np.array([0.5, 1.0, 2.0, 3.0])
         vandermonde = np.vander(xs, N=5, increasing=True)[:, 1:]  # x^1..x^4
         consts = np.array([
-            correction_q(v, p, x) * math.exp(x) for x in xs
+            correction_q(make_params(v), p, x) * math.exp(x) for x in xs
         ]) - vandermonde @ (-bracket[::-1])
         assert np.allclose(consts, consts[0], atol=1e-10)
 
     def test_degenerate_at_laplace(self):
         with pytest.raises(ValueError):
-            correction_q(1.0, 2.0, 0.0)
+            correction_q(make_params(1.0), 2.0, 0.0)
         with pytest.raises(ValueError):
-            correction_s(1.0, 0.0)
+            correction_s(make_params(1.0), 0.0)
         with pytest.raises(ValueError):
-            correction_b(1.0, 0.0)
+            correction_b(make_params(1.0), 0.0)
 
 
 class TestQVariantAdjudication:
@@ -154,7 +156,7 @@ class TestQVariantAdjudication:
         params = make_params(v)
         x = 0.0
         case = classify_case(v, p, theorem=2)
-        h = correction_h(v, p, x)
+        h = correction_h(params, p, x)
         fits = []
         for bv_target in (400.0, 800.0, 1600.0):
             # choose b directly, derive log n from the calibration identity
@@ -169,8 +171,8 @@ class TestQVariantAdjudication:
         r1 = 2.0 * fits[1] - fits[0]
         r2 = 2.0 * fits[2] - fits[1]
         fitted = (4.0 * r2 - r1) / 3.0
-        q34 = correction_q(v, p, x)
-        scale = make_params(v).lam ** (2.0 * v)
+        q34 = correction_q(params, p, x)
+        scale = params.lam ** (2.0 * v)
         # eq22 swaps the constant -4(1/v-1)(1/v-2) lam^2v for -4(1/v-1)^2 lam^2v
         vi = 1.0 / v
         q22 = q34 + (4.0 * (vi - 1.0) * (vi - 2.0)
@@ -214,7 +216,7 @@ class TestThetaDeficit:
         case = classify_case(2.0, 1.0, theorem=2)
         exact, predicted = theta_deficit(params, case, 10**8, 0.0)
         b = solve_bn(params, 10**8).b_n
-        assert exact == pytest.approx(correction_h(2.0, 1.0, 0.0) / b**2, rel=0.1)
+        assert exact == pytest.approx(correction_h(params, 1.0, 0.0) / b**2, rel=0.1)
         # the order-2 prediction is off by the b^-3v term only (~1.4%)
         assert predicted == pytest.approx(exact, rel=0.03)
 
@@ -331,6 +333,24 @@ class TestLemma3Transfer:
 
 
 class TestTheoremExpansion:
+    @pytest.mark.parametrize("v,p", [(2.0, 1.0), (0.5, 0.5)])  # t2_i, t2_ii
+    def test_t2_builds_no_params(self, monkeypatch, v, p):
+        # the correction terms read lambda from the params they are given
+        params = make_params(v)
+        case = classify_case(v, p, theorem=2)
+        calls = []
+
+        def counting(shape, real=make_params):
+            calls.append(shape)
+            return real(shape)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gedpower" and hasattr(module, "make_params"):
+                monkeypatch.setattr(module, "make_params", counting)
+        theorem_expansion(params, case, 2, None, 0.5, log_n=30.0)
+        theta_deficit(params, case, None, 0.5, log_n=30.0)
+        assert calls == []
+
     def test_t1_i_first_order_point(self):
         # r=1, x=0: first-order term = -e^-1 / (2n)
         params = make_params(1.0)
@@ -387,9 +407,9 @@ class TestTheoremExpansion:
         ee = theorem_expansion(params, case, r, 10**10, x)
         lam = gumbel(x)
         pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * lam
-        h = correction_h(4.0, 1.0, x)
+        h = correction_h(params, 1.0, x)
         t1 = h * pref
-        q = correction_q(4.0, 1.0, x)
+        q = correction_q(params, 1.0, x)
         t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
         assert ee.first_order * ee.scale_first == pytest.approx(t1, rel=1e-12)
         assert ee.second_order * ee.scale_second == pytest.approx(t2, rel=1e-12)
@@ -401,10 +421,10 @@ class TestTheoremExpansion:
         ee = theorem_expansion(params, case, r, 10**10, x)
         lam = gumbel(x)
         assert ee.first_order * ee.scale_first == pytest.approx(
-            correction_s(0.5, x) * lam, rel=1e-12
+            correction_s(params, x) * lam, rel=1e-12
         )
         assert ee.second_order * ee.scale_second == pytest.approx(
-            correction_b(0.5, x) * lam, rel=1e-12
+            correction_b(params, x) * lam, rel=1e-12
         )
 
     def test_eval_is_finite_dataclass(self):

@@ -58,6 +58,12 @@ class TestConfig:
         dict(p_list=(1.0, math.nan)), dict(p_list=(-1.0,)),
         dict(x_min=-math.inf), dict(x_max=math.inf), dict(x_step=math.nan),
         dict(seed=-1),
+        dict(n_ladder=(), log_n_ladder=(math.nan,)),
+        dict(n_ladder=(), log_n_ladder=(10.0, math.inf)),
+        # x point counts that overflow to inf (a tiny step, a span beyond
+        # the largest double) and one of 2e7, rejected before any grid is built
+        dict(x_max=1e300, x_step=1e-300), dict(x_min=-1e308, x_max=1e308),
+        dict(x_max=1e7),
     ])
     def test_non_finite_and_negative_inputs(self, overrides):
         with pytest.raises(ConfigError):
@@ -358,12 +364,22 @@ class TestCli:
          "unknown config key 'q_variant'"),
         ({"v": [1.0], "p": [1.0], "r": [1], "n": [100], "x_stp": 0.5},
          "unknown config key 'x_stp'"),
+        ("--n 0", "error: n must be an integer in [1, 2^63)"),
+        ("--n 2e19", "error: n must be an integer in [1, 2^63)"),
+        ("--n 2.5", "error: n must be an integer in [1, 2^63)"),
+        ("--ln-n nan", "must be finite"),
+        ("--ln-n 10,inf", "must be finite"),
+        ("--n 100 --x-max 1e300 --x-step 1e-300", "x grid has more than"),
     ])
     def test_verify_malformed_config_is_config_error(self, tmp_path, capsys,
                                                      cfg, message):
+        # a string holds verify flags, given on top of a config without n
+        flags = cfg.split() if isinstance(cfg, str) else []
+        if flags:
+            cfg = {"v": [1.0], "p": [1.0], "r": [1]}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = main(["verify", "--config", str(cfg_path),
+        rc = main(["verify", "--config", str(cfg_path), *flags,
                    "--out", str(tmp_path / "rows.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err

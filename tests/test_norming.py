@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gedpower import norming, specfun
 from gedpower.ged import make_params, survival
 from gedpower.norming import (
     gumbel_constants,
@@ -163,6 +164,24 @@ class TestSolveBn:
                    + sol.b_n**v / (2.0 * lam**v))
         assert abs(math.expm1(log_lhs - log_n)) <= 1e-12
         assert abs(sol.residual) <= 1e-12
+
+    @pytest.mark.parametrize("v,log_n", [
+        (0.05, 7.0), (0.5, 30.0), (2.0, 10.0), (4.0, 700.0),
+    ])
+    def test_log_gamma_once_per_solve(self, monkeypatch, v, log_n):
+        # Gamma(1/v) is taken once per solve, not once per iterate; below
+        # 0.5 the recurrence adds one call at 1/v + 1
+        params = make_params(v)
+        calls = []
+
+        def counting(x, real=specfun.log_gamma):
+            calls.append(x)
+            return real(x)
+
+        for module in (specfun, norming):
+            monkeypatch.setattr(module, "log_gamma", counting)
+        solve_bn(params, log_n=log_n)
+        assert len(calls) == 1 + (1.0 / v < 0.5)
 
     def test_no_root_reported(self):
         # for v < 1 and tiny n the increasing branch never reaches n

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gedpower.expansions import gumbel_r
-from gedpower.ged import cdf, make_params, quantile, survival
+from gedpower.ged import cdf, make_params, quantile, sample_stream, survival
 from gedpower.norming import gumbel_constants, hall_constants, power_constants
 from gedpower.orderstats import (
     BudgetError,
@@ -302,11 +302,15 @@ class TestMonteCarlo:
             assert mc_score(top, r, p, y)[0] == est
 
     def test_table_width_can_be_n(self):
-        top = mc_top_order_stats(make_params(2.0), 5, 5, reps=7, seed=1)
-        assert top.shape == (7, 5)
-        assert np.all(top[:, :-1] >= top[:, 1:])
+        # the table equals a full sort of the same draws at widths 1, 3, n
+        params, n, reps, seed = make_params(2.0), 1000, 7, 1
+        draws = sample_stream(params, reps * n, np.random.SeedSequence((seed, 0)))
+        full = np.sort(draws.reshape(reps, n), axis=1)[:, ::-1]
+        for r_max in (1, 3, n):
+            top = mc_top_order_stats(params, n, r_max, reps, seed)
+            assert np.array_equal(top, full[:, :r_max])
         with pytest.raises(ValueError):
-            mc_top_order_stats(make_params(2.0), 5, 6, reps=7, seed=1)
+            mc_top_order_stats(params, n, n + 1, reps, seed)
 
     def test_nan_threshold_rejected(self):
         params = make_params(1.0)
