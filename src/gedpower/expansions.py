@@ -110,10 +110,16 @@ def classify_case(v: float, p: float, theorem: int) -> TheoremCase:
     return TheoremCase(tag=tag, v=v, p=p)
 
 
+def _check_shape(params: GedParams, case: TheoremCase) -> None:
+    if params.v != case.v:
+        raise ValueError(f"params v={params.v} differs from case v={case.v}")
+
+
 def case_norming(params: GedParams, case: TheoremCase,
                  n: int | float | None = None, *,
                  log_n: float | None = None) -> LinearNorming:
     """The norming family each case verifies against."""
+    _check_shape(params, case)
     if case.tag in ("t1_i", "t1_ii", "t1_iii"):
         return power_constants(params, case.p, n, log_n=log_n)
     if case.tag == "t2_i":
@@ -143,6 +149,7 @@ def exact_deficit(params: GedParams, case: TheoremCase,
     rather than re-deriving it from the tail at O(1e-16) noise that a
     second-order sweep would amplify by n^2.
     """
+    _check_shape(params, case)
     z = normed_threshold(case, norming, x)
     if case.tag == "t1_i":
         return 0.0
@@ -312,6 +319,7 @@ def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    _check_shape(params, case)
     expected = classify_case(case.v, case.p,
                              theorem=1 if case.tag.startswith("t1") else 2)
     if expected.tag != case.tag:

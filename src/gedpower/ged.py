@@ -118,31 +118,31 @@ def quantile(params: GedParams, u: float) -> float:
     return params.lam * (2.0 * y) ** (1.0 / params.v)
 
 
+def _abs_from_gamma(params: GedParams, y: np.ndarray) -> None:
+    """Map Y ~ Gamma(1/v, 1) to |X| = lambda (2 Y)^(1/v), in place."""
+    y *= 2.0
+    y **= 1.0 / params.v
+    y *= params.lam
+
+
 # the seed annotation is a string: evaluating np.random at definition time
 # would import numpy.random with the package, about 6 MB of resident memory
 def sample_stream(params: GedParams, count: int,
                   seed: "int | np.random.SeedSequence") -> np.ndarray:
-    """Draw ``count`` i.i.d. GED(v) variates, deterministic per (seed, count).
-
-    |X| = lambda (2 Y)^(1/v) with Y ~ Gamma(1/v, 1), attached to an
-    independent uniform sign.
-    """
+    """Draw ``count`` i.i.d. GED(v) variates, |X| with a fair sign,
+    deterministic per (seed, count)."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     y = rng.standard_gamma(1.0 / params.v, size=count)
-    # The signs follow all the gammas in the stream.  They are drawn and
-    # applied one cache-sized block at a time: a sign draw takes 32 bits of
-    # the generator whatever the block, so the stream is the same as one
-    # call's, and no temporary is as large as y.  Multiplying by +-1.0 is
-    # exact, so each variate equals sign * lam * (2 y)^(1/v) to the bit.
+    # The signs follow all the gammas, drawn one cache-sized block at a time
+    # so that no temporary is as large as y; a sign takes 32 bits whatever
+    # the block, so the stream is one call's.  Multiplying by +-1.0 is exact.
     for lo in range(0, count, _SIGN_BLOCK):
         block = y[lo:lo + _SIGN_BLOCK]
         signs = rng.integers(0, 2, size=block.size) * 2.0
         signs -= 1.0
-        block *= 2.0
-        block **= 1.0 / params.v
-        block *= params.lam
+        _abs_from_gamma(params, block)
         block *= signs
     return y
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ged import GedParams, log_survival, sample_stream, survival
+from .ged import GedParams, _abs_from_gamma, log_survival, survival
 
 __all__ = [
     "OrderStatSpec",
@@ -216,12 +216,13 @@ def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
                        seed: int) -> np.ndarray:
     """The signed r_max largest of each of ``reps`` GED(v) samples of size n.
 
-    Returns a (reps, r_max) array, largest first, so column r - 1 holds the
-    r-th largest M_{n,r} of every replication.  Replications are split into
-    chunks of about 2^22 draws, each with its own child seed derived from
-    (seed, chunk index), so the table is deterministic per seed regardless
-    of memory pressure.  One single-kth selection per chunk moves the r_max
-    top values to the end of each row, and only those are sorted.
+    Returns a (reps, r_max) array, largest first: column r - 1 holds M_{n,r}.
+    A variate is +-|X| with a fair sign, so a row draws its count of
+    positives K ~ Binomial(n, 1/2), then only what can reach its top: K
+    positive magnitudes and, if K < r_max, n - K negative ones.  Selection
+    runs on the raw Y ~ Gamma(1/v, 1), as |X| = lambda (2 Y)^(1/v) grows
+    with Y, and only the selected values are transformed.  Each chunk of
+    about 2^22 / n rows has its own generator seeded by (seed, chunk index).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -234,10 +235,23 @@ def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
     top = np.empty((reps, r_max))
     for idx, start in enumerate(range(0, reps, per_chunk)):
         size = min(per_chunk, reps - start)
-        xs = sample_stream(params, size * n,
-                           np.random.SeedSequence((seed, idx))).reshape(size, n)
-        xs.partition(n - r_max, axis=1)
-        top[start:start + size] = np.sort(xs[:, n - r_max:], axis=1)[:, ::-1]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+        k = rng.binomial(n, 0.5, size)[:, None]
+        width = max(k.max(), r_max)
+        ys = rng.standard_gamma(1.0 / params.v, size=(size, width))
+        # entries past a row's K positives sort below every Y >= 0
+        np.copyto(ys, -1.0, where=np.arange(width) >= k)
+        ys.partition(width - r_max, axis=1)
+        mags = np.sort(ys[:, width - r_max:], axis=1)[:, ::-1]
+        # rows with K < r_max: the smallest negative magnitudes, ascending
+        negative = np.arange(r_max) >= k
+        short_k = k[negative[:, -1]]
+        neg = rng.standard_gamma(1.0 / params.v, size=(short_k.size, n))
+        np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
+        neg.sort(axis=1)
+        mags[negative] = neg[np.arange(n) < r_max - short_k]
+        _abs_from_gamma(params, mags)
+        top[start:start + size] = np.where(negative, -mags, mags)
     return top
 
 
@@ -250,8 +264,10 @@ def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]
     """
     if math.isnan(y):
         raise ValueError("threshold y must not be nan")
+    reps, width = top.shape
+    if not 1 <= r <= width:
+        raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
     t = y ** (1.0 / p) if y >= 0.0 else -1.0
-    reps = top.shape[0]
     est = int(np.count_nonzero(np.abs(top[:, r - 1]) <= t)) / reps
     stderr = math.sqrt(est * (1.0 - est) / reps)
     return est, stderr

@@ -351,6 +351,20 @@ class TestTheoremExpansion:
         theta_deficit(params, case, None, 0.5, log_n=30.0)
         assert calls == []
 
+    def test_params_and_case_of_different_shapes_rejected(self):
+        # b_n from v = 2 with b^v at v = 3 would mix two laws
+        params, case = make_params(2.0), classify_case(3.0, 1.0, 2)
+        norming = case_norming(make_params(3.0), case, log_n=30.0)
+        calls = (
+            lambda: theorem_expansion(params, case, 1, None, 0.5, log_n=30.0),
+            lambda: theta_deficit(params, case, None, 0.5, log_n=30.0),
+            lambda: case_norming(params, case, log_n=30.0),
+            lambda: exact_deficit(params, case, norming, 0.5),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"v=2\.0 .*v=3\.0"):
+                call()
+
     def test_t1_i_first_order_point(self):
         # r=1, x=0: first-order term = -e^-1 / (2n)
         params = make_params(1.0)

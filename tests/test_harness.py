@@ -148,16 +148,16 @@ class TestRunSweep:
             run_sweep(t1i_config())
 
     def test_mc_draws_once_per_v_n_cell(self, monkeypatch):
-        import gedpower.orderstats as orderstats
+        import gedpower.harness as harness
 
-        counts = []
-        real = orderstats.sample_stream
+        calls = []
+        real = harness.mc_top_order_stats
 
-        def counting(params, count, seed):
-            counts.append(count)
-            return real(params, count, seed)
+        def counting(params, n, r_max, reps, seed):
+            calls.append((params.v, n, r_max, reps))
+            return real(params, n, r_max, reps, seed)
 
-        monkeypatch.setattr(orderstats, "sample_stream", counting)
+        monkeypatch.setattr(harness, "mc_top_order_stats", counting)
         n_ladder, reps = (30, 200), 50
         cfg = SweepConfig(
             v_list=(1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
@@ -167,7 +167,8 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert len(rows) == 2 * 2 * 3 * 2 * 4
         assert not any(r.error and not r.error.startswith("mc_") for r in rows)
-        assert sum(counts) == 2 * sum(n_ladder) * reps
+        assert sorted(calls) == [(v, n, min(3, n), reps)
+                                 for v in (1.0, 2.0) for n in n_ladder]
 
     def test_mc_cross_check_clean(self):
         cfg = SweepConfig(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gedpower.expansions import gumbel_r
-from gedpower.ged import cdf, make_params, quantile, sample_stream, survival
+from gedpower.ged import cdf, make_params, quantile, survival
 from gedpower.norming import gumbel_constants, hall_constants, power_constants
 from gedpower.orderstats import (
     BudgetError,
@@ -227,6 +227,18 @@ class TestGapEngine:
             cdf_gap_from_deficit(1, 0.0, 0.0)
 
 
+def _exact_median(params, spec):
+    """The y with exact P(|M_{n,r}|^p <= y) = 1/2, by bisection."""
+    lo, hi = 0.0, 50.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if exact_powered_cdf(params, spec, mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestMonteCarlo:
     def test_single_rep_is_indicator(self):
         params = make_params(2.0)
@@ -246,14 +258,7 @@ class TestMonteCarlo:
         # pick y with exact probability 1/2 by bisection, then simulate
         params = make_params(2.0)
         spec = OrderStatSpec(n=100, r=2, p=2.0)
-        lo, hi = 0.0, 50.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if exact_powered_cdf(params, spec, mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        y_half = 0.5 * (lo + hi)
+        y_half = _exact_median(params, spec)
         est, se = mc_powered_cdf(params, spec, y_half, reps=10**4, seed=2024)
         assert abs(est - 0.5) <= 3.0 * se
 
@@ -274,13 +279,13 @@ class TestMonteCarlo:
         with pytest.raises(BudgetError):
             mc_top_order_stats(params, 10**6, 3, reps=10**6, seed=0)
 
-    # (v, n, r, p, y, reps, seed) -> (est, se), computed when each rank had
-    # its own single-kth partition; the last case spans two chunks
+    # (v, n, r, p, y, reps, seed) -> (est, se), computed when each row drew
+    # only its positive magnitudes; the last case spans two chunks
     @pytest.mark.parametrize("case,expected", [
-        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.4915, 0.01117872421164419)),
-        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.854, 0.009117163301524586)),
-        ((4.0, 100000, 2, 1.5, 4.8, 60, 5),
-         (0.6166666666666667, 0.06276794416591015)),
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.496, 0.011179982110898032)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17),
+         (0.8626666666666667, 0.008887177613051621)),
+        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.55, 0.06422616289332565)),
     ])
     def test_pinned_estimates(self, case, expected):
         v, n, r, p, y, reps, seed = case
@@ -301,16 +306,71 @@ class TestMonteCarlo:
                 est, math.sqrt(est * (1.0 - est) / reps))
             assert mc_score(top, r, p, y)[0] == est
 
+    @staticmethod
+    def _white_box_table(params, n, r_max, reps, seed):
+        """Rebuild a one-chunk table from the generator calls it makes.
+
+        K ~ Binomial(n, 1/2) per row; then one gamma block whose row i
+        starts with its K_i positive magnitudes; then, for the rows with
+        K_i < r_max in order, one block of width n whose row starts with
+        the n - K_i negative magnitudes.  Each signed sample is sorted in
+        full, so the reference makes no selection of its own.
+        """
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        k = rng.binomial(n, 0.5, reps)
+        pos = rng.standard_gamma(1.0 / params.v, size=(reps, max(k.max(), r_max)))
+        short = np.flatnonzero(k < r_max)
+        neg = rng.standard_gamma(1.0 / params.v, size=(short.size, n))
+
+        def mag(y):
+            return params.lam * (2.0 * y) ** (1.0 / params.v)
+
+        rows = []
+        for i in range(reps):
+            sample = mag(pos[i, :k[i]])
+            if k[i] < r_max:
+                j = int(np.searchsorted(short, i))
+                sample = np.concatenate([sample, -mag(neg[j, :n - k[i]])])
+            rows.append(np.sort(sample)[::-1][:r_max])
+        return np.array(rows)
+
     def test_table_width_can_be_n(self):
         # the table equals a full sort of the same draws at widths 1, 3, n
-        params, n, reps, seed = make_params(2.0), 1000, 7, 1
-        draws = sample_stream(params, reps * n, np.random.SeedSequence((seed, 0)))
-        full = np.sort(draws.reshape(reps, n), axis=1)[:, ::-1]
-        for r_max in (1, 3, n):
-            top = mc_top_order_stats(params, n, r_max, reps, seed)
-            assert np.array_equal(top, full[:, :r_max])
-        with pytest.raises(ValueError):
-            mc_top_order_stats(params, n, n + 1, reps, seed)
+        params, seed = make_params(2.0), 1
+        for n, widths, reps in ((1000, (1, 3, 1000), 7), (3, (1, 2, 3), 64)):
+            for r_max in widths:
+                top = mc_top_order_stats(params, n, r_max, reps, seed)
+                expected = self._white_box_table(params, n, r_max, reps, seed)
+                assert np.array_equal(top, expected)
+            with pytest.raises(ValueError):
+                mc_top_order_stats(params, n, n + 1, reps, seed)
+
+    @pytest.mark.parametrize("v", (0.5, 2.0))
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    def test_tiny_n_every_column_three_sigma(self, v, n):
+        # at r_max = n most rows hold fewer than r_max positive values, so
+        # the negative magnitudes fill the lower columns
+        params, reps = make_params(v), 20000
+        top = mc_top_order_stats(params, n, n, reps, seed=40 + n)
+        for r in range(1, n + 1):
+            y_half = _exact_median(params, OrderStatSpec(n=n, r=r, p=1.0))
+            est, se = mc_score(top, r, 1.0, y_half)
+            assert abs(est - 0.5) <= 3.0 * se
+
+    def test_three_draws_smallest_is_negative_seven_eighths(self):
+        # the smallest of three is negative unless all three signs are +
+        reps = 20000
+        top = mc_top_order_stats(make_params(1.0), 3, 3, reps, seed=8)
+        share = np.count_nonzero(top[:, 2] < 0.0) / reps
+        assert abs(share - 7.0 / 8.0) <= 3.0 * math.sqrt(7.0 / 64.0 / reps)
+
+    def test_score_rank_within_table_width(self):
+        top = mc_top_order_stats(make_params(1.0), 10, 2, 100, seed=0)
+        for r in (1, 2):
+            mc_score(top, r, 1.0, 1.0)
+        for r in (0, 3):
+            with pytest.raises(ValueError, match="table width"):
+                mc_score(top, r, 1.0, 1.0)
 
     def test_nan_threshold_rejected(self):
         params = make_params(1.0)
