@@ -15,8 +15,8 @@ Run:  python demos/04_second_order_rates.py
 import math
 
 from gedpower import (
+    NormedCase,
     SweepConfig,
-    case_norming,
     classify_case,
     correction_q,
     correction_h,
@@ -47,8 +47,7 @@ def adjudicate(v, p, x=0.0):
         log_n = (math.log(2.0) / v + (1.0 - v) * math.log(params.lam)
                  + math.lgamma(1.0 / v) + (v - 1.0) * math.log(b)
                  + bv / (2.0 * params.lam**v))
-        nm = case_norming(params, case, log_n=log_n)
-        d = exact_deficit(params, case, nm, x)
+        d = exact_deficit(NormedCase(params, case, log_n=log_n), x)
         fits.append((d - h * math.exp(x) / bv) * bv**2 * math.exp(-x))
     r1, r2 = 2.0 * fits[1] - fits[0], 2.0 * fits[2] - fits[1]
     fitted = (4.0 * r2 - r1) / 3.0

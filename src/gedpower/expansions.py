@@ -18,6 +18,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ged import EQ_TOL, GedParams, log_survival
 from .norming import (
@@ -32,19 +33,20 @@ from .specfun import log_gamma
 
 __all__ = [
     "TheoremCase",
+    "NormedCase",
     "ExpansionEval",
     "gumbel",
     "gumbel_r",
     "gumbel_r_identities",
     "classify_case",
     "case_norming",
-    "normed_threshold",
     "exact_deficit",
     "theta_deficit",
     "correction_h",
     "correction_q",
     "correction_s",
     "correction_b",
+    "expand",
     "theorem_expansion",
 ]
 
@@ -110,64 +112,103 @@ def classify_case(v: float, p: float, theorem: int) -> TheoremCase:
     return TheoremCase(tag=tag, v=v, p=p)
 
 
-def _check_shape(params: GedParams, case: TheoremCase) -> None:
-    if params.v != case.v:
-        raise ValueError(f"params v={params.v} differs from case v={case.v}")
+@dataclass(frozen=True)
+class NormedCase:
+    """The x-free part of one grid cell: norming and scale factors of (params,
+    case, n or log n), each built on first use and kept, so a row that needs
+    one never fails on the other.  Building a cell checks that params and case
+    share a shape and that (v, p) routes to the case within its branch."""
+
+    params: GedParams
+    case: TheoremCase
+    n: int | float | None = None
+    log_n: float | None = None
+
+    def __post_init__(self):
+        v, p, tag = self.case.v, self.case.p, self.case.tag
+        if self.params.v != v:
+            raise ValueError(f"params v={self.params.v} differs from case v={v}")
+        expected = classify_case(v, p, theorem=1 if tag.startswith("t1") else 2)
+        if expected.tag != tag:
+            raise ValueError(f"(v={v}, p={p}) belongs to case "
+                             f"{expected.tag!r}, not {tag!r}")
+
+    @cached_property
+    def norming(self) -> LinearNorming:
+        """The norming family the case verifies against."""
+        if self.case.tag == "t2_ii":
+            return optimal_constants(self.params, self.n, log_n=self.log_n)
+        family = power_constants if self.case.tag.startswith("t1") else hall_constants
+        return family(self.params, self.case.p, self.n, log_n=self.log_n)
+
+    @cached_property
+    def scales(self) -> tuple[float, float]:
+        """The divergent multipliers attached to the first and second order.
+
+        (n, n^2) for t1_i; (log(n/2), log n log(n/2)) for t1_ii;
+        (log n/(loglog n)^2, log n/loglog n) for t1_iii -- the second
+        multiplier follows the statement literally, i.e. loglog n applied to
+        the residual; (b^v, b^2v) for t2_i and (b^2v, b^3v) for t2_ii.
+        """
+        ln = resolve_log_n(self.n, self.log_n, min_n=3)
+        tag = self.case.tag
+        if tag == "t1_i":
+            if ln > 700.0:
+                raise ValueError("t1_i scales need a representable n; log_n too large")
+            nn = float(self.n) if self.n is not None else math.exp(ln)
+            return nn, nn * nn
+        if tag == "t1_ii":
+            s1 = ln - math.log(2.0)
+            return s1, ln * s1
+        if tag == "t1_iii":
+            ll = math.log(ln)
+            s1 = ln / (ll * ll)
+            return s1, s1 * ll
+        bv = solve_bn(self.params, log_n=ln).b_n ** self.params.v
+        return (bv, bv * bv) if tag == "t2_i" else (bv * bv, bv**3)
 
 
 def case_norming(params: GedParams, case: TheoremCase,
                  n: int | float | None = None, *,
                  log_n: float | None = None) -> LinearNorming:
     """The norming family each case verifies against."""
-    _check_shape(params, case)
-    if case.tag in ("t1_i", "t1_ii", "t1_iii"):
-        return power_constants(params, case.p, n, log_n=log_n)
-    if case.tag == "t2_i":
-        return hall_constants(params, case.p, n, log_n=log_n)
-    if case.tag == "t2_ii":
-        return optimal_constants(params, n, log_n=log_n)
-    raise ValueError(f"unknown case tag {case.tag!r}")
+    return NormedCase(params, case, n, log_n).norming
 
 
-def normed_threshold(case: TheoremCase, norming: LinearNorming, x: float) -> float:
-    """z_n(x) = (scale x + shift)^(1/p), the threshold on |M_{n,r}|."""
-    arg = norming.scale * x + norming.shift
-    if not arg > 0.0:
-        raise ValueError(
-            f"normed point scale*x+shift = {arg} is not positive at x={x}; "
-            "n is too small for this x"
-        )
-    return arg ** (1.0 / case.p)
-
-
-def exact_deficit(params: GedParams, case: TheoremCase,
-                  norming: LinearNorming, x: float) -> float:
-    """1 - theta with theta = n e^x (1 - G_v(z_n(x))), from the exact tail.
+def exact_deficit(cell: NormedCase, x: float) -> float:
+    """1 - theta with theta = n e^x (1 - G_v(z_n(x))), from the exact tail,
+    where z_n(x) = (scale x + shift)^(1/p) is the threshold on |M_{n,r}|.
 
     In the Laplace unit-power case the norming calibrates the tail exactly
     (theta = 1 for z > 0), so the deficit is returned as an exact zero
     rather than re-deriving it from the tail at O(1e-16) noise that a
     second-order sweep would amplify by n^2.
     """
-    _check_shape(params, case)
-    z = normed_threshold(case, norming, x)
-    if case.tag == "t1_i":
+    norming = cell.norming
+    arg = norming.scale * x + norming.shift
+    if not arg > 0.0:
+        raise ValueError(
+            f"normed point scale*x+shift = {arg} is not positive at x={x}; "
+            "n is too small for this x"
+        )
+    if cell.case.tag == "t1_i":
         return 0.0
-    return -math.expm1(norming.log_n + x + log_survival(params, z))
+    z = arg ** (1.0 / cell.case.p)
+    return -math.expm1(norming.log_n + x + log_survival(cell.params, z))
 
 
-def _lemma_deficit(params: GedParams, case: TheoremCase, x: float,
-                   log_n: float) -> float:
+def _lemma_deficit(cell: NormedCase, x: float) -> float:
     """Closed-form prediction of 1 - theta through second order."""
-    v, p = case.v, case.p
-    if case.tag == "t1_i":
+    params, tag, v, p = cell.params, cell.case.tag, cell.case.v, cell.case.p
+    log_n = cell.norming.log_n
+    if tag == "t1_i":
         return 0.0
-    if case.tag == "t1_ii":
+    if tag == "t1_ii":
         half_log = log_n - math.log(2.0)
         return ((1.0 - p) * x * x / (2.0 * half_log)
                 - ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
                    * x**3 / (24.0 * half_log**2)))
-    if case.tag == "t1_iii":
+    if tag == "t1_iii":
         vi = 1.0 / v
         ll = math.log(log_n)
         return ((1.0 - vi) ** 3 * ll * ll / (2.0 * log_n)
@@ -175,27 +216,20 @@ def _lemma_deficit(params: GedParams, case: TheoremCase, x: float,
                    * (1.0 - math.log(2.0) - log_gamma(vi) + x) * ll / log_n))
     bv = solve_bn(params, log_n=log_n).b_n ** v
     ex = math.exp(x)
-    if case.tag == "t2_i":
+    if tag == "t2_i":
         return (correction_h(params, p, x) * ex / bv
                 + correction_q(params, p, x) * ex / bv**2)
-    if case.tag == "t2_ii":
-        return (correction_s(params, x) * ex / bv**2
-                + correction_b(params, x) * ex / bv**3)
-    raise ValueError(f"unknown case tag {case.tag!r}")
+    return (correction_s(params, x) * ex / bv**2
+            + correction_b(params, x) * ex / bv**3)
 
 
-def theta_deficit(params: GedParams, case: TheoremCase,
-                  n: int | float | None, x: float, *,
-                  log_n: float | None = None) -> tuple[float, float]:
+def theta_deficit(cell: NormedCase, x: float) -> tuple[float, float]:
     """(exact, predicted) tail deficit 1 - theta at the case's normed point.
 
     The exact channel never touches the expansions, so comparing the two
     isolates expansion error from tail-evaluation error.
     """
-    norming = case_norming(params, case, n, log_n=log_n)
-    exact = exact_deficit(params, case, norming, x)
-    predicted = _lemma_deficit(params, case, x, norming.log_n)
-    return exact, predicted
+    return exact_deficit(cell, x), _lemma_deficit(cell, x)
 
 
 def _check_v_not_one(v: float, name: str) -> None:
@@ -306,63 +340,33 @@ def _t1_iii_targets(v: float, r: int, x: float) -> tuple[float, float]:
     return t1, t2
 
 
-def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
-                      n: int | float | None, x: float, *,
-                      log_n: float | None = None) -> ExpansionEval:
-    """Leading term, correction terms, and scale factors at one grid point.
-
-    The scale factors are the divergent multipliers attached to each order:
-    (n, n^2) for t1_i; (log(n/2), log n log(n/2)) for t1_ii;
-    (log n/(loglog n)^2, log n/loglog n) for t1_iii -- the second multiplier
-    follows the statement literally, i.e. loglog n applied to the residual;
-    (b^v, b^2v) for t2_i and (b^2v, b^3v) for t2_ii.
-    """
+def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
+    """Leading term, correction terms, and the cell's scale factors at x."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    _check_shape(params, case)
-    expected = classify_case(case.v, case.p,
-                             theorem=1 if case.tag.startswith("t1") else 2)
-    if expected.tag != case.tag:
-        raise ValueError(
-            f"case mismatch: (v={case.v}, p={case.p}) belongs to "
-            f"{expected.tag!r}, not {case.tag!r}"
-        )
-    ln = resolve_log_n(n, log_n, min_n=3)
+    s1, s2 = cell.scales
     leading = gumbel_r(r, x)
-    v, p = case.v, case.p
-
-    if case.tag == "t1_i":
-        if ln > 700.0:
-            raise ValueError("t1_i scales need a representable n; log_n too large")
-        nn = float(n) if n is not None else math.exp(ln)
-        s1, s2 = nn, nn * nn
+    params, tag, p = cell.params, cell.case.tag, cell.case.p
+    if tag == "t1_i":
         t1, t2 = _t1_i_targets(r, x)
-    elif case.tag == "t1_ii":
-        s1 = ln - math.log(2.0)
-        s2 = ln * s1
+    elif tag == "t1_ii":
         t1, t2 = _t1_ii_targets(p, r, x)
-    elif case.tag == "t1_iii":
-        ll = math.log(ln)
-        s1 = ln / (ll * ll)
-        s2 = s1 * ll
-        t1, t2 = _t1_iii_targets(v, r, x)
+    elif tag == "t1_iii":
+        t1, t2 = _t1_iii_targets(params.v, r, x)
     else:
-        bv = solve_bn(params, log_n=ln).b_n ** v
         pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * gumbel(x)
-        if case.tag == "t2_i":
-            s1, s2 = bv, bv * bv
+        if tag == "t2_i":
             h, q = correction_h(params, p, x), correction_q(params, p, x)
             t1 = h * pref
             t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
         else:
-            s1, s2 = bv * bv, bv**3
             t1 = correction_s(params, x) * pref
             t2 = correction_b(params, x) * pref
+    return ExpansionEval(leading, t1 / s1, t2 / s2, s1, s2)
 
-    return ExpansionEval(
-        leading=leading,
-        first_order=t1 / s1,
-        second_order=t2 / s2,
-        scale_first=s1,
-        scale_second=s2,
-    )
+
+def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
+                      n: int | float | None, x: float, *,
+                      log_n: float | None = None) -> ExpansionEval:
+    """:func:`expand` at one point, on a one-off :class:`NormedCase`."""
+    return expand(NormedCase(params, case, n, log_n), r, x)

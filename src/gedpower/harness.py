@@ -9,10 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansions import (
+    NormedCase,
+    TheoremCase,
     classify_case,
-    case_norming,
     exact_deficit,
-    theorem_expansion,
+    expand,
 )
 from .ged import EQ_TOL, make_params
 from .orderstats import (
@@ -121,48 +122,41 @@ class VerificationRow:
     error: str = ""
 
 
-def _resolve_theorem(theorem: str | None, v: float, p: float):
-    """Map the filter to a concrete case for one (v, p)."""
-    if theorem in ("1", "2"):
-        return classify_case(v, p, theorem=int(theorem))
-    if theorem is None:
-        branch = 1 if abs(v - 1.0) <= EQ_TOL else 2
-        return classify_case(v, p, theorem=branch)
-    case = classify_case(v, p, theorem=1 if theorem.startswith("t1") else 2)
-    if case.tag != theorem:
-        raise ValueError(f"(v={v}, p={p}) belongs to case {case.tag!r}, "
-                         f"not {theorem!r}")
-    return case
+def _resolve_theorem(theorem: str | None, v: float, p: float) -> TheoremCase:
+    """The filter's case at (v, p); NormedCase rejects a tag (v, p) misses."""
+    if theorem in _CASE_TAGS:
+        return TheoremCase(theorem, v, p)
+    branch = int(theorem) if theorem else (1 if abs(v - 1.0) <= EQ_TOL else 2)
+    return classify_case(v, p, theorem=branch)
 
 
 def _eval_point(config: SweepConfig, v: float, p: float, r: int,
                 n: int | None, log_n: float | None, x: float,
-                tables: dict, cell: tuple[int, int]) -> VerificationRow:
+                cells: dict, tables: dict, key: tuple[int, int]) -> VerificationRow:
     n_value = float(n) if n is not None else math.exp(log_n) if log_n < 700 else math.inf
     try:
-        params = make_params(v)
-        case = _resolve_theorem(config.theorem, v, p)
-        norming = case_norming(params, case, n, log_n=log_n)
-        deficit = exact_deficit(params, case, norming, x)
+        cell = cells.get((p, key[1]))
+        if cell is None:
+            cell = cells[(p, key[1])] = NormedCase(
+                make_params(v), _resolve_theorem(config.theorem, v, p), n, log_n)
+        deficit = exact_deficit(cell, x)
         if n is not None:
             gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
             bound = 0.0
         else:
             gap = cdf_gap_from_deficit(r, x, deficit, log_n=log_n)
             bound = poisson_remainder_bound(r, x, deficit, log_n)
-        ee = theorem_expansion(params, case, r, n, x, log_n=log_n)
+        ee = expand(cell, r, x)
         limit = ee.leading
         target1 = ee.first_order * ee.scale_first
         target2 = ee.second_order * ee.scale_second
         scaled_err1 = ee.scale_first * gap
-        mult2 = ee.scale_second / ee.scale_first
-        scaled_err2 = mult2 * (scaled_err1 - target1)
+        scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
         exact = min(1.0, max(0.0, limit + gap))
         error = ""
         if config.mc_reps > 0 and n is not None:
-            y = norming.scale * x + norming.shift
-            error = _mc_note(config, tables, cell, params, r, n, case.p, y,
-                             exact)
+            y = cell.norming.scale * x + cell.norming.shift
+            error = _mc_note(config, tables, key, cell.params, r, n, p, y, exact)
         return VerificationRow(
             v=v, p=p, r=r, n=n_value, x=x,
             exact=exact, limit=limit, err=gap,
@@ -177,23 +171,23 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         return VerificationRow(v=v, p=p, r=r, n=n_value, x=x, error=msg)
 
 
-def _mc_note(config, tables, cell, params, r, n, p, y, exact) -> str:
+def _mc_note(config, tables, key, params, r, n, p, y, exact) -> str:
     """Cross-check the exact value against Monte Carlo; note 3-sigma misses.
 
     The (v, n) cell's table of top order statistics is drawn at its first
-    Monte Carlo row, stored in ``tables`` under ``cell`` = (v index, n
+    Monte Carlo row, stored in ``tables`` under ``key`` = (v index, n
     index), and shared by every r, p and x of the cell.
     """
-    if cell not in tables:
-        seed = int(np.random.SeedSequence((config.seed, *cell)).generate_state(1)[0])
+    if key not in tables:
+        seed = int(np.random.SeedSequence((config.seed, *key)).generate_state(1)[0])
         try:
-            tables[cell] = mc_top_order_stats(
+            tables[key] = mc_top_order_stats(
                 params, n, min(max(config.r_list), n), config.mc_reps, seed)
         except BudgetError:
-            tables[cell] = None
-    if tables[cell] is None:
+            tables[key] = None
+    if tables[key] is None:
         return "mc_skipped_budget"
-    est, se = mc_score(tables[cell], r, p, y)
+    est, se = mc_score(tables[key], r, p, y)
     if se == 0.0:
         se = math.sqrt(0.25 / config.mc_reps)
     z = (est - exact) / se
@@ -215,15 +209,15 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
              * len(ladder) * len(xs))
     done = 0
     for vi, v in enumerate(sorted(config.v_list)):
-        # Monte Carlo tables of this v's cells; every cell of a v is done
-        # before the next v starts
+        # this v's cells: a NormedCase per (p, n) and an MC table per (v, n)
+        cells: dict = {}
         tables: dict = {}
         for p in sorted(config.p_list):
             for r in sorted(config.r_list):
                 for ni, (n, log_n) in enumerate(ladder):
                     for x in xs:
                         rows.append(_eval_point(config, v, p, r, n, log_n, x,
-                                                tables, (vi, ni)))
+                                                cells, tables, (vi, ni)))
                         done += 1
                         if progress is not None and done % 50 == 0:
                             print(f"{done}/{total} points", file=progress)
@@ -254,16 +248,6 @@ def _json_text(rows: list[VerificationRow]) -> str:
         out.append("  {" + fields + ("}," if i + 1 < len(rows) else "}"))
     out.append("]")
     return "\n".join(out) + "\n"
-
-
-def rows_from_json(text: str) -> list[VerificationRow]:
-    """Parse emit()'s JSON back into rows (inverse of the json format)."""
-    rows = []
-    for obj in json.loads(text):
-        vals = {k: (math.nan if obj[k] is None and k != "error" else obj[k])
-                for k in _ROW_KEYS}
-        rows.append(VerificationRow(**vals))
-    return rows
 
 
 def emit(rows: list[VerificationRow], fmt: str, path: str) -> str:

@@ -174,6 +174,8 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
         raise ValueError(f"deficit must be < 1, got {deficit}")
     if (n is None) == (log_n is None):
         raise ValueError("pass exactly one of n and log_n")
+    if n is not None and not r <= n:
+        raise ValueError(f"need r <= n, got r={r}, n={n:g}")
     emx = math.exp(-x)
     log_lambda0 = -emx  # log Lambda(x)
     gap = 0.0

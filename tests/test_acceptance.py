@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from gedpower.expansions import (
-    case_norming,
+    NormedCase,
     classify_case,
     exact_deficit,
+    expand,
     gumbel_r_identities,
-    theorem_expansion,
 )
 from gedpower.ged import cdf, make_params, pdf, quantile, survival
 from gedpower.harness import SweepConfig, emit, run_sweep
@@ -51,13 +51,13 @@ def double_limit_point(v: float, p: float, r: int, x: float, theorem: int,
     """(scaled_err1, target1, scaled_err2, target2) at one grid point."""
     params = make_params(v)
     case = classify_case(v, p, theorem=theorem)
-    norming = case_norming(params, case, n, log_n=log_n)
-    deficit = exact_deficit(params, case, norming, x)
+    cell = NormedCase(params, case, n, log_n)
+    deficit = exact_deficit(cell, x)
     if n is not None:
         gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
     else:
         gap = cdf_gap_from_deficit(r, x, deficit, log_n=log_n)
-    ee = theorem_expansion(params, case, r, n, x, log_n=log_n)
+    ee = expand(cell, r, x)
     t1 = ee.first_order * ee.scale_first
     t2 = ee.second_order * ee.scale_second
     se1 = ee.scale_first * gap

@@ -7,6 +7,7 @@ import pytest
 
 from gedpower.expansions import (
     ExpansionEval,
+    NormedCase,
     case_norming,
     classify_case,
     correction_b,
@@ -17,7 +18,6 @@ from gedpower.expansions import (
     gumbel,
     gumbel_r,
     gumbel_r_identities,
-    normed_threshold,
     theorem_expansion,
     theta_deficit,
 )
@@ -164,8 +164,7 @@ class TestQVariantAdjudication:
             log_n = (math.log(2.0) / v + (1.0 - v) * math.log(params.lam)
                      + math.lgamma(1.0 / v) + (v - 1.0) * math.log(b)
                      + b**v / (2.0 * params.lam**v))
-            nm = case_norming(params, case, log_n=log_n)
-            d = exact_deficit(params, case, nm, x)
+            d = exact_deficit(NormedCase(params, case, log_n=log_n), x)
             fits.append((d - h * math.exp(x) / bv_target) * bv_target**2 * math.exp(-x))
         # Richardson in t = b^-v over the halving ladder
         r1 = 2.0 * fits[1] - fits[0]
@@ -187,7 +186,7 @@ class TestThetaDeficit:
         case = classify_case(1.0, 1.0, theorem=1)
         for n in (10**3, 10**9):
             for x in (-1.0, 0.0, 3.0):
-                exact, predicted = theta_deficit(params, case, n, x)
+                exact, predicted = theta_deficit(NormedCase(params, case, n), x)
                 assert exact == 0.0
                 assert predicted == 0.0
 
@@ -198,7 +197,7 @@ class TestThetaDeficit:
         nm = case_norming(params, case, 10**6)
         from gedpower.ged import survival
 
-        z = normed_threshold(case, nm, 1.0)
+        z = nm.scale * 1.0 + nm.shift  # the threshold at p = 1
         assert 10**6 * math.exp(1.0) * survival(params, z) == pytest.approx(
             1.0, rel=1e-13
         )
@@ -206,7 +205,7 @@ class TestThetaDeficit:
     def test_powered_laplace_prediction(self):
         params = make_params(1.0)
         case = classify_case(1.0, 3.0, theorem=1)
-        exact, predicted = theta_deficit(params, case, 10**6, 1.0)
+        exact, predicted = theta_deficit(NormedCase(params, case, 10**6), 1.0)
         lead = (1.0 - 3.0) / (2.0 * math.log(5e5))
         assert predicted == pytest.approx(exact, rel=0.02)
         assert exact == pytest.approx(lead, rel=0.1)
@@ -214,7 +213,7 @@ class TestThetaDeficit:
     def test_shape_two_prediction(self):
         params = make_params(2.0)
         case = classify_case(2.0, 1.0, theorem=2)
-        exact, predicted = theta_deficit(params, case, 10**8, 0.0)
+        exact, predicted = theta_deficit(NormedCase(params, case, 10**8), 0.0)
         b = solve_bn(params, 10**8).b_n
         assert exact == pytest.approx(correction_h(params, 1.0, 0.0) / b**2, rel=0.1)
         # the order-2 prediction is off by the b^-3v term only (~1.4%)
@@ -223,9 +222,8 @@ class TestThetaDeficit:
     def test_threshold_positivity_enforced(self):
         params = make_params(1.0)
         case = classify_case(1.0, 1.0, theorem=1)
-        nm = case_norming(params, case, 8)
-        with pytest.raises(ValueError):
-            normed_threshold(case, nm, -10.0)
+        with pytest.raises(ValueError, match="not positive"):
+            exact_deficit(NormedCase(params, case, 8), -10.0)
 
     @pytest.mark.parametrize(
         "tag,v,p,expo",
@@ -254,7 +252,7 @@ class TestThetaDeficit:
                          + math.lgamma(1.0 / v) + (v - 1.0) * math.log(b)
                          + b**v / (2.0 * params.lam**v))
                 var = math.log(b)
-            exact, predicted = theta_deficit(params, case, None, x, log_n=log_n)
+            exact, predicted = theta_deficit(NormedCase(params, case, log_n=log_n), x)
             resid = abs(exact - predicted)
             assert resid > 0
             logs.append(var)
@@ -270,7 +268,7 @@ class TestThetaDeficit:
         case = classify_case(2.0, 2.0, theorem=1)
         logs, values = [], []
         for log_n in (1e4, 10**4.5, 1e5, 10**5.5, 1e6):
-            exact, predicted = theta_deficit(params, case, None, 1.0, log_n=log_n)
+            exact, predicted = theta_deficit(NormedCase(params, case, log_n=log_n), 1.0)
             logs.append(math.log(log_n))
             values.append(math.log(abs(exact - predicted)))
         slope = np.polyfit(logs, values, 1)[0]
@@ -293,7 +291,7 @@ class TestPrintedQuadraticMismatch:
             log_n = (math.log(2.0) / v + (1.0 - v) * math.log(params.lam)
                      + math.lgamma(1.0 / v) + (v - 1.0) * math.log(b)
                      + bv / (2.0 * params.lam**v))
-            exact, predicted = theta_deficit(params, case, None, x, log_n=log_n)
+            exact, predicted = theta_deficit(NormedCase(params, case, log_n=log_n), x)
             fits.append((exact - predicted) * bv**2 * math.exp(-x))
         r1, r2 = 2.0 * fits[1] - fits[0], 2.0 * fits[2] - fits[1]
         fitted = (4.0 * r2 - r1) / 3.0
@@ -348,22 +346,29 @@ class TestTheoremExpansion:
             if name.split(".")[0] == "gedpower" and hasattr(module, "make_params"):
                 monkeypatch.setattr(module, "make_params", counting)
         theorem_expansion(params, case, 2, None, 0.5, log_n=30.0)
-        theta_deficit(params, case, None, 0.5, log_n=30.0)
+        theta_deficit(NormedCase(params, case, log_n=30.0), 0.5)
         assert calls == []
 
     def test_params_and_case_of_different_shapes_rejected(self):
         # b_n from v = 2 with b^v at v = 3 would mix two laws
         params, case = make_params(2.0), classify_case(3.0, 1.0, 2)
-        norming = case_norming(make_params(3.0), case, log_n=30.0)
         calls = (
             lambda: theorem_expansion(params, case, 1, None, 0.5, log_n=30.0),
-            lambda: theta_deficit(params, case, None, 0.5, log_n=30.0),
             lambda: case_norming(params, case, log_n=30.0),
-            lambda: exact_deficit(params, case, norming, 0.5),
+            lambda: NormedCase(params, case, log_n=30.0),
         )
         for call in calls:
             with pytest.raises(ValueError, match=r"v=2\.0 .*v=3\.0"):
                 call()
+
+    def test_small_v_expansion_needs_no_norming(self):
+        params, case = make_params(0.05), classify_case(0.05, 1.0, 1)
+        ee = theorem_expansion(params, case, 1, 1000, 0.0)
+        for val in (ee.leading, ee.first_order, ee.second_order,
+                    ee.scale_first, ee.scale_second):
+            assert math.isfinite(val)
+        with pytest.raises(ValueError, match="gumbel shift"):
+            case_norming(params, case, 1000)
 
     def test_t1_i_first_order_point(self):
         # r=1, x=0: first-order term = -e^-1 / (2n)
@@ -463,10 +468,10 @@ class TestTransferConsistency:
         params = make_params(v)
         case = classify_case(v, p, theorem=theorem)
         n = 10**6
-        nm = case_norming(params, case, n)
+        cell = NormedCase(params, case, n)
         for r in (1, 2):
             for x in (-0.5, 0.0, 1.0):
-                d = exact_deficit(params, case, nm, x)
+                d = exact_deficit(cell, x)
                 gap = cdf_gap_from_deficit(r, x, d, n=float(n))
                 transfer = lemma3_transfer(d, r, x)
                 bound = 5.0 * (abs(d) ** 3 + 1.0 / n)

@@ -9,10 +9,20 @@ from gedpower.harness import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
+    VerificationRow,
     emit,
-    rows_from_json,
     run_sweep,
 )
+
+
+def rows_from_json(text: str) -> list[VerificationRow]:
+    """Parse emit()'s JSON back into rows (inverse of the json format)."""
+    rows = []
+    for obj in json.loads(text):
+        vals = {k: (math.nan if obj[k] is None and k != "error" else obj[k])
+                for k in CSV_HEADER.split(",")}
+        rows.append(VerificationRow(**vals))
+    return rows
 
 
 def t1i_config(**overrides):
@@ -138,6 +148,54 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[0].error != ""
 
+    def test_error_rows_keep_their_order_of_checks(self):
+        # at n = 2 the normed point fails first at x = -5, the scales'
+        # n >= 3 check at x = 0; each row keeps its own message
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1,),
+                          n_ladder=(2,), x_min=-5.0, x_max=0.0, x_step=5.0)
+        first, second = run_sweep(cfg)
+        assert first.error.startswith(
+            "ValueError: normed point scale*x+shift = -7.07")
+        assert "is not positive at x=-5.0" in first.error
+        assert second.error == "ValueError: sample size must be >= 3; got 2"
+
+    def test_rank_above_n_names_r_and_n(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["verify", "--v", "2", "--p", "1", "--r", "5", "--n", "3",
+                     "--x-min", "0", "--x-max", "0", "--out", str(out)]) == 0
+        error = out.read_text().splitlines()[1].split(",")[-1]
+        assert error == "ValueError: need r <= n; got r=5; n=3"
+
+    def test_one_plan_per_cell(self, monkeypatch):
+        # every (v, p, log n) cell makes its params once and solves b_n
+        # twice: once for the norming, once for the scales
+        import gedpower.expansions as expansions
+        import gedpower.harness as harness
+        import gedpower.norming as norming
+
+        solves, shapes = [], []
+
+        def counting_solve(params, n=None, *, log_n=None, real=norming.solve_bn):
+            solves.append((params.v, log_n))
+            return real(params, n, log_n=log_n)
+
+        def counting_params(v, real=harness.make_params):
+            shapes.append(v)
+            return real(v)
+
+        monkeypatch.setattr(norming, "solve_bn", counting_solve)
+        monkeypatch.setattr(expansions, "solve_bn", counting_solve)
+        monkeypatch.setattr(harness, "make_params", counting_params)
+        cfg = SweepConfig(v_list=(0.5, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
+                          log_n_ladder=(10.0, 30.0), x_min=0.0, x_max=1.0,
+                          x_step=0.5)
+        rows = run_sweep(cfg)
+        assert len(rows) == 72 and all(row.error == "" for row in rows)
+        assert sorted(solves) == sorted(2 * [(v, ln) for v in (0.5, 2.0)
+                                             for _ in (1.0, 2.0)
+                                             for ln in (10.0, 30.0)])
+        assert len(shapes) == 8
+
     def test_program_bug_stops_the_sweep(self, monkeypatch):
         # only numerical and domain failures become row notes
         def broken(*args, **kwargs):
@@ -240,12 +298,28 @@ class TestGoldenBytes:
     LOG_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                  log_n_ladder=(10.0, 100.0, 750.0), x_min=-1.0, x_max=2.0,
                  x_step=1.5)
+    # the grids of the benchmark's sweep-logn and sweep-exactn workloads
+    BENCH_X = dict(x_min=-1.0, x_max=3.0, x_step=0.25)
+    SWEEP_LOGN = dict(
+        v_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+        p_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+        r_list=(1, 2, 3),
+        log_n_ladder=tuple(e * math.log(10.0) for e in (6, 9, 12, 20, 50, 100, 300)),
+        **BENCH_X)
+    SWEEP_EXACTN = dict(
+        v_list=(0.5, 1.0, 2.0, 4.0),
+        p_list=(1.0, 2.0),
+        r_list=(1, 2, 5, 10, 20),
+        n_ladder=(10**3, 10**4, 10**6, 10**8, 10**10, 10**12, 10**15),
+        theorem="1", **BENCH_X)
 
     @pytest.mark.parametrize("grid,fmt,digest", [
         ("EXACT_N", "csv", "f60c78193ce2d609a46f558d2a4386bac750f80047e079ef728a338764d2235d"),
         ("EXACT_N", "json", "bb7cb5c3024fb1925ab0def0ca74fb9a69f088b644f6c2747c9307b889ca9380"),
         ("LOG_N", "csv", "e036e80f3064b42c1c9e5fab572421c9821e05ab432ea9f701734ce6f7e83b47"),
         ("LOG_N", "json", "6afa8f99b2a63df02b0559e6325d4e6f552a4f823cad3947c94b940a1e3b9095"),
+        ("SWEEP_LOGN", "json", "daf945ebb7e3abfb270a0b481adf3a6aaf0f9704e48a4be9b9ffea61afe167db"),
+        ("SWEEP_EXACTN", "csv", "1ea2c430871e9ba234e0301615854b1df002c3a92a93be2f861092f373721804"),
     ])
     def test_sweep_digest(self, tmp_path, grid, fmt, digest):
         rows = run_sweep(SweepConfig(**getattr(self, grid)))
@@ -298,6 +372,16 @@ class TestCli:
         assert main(["exact", "--v", "2", "--p", "1", "--r", "1", "--y", "nan",
                      "--n", "1000"]) == 2
         assert "nan" in capsys.readouterr().err
+
+    def test_expand_at_small_v_needs_no_norming(self, capsys):
+        # the powered norming of a t1 cell fails at v = 0.05, n = 1000; the
+        # expansion does not use it
+        assert main(["norming", "--family", "power", "--v", "0.05", "--p", "1",
+                     "--n", "1000"]) == 2
+        assert main(["expand", "--v", "0.05", "--p", "1", "--r", "1", "--x", "0",
+                     "--theorem", "1", "--n", "1000"]) == 0
+        parts = list(map(float, capsys.readouterr().out.split()))
+        assert len(parts) == 5 and all(map(math.isfinite, parts))
 
     def test_expand(self, capsys):
         assert main(["expand", "--v", "2", "--p", "2", "--r", "1", "--x", "0",
