@@ -25,13 +25,11 @@ from gedpower import (
 def main():
     shapes = (0.5, 1.0, 2.0, 4.0)
 
-    print("=== scale constants and the degenerate-tail-factor flag ===")
+    print("=== scale constants (unit variance) ===")
     for v in shapes:
-        params = make_params(v)
-        print(f"  v={v:>4}: lambda={params.lam:.12f}  "
-              f"tail_factor_degenerate={params.tail_factor_degenerate}")
-    print("  (the flag marks where the product form of the powered tail "
-          "loses its constant prefactor; v=2 is that point)\n")
+        print(f"  v={v:>4}: lambda={make_params(v).lam:.12f}")
+    print("  (v=2 is the standard normal, lambda=1; v=1 the Laplace law, "
+          "lambda=2^(-3/2))\n")
 
     print("=== density and distribution at a few points ===")
     xs = (0.0, 0.5, 1.0, 2.0, 4.0)

@@ -47,12 +47,49 @@ def _parse_n_item(text: str) -> int:
     return int(value)
 
 
-def _parse_list(text: str, conv):
-    return tuple(conv(item) for item in text.split(",") if item)
+def _split(text: str) -> list[str]:
+    return [item for item in text.split(",") if item]
 
 
-def _add_mode_args(sub, n_required=True):
-    group = sub.add_mutually_exclusive_group(required=n_required)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+# Every verify input, by config key (the flag name with _ for -): its
+# SweepConfig field, the check a config value (or each item of a grid) must
+# pass, the converter a flag or value (or item) goes through, its help text.
+_VERIFY_KEYS = {
+    "v": ("v_list", _is_number, float, "comma-separated shape grid"),
+    "p": ("p_list", _is_number, float, "comma-separated power grid"),
+    "r": ("r_list", _is_whole, int, "comma-separated rank grid"),
+    "n": ("n_ladder", lambda n: _is_whole(n) and 1 <= n < 2**63, _parse_n_item,
+          "comma-separated integer ladder"),
+    "ln_n": ("log_n_ladder", _is_number, float, "comma-separated log-n ladder"),
+    "x_min": ("x_min", _is_number, float, "first x of the grid"),
+    "x_max": ("x_max", _is_number, float, "last x of the grid"),
+    "x_step": ("x_step", _is_number, float, "spacing of the x grid"),
+    "theorem": ("theorem", _is_text, str, "1, 2, or a case tag like t1_iii"),
+    "out": ("out", _is_text, str, "output path"),
+    "format": ("fmt", _is_text, str, "csv or json"),
+    "seed": ("seed", _is_whole, int, "Monte Carlo seed"),
+    "mc_reps": ("mc_reps", _is_whole, int, "Monte Carlo replications (0: none)"),
+}
+
+
+def _is_grid(field: str) -> bool:
+    return field.endswith(("_list", "_ladder"))  # SweepConfig's grid fields
+
+
+def _add_mode_args(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_parse_n_item, help="exact sample size")
     group.add_argument("--ln-n", dest="ln_n", type=float,
                        help="log of the sample size (asymptotic mode)")
@@ -102,21 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run a sweep and write CSV/JSON rows")
     sp.add_argument("--config", help="JSON file with sweep defaults")
-    sp.add_argument("--v", type=str, help="comma-separated shape grid")
-    sp.add_argument("--p", type=str, help="comma-separated power grid")
-    sp.add_argument("--r", type=str, help="comma-separated rank grid")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--n", type=str, help="comma-separated integer ladder")
-    group.add_argument("--ln-n", dest="ln_n", type=str,
-                       help="comma-separated log-n ladder")
-    sp.add_argument("--x-min", type=float)
-    sp.add_argument("--x-max", type=float)
-    sp.add_argument("--x-step", type=float)
-    sp.add_argument("--theorem", help="1, 2, or a case tag like t1_iii")
-    sp.add_argument("--out", help="output path")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--mc-reps", dest="mc_reps", type=int)
+    ladder = sp.add_mutually_exclusive_group()
+    for key, (field, _, conv, help_text) in _VERIFY_KEYS.items():
+        (ladder if key in ("n", "ln_n") else sp).add_argument(
+            "--" + key.replace("_", "-"), dest=key, help=help_text,
+            type=_split if _is_grid(field) else conv)
 
     sp = subs.add_parser("simulate", help="Monte Carlo estimate of the exact law")
     sp.add_argument("--v", type=float, required=True)
@@ -183,30 +210,6 @@ def _cmd_simulate(args) -> str:
     return _fmt(est, se)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_whole(value) -> bool:
-    return _is_number(value) and float(value).is_integer()
-
-
-def _is_text(value) -> bool:
-    return isinstance(value, str)
-
-
-# every key a config file may hold, with the check each value (each item,
-# for a grid key) must pass
-_CONFIG_CHECKS = {
-    "v": _is_number, "p": _is_number, "r": _is_whole, "ln_n": _is_number,
-    "n": lambda value: _is_whole(value) and 1 <= value < 2**63,
-    "x_min": _is_number, "x_max": _is_number, "x_step": _is_number,
-    "seed": _is_whole, "mc_reps": _is_whole,
-    "theorem": _is_text, "out": _is_text, "format": _is_text,
-}
-_GRID_KEYS = ("v", "p", "r", "n", "ln_n")
-
-
 def _read_config(path: str) -> dict:
     """Load a verify config file; reject unknown keys and mistyped values."""
     with open(path) as fh:
@@ -215,53 +218,31 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config file {path!r} must hold a JSON "
                           f"object, got {type(cfg).__name__}")
     for key, value in cfg.items():
-        if key not in _CONFIG_CHECKS:
+        if key not in _VERIFY_KEYS:
             raise ConfigError(f"unknown config key {key!r}; expected one of "
-                              f"{', '.join(_CONFIG_CHECKS)}")
-        if key in _GRID_KEYS and not isinstance(value, list):
+                              f"{', '.join(_VERIFY_KEYS)}")
+        field, check, _, _ = _VERIFY_KEYS[key]
+        if _is_grid(field) and not isinstance(value, list):
             raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-        items = value if key in _GRID_KEYS else [value]
-        if not all(_CONFIG_CHECKS[key](item) for item in items):
+        if not all(map(check, value if _is_grid(field) else [value])):
             raise ConfigError(f"config key {key!r} has a value of the wrong "
                               f"type: {value!r}")
     return cfg
 
 
 def _sweep_config(args) -> SweepConfig:
-    file_cfg = _read_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    def grid(flag_text, key, conv):
-        if flag_text is not None:
-            return _parse_list(flag_text, conv)
-        return file_cfg.get(key)
-
-    v_list = grid(args.v, "v", float)
-    p_list = grid(args.p, "p", float)
-    r_list = grid(args.r, "r", int)
-    n_ladder = grid(args.n, "n", _parse_n_item)
-    ln_ladder = grid(args.ln_n, "ln_n", float)
-    if v_list is None or p_list is None or r_list is None:
+    """Lay the given flags over the config file; SweepConfig's own defaults
+    fill every key that neither holds."""
+    given = _read_config(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in _VERIFY_KEYS
+                 if getattr(args, key) is not None)
+    if not {"v", "p", "r"} <= given.keys():
         raise ConfigError("verify needs --v, --p and --r (flags or config file)")
-    return SweepConfig(
-        v_list=tuple(v_list),
-        p_list=tuple(p_list),
-        r_list=tuple(int(r) for r in r_list),
-        n_ladder=tuple(int(n) for n in (n_ladder or ())),
-        log_n_ladder=tuple(float(l) for l in (ln_ladder or ())),
-        x_min=pick(args.x_min, "x_min", 0.0),
-        x_max=pick(args.x_max, "x_max", 0.0),
-        x_step=pick(args.x_step, "x_step", 1.0),
-        theorem=pick(args.theorem, "theorem"),
-        out=pick(args.out, "out"),
-        fmt=pick(args.fmt, "format", "csv"),
-        seed=int(pick(args.seed, "seed", 0)),
-        mc_reps=int(pick(args.mc_reps, "mc_reps", 0)),
-    )
+    fields = {}
+    for key, value in given.items():
+        field, _, conv, _ = _VERIFY_KEYS[key]
+        fields[field] = tuple(map(conv, value)) if _is_grid(field) else conv(value)
+    return SweepConfig(**fields)
 
 
 def _cmd_verify(args) -> int:
@@ -290,7 +271,7 @@ def main(argv=None) -> int:
         }[args.command]
         print(handler(args))
         return 0
-    except (ConfigError, BudgetError, ValueError, OSError,
+    except (ConfigError, BudgetError, ValueError, OverflowError, OSError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ __all__ = [
 
 EQ_TOL = 1e-12  # tie tolerance for v = 1 and p = v routing
 _LOG2 = math.log(2.0)
-_SIGN_BLOCK = 1 << 15  # variates signed per step of sample_stream
 
 
 @dataclass(frozen=True)
@@ -41,16 +40,10 @@ class GedParams:
     lambda(v) = sqrt(2^(-2/v) Gamma(1/v) / Gamma(3/v)) normalizes the
     variance to one; v = 2 is the standard normal law (lambda = 1) and
     v = 1 the Laplace law (lambda = 2^(-3/2)).
-
-    ``tail_factor_degenerate`` flags |1 + 2(1/v - 1) lambda^v| < 1e-8,
-    where the constant prefactor of the powered-tail product
-    representation vanishes (it does so at v = 2).  Only that diagnostic
-    representation is affected; every quantity computed here stays valid.
     """
 
     v: float
     lam: float
-    tail_factor_degenerate: bool = False
 
 
 def make_params(v: float) -> GedParams:
@@ -61,8 +54,7 @@ def make_params(v: float) -> GedParams:
     if not (math.isfinite(lam) and lam >= sys.float_info.min):
         raise ValueError(f"scale lambda = {lam} of shape v = {v} is outside "
                          "the normal double range")
-    degenerate = abs(1.0 + 2.0 * (1.0 / v - 1.0) * lam**v) < 1e-8
-    return GedParams(v=v, lam=lam, tail_factor_degenerate=degenerate)
+    return GedParams(v=v, lam=lam)
 
 
 def _log_norm_const(params: GedParams) -> float:
@@ -135,15 +127,10 @@ def sample_stream(params: GedParams, count: int,
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     y = rng.standard_gamma(1.0 / params.v, size=count)
-    # The signs follow all the gammas, drawn one cache-sized block at a time
-    # so that no temporary is as large as y; a sign takes 32 bits whatever
-    # the block, so the stream is one call's.  Multiplying by +-1.0 is exact.
-    for lo in range(0, count, _SIGN_BLOCK):
-        block = y[lo:lo + _SIGN_BLOCK]
-        signs = rng.integers(0, 2, size=block.size) * 2.0
-        signs -= 1.0
-        _abs_from_gamma(params, block)
-        block *= signs
+    signs = rng.integers(0, 2, size=count) * 2.0  # the signs follow all the gammas
+    signs -= 1.0
+    _abs_from_gamma(params, y)
+    y *= signs  # multiplying by +-1.0 is exact
     return y
 
 

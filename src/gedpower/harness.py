@@ -4,6 +4,7 @@ and emit the rows as CSV or JSON with deterministic bytes."""
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 CSV_HEADER = ("v,p,r,n,x,exact,limit,err,scaled_err1,target1,"
               "scaled_err2,target2,theta_deficit,remainder_bound,error")
 _ROW_KEYS = CSV_HEADER.split(",")
+_JSON_KEYS = [json.dumps(k) + ": " for k in _ROW_KEYS]
 _NON_FINITE = ("nan", "inf", "-inf")
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
@@ -45,6 +47,10 @@ _MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
 
 class ConfigError(ValueError):
     """A sweep configuration violates its invariants."""
+
+
+def _is_a(kind, value) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,17 @@ class SweepConfig:
     def __post_init__(self):
         if not self.v_list or not self.p_list or not self.r_list:
             raise ConfigError("v, p and r grids must be nonempty")
-        if not all(math.isfinite(a) and a > 0 for a in self.v_list + self.p_list):
+        reals = (*self.v_list, *self.p_list, *self.log_n_ladder,
+                 self.x_min, self.x_max, self.x_step)
+        if not all(_is_a(numbers.Real, a) for a in reals):
+            raise ConfigError("v, p, log n and x values must be real numbers")
+        if not all(_is_a(numbers.Integral, k)
+                   for k in (*self.r_list, self.seed, self.mc_reps)):
+            raise ConfigError("r, seed and mc_reps must be integers")
+        if not all(_is_a(numbers.Real, n) and 1 <= n < 2**63 and float(n).is_integer()
+                   for n in self.n_ladder):
+            raise ConfigError("n values must be whole numbers in [1, 2^63)")
+        if not all(math.isfinite(a) and a > 0 for a in (*self.v_list, *self.p_list)):
             raise ConfigError("v and p values must be finite and positive")
         if any(r < 1 for r in self.r_list):
             raise ConfigError("ranks must be >= 1")
@@ -241,10 +257,8 @@ def _json_text(rows: list[VerificationRow]) -> str:
     for i, row in enumerate(rows):
         cells = _cells(row)
         cells[-1] = json.dumps(row.error)
-        fields = ", ".join(
-            f"{json.dumps(k)}: {'null' if c in _NON_FINITE else c}"
-            for k, c in zip(_ROW_KEYS, cells)
-        )
+        fields = ", ".join(k + ("null" if c in _NON_FINITE else c)
+                           for k, c in zip(_JSON_KEYS, cells))
         out.append("  {" + fields + ("}," if i + 1 < len(rows) else "}"))
     out.append("]")
     return "\n".join(out) + "\n"

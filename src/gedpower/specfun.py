@@ -116,20 +116,13 @@ def reg_gamma_lower(a: float, x: float) -> float:
 
 
 def reg_gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), as exp(log Q).
 
     In the continued-fraction region (x >= a + 1, where Q may be far below
-    the subtraction noise floor of 1 - P) the value is computed directly,
-    so it keeps full relative accuracy arbitrarily deep into the tail.
+    the subtraction noise floor of 1 - P) log Q is computed directly, so Q
+    keeps full relative accuracy arbitrarily deep into the tail.
     """
-    _check_domain(a, x)
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _lower_series(a, x, log_gamma(a))
-    return _upper_cf(a, x) * math.exp(-x + a * math.log(x) - log_gamma(a))
+    return math.exp(log_reg_gamma_upper(a, x))
 
 
 def log_reg_gamma_upper(a: float, x: float) -> float:

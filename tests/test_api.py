@@ -67,6 +67,7 @@ def test_no_function_takes_a_single_valued_setting():
 def test_stored_fields():
     fields = [f.name for f in dataclasses.fields(gedpower.LinearNorming)]
     assert fields == ["scale", "shift", "log_n"]
+    assert [f.name for f in dataclasses.fields(gedpower.GedParams)] == ["v", "lam"]
     assert "q_variant" not in [f.name for f in dataclasses.fields(gedpower.SweepConfig)]
 
 

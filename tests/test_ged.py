@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from gedpower.ged import (
-    _SIGN_BLOCK,
     cdf,
     log_survival,
     make_params,
@@ -45,12 +44,6 @@ class TestParams:
             * math.exp(math.lgamma(1.0 / v) - math.lgamma(3.0 / v))
         )
         assert lam == pytest.approx(direct, rel=1e-12)
-
-    def test_degenerate_tail_factor_flag(self):
-        # 1 + 2 (1/v - 1) lambda^v vanishes exactly at v = 2
-        assert make_params(2.0).tail_factor_degenerate
-        assert not make_params(4.0).tail_factor_degenerate
-        assert not make_params(0.5).tail_factor_degenerate
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -207,9 +200,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("v", (0.3, 0.5, 1.0, 1.5, 2.0, 4.0))
     def test_blocked_signs_match_one_call_draw(self, v):
-        # signs drawn block by block give the bits of one integers() call
+        # the stream is all the gammas, then one integers() call for the signs
         params = make_params(v)
-        count = 3 * _SIGN_BLOCK + 5
+        count = 3 * 2**15 + 5
         rng = np.random.default_rng(17)
         y = rng.standard_gamma(1.0 / v, size=count)
         signs = rng.integers(0, 2, size=count) * 2 - 1

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
-from gedpower.cli import main
+from gedpower.cli import _VERIFY_KEYS, _sweep_config, build_parser, main
 from gedpower.harness import (
     CSV_HEADER,
     ConfigError,
@@ -74,10 +75,21 @@ class TestConfig:
         # the largest double) and one of 2e7, rejected before any grid is built
         dict(x_max=1e300, x_step=1e-300), dict(x_min=-1e308, x_max=1e308),
         dict(x_max=1e7),
+        # values of the wrong type
+        dict(n_ladder=(10.5,)), dict(r_list=(1.5,)), dict(mc_reps=2.5),
+        dict(v_list=("a",)), dict(seed=True), dict(x_min="0"),
+        dict(n_ladder=(0,)), dict(n_ladder=(2**63,)),
+        dict(n_ladder=(), log_n_ladder=("10",)),
     ])
     def test_non_finite_and_negative_inputs(self, overrides):
         with pytest.raises(ConfigError):
             t1i_config(**overrides)
+
+    def test_any_sequence_is_a_grid(self):
+        # lists work as grids, and a whole-number float as n
+        cfg = t1i_config(v_list=[1.0], p_list=[1.0], r_list=[1, 2],
+                         n_ladder=[1e4, 1e6])
+        assert run_sweep(cfg) == run_sweep(t1i_config())
 
     def test_x_grid_inclusive(self):
         cfg = t1i_config()
@@ -468,6 +480,51 @@ class TestCli:
                    "--out", str(tmp_path / "rows.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,key", [
+        (mode, key) for mode in ("n", "ln_n") for key in _VERIFY_KEYS
+        if key not in ("n", "ln_n") or key == mode
+    ])
+    def test_config_key_matches_its_flag(self, tmp_path, mode, key):
+        # every value differs from SweepConfig's default; the whole numbers
+        # given for v and x_max must still become floats
+        values = {"v": [0.5, 2], "p": [1.0, 2.0], "r": [1, 3],
+                  mode: [1000, 100000] if mode == "n" else [10.0, 20.5],
+                  "x_min": -0.5, "x_max": 2, "x_step": 0.5, "theorem": "2",
+                  "out": "rows.json", "format": "json", "seed": 7, "mc_reps": 20}
+
+        def flags(items):
+            return [f"--{k.replace('_', '-')}=" + (",".join(map(str, v))
+                    if isinstance(v, list) else str(v)) for k, v in items]
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: values[key]}))
+        rest = [(k, v) for k, v in values.items() if k != key]
+        from_file = _sweep_config(build_parser().parse_args(
+            ["verify", "--config", str(cfg_path), *flags(rest)]))
+        from_flags = _sweep_config(build_parser().parse_args(
+            ["verify", *flags(values.items())]))
+        assert repr(from_file) == repr(from_flags)
+        value = values[key]
+        assert getattr(from_file, _VERIFY_KEYS[key][0]) == (
+            tuple(value) if isinstance(value, list) else value)
+
+    def test_verify_help_has_one_flag_per_key(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--config",
+                         *("--" + key.replace("_", "-") for key in _VERIFY_KEYS)}
+
+    @pytest.mark.parametrize("key", ["v", "r"])
+    def test_verify_integer_beyond_doubles_is_config_error(self, tmp_path, capsys,
+                                                          key):
+        cfg = {"v": [1.0], "p": [1.0], "r": [1], "n": [100], key: [10**400]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rows.csv")]) == 2
+        assert "too large" in capsys.readouterr().err
 
     def test_verify_infinite_x_max_is_config_error(self, tmp_path, capsys):
         assert main(["verify", "--v", "1", "--p", "1", "--r", "1", "--n", "100",
