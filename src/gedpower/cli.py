@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         }[args.command]
         print(handler(args))
         return 0
-    except (ConfigError, BudgetError, ValueError, OverflowError, OSError,
+    except (BudgetError, ValueError, ArithmeticError, OSError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -198,29 +198,24 @@ def exact_deficit(cell: NormedCase, x: float) -> float:
 
 
 def _lemma_deficit(cell: NormedCase, x: float) -> float:
-    """Closed-form prediction of 1 - theta through second order."""
+    """Closed-form prediction of 1 - theta through second order, in terms of
+    the cell's scale factors."""
     params, tag, v, p = cell.params, cell.case.tag, cell.case.v, cell.case.p
-    log_n = cell.norming.log_n
     if tag == "t1_i":
         return 0.0
+    s1, s2 = cell.scales
     if tag == "t1_ii":
-        half_log = log_n - math.log(2.0)
-        return ((1.0 - p) * x * x / (2.0 * half_log)
+        return ((1.0 - p) * x * x / (2.0 * s1)
                 - ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
-                   * x**3 / (24.0 * half_log**2)))
+                   * x**3 / (24.0 * s1**2)))
     if tag == "t1_iii":
         vi = 1.0 / v
-        ll = math.log(log_n)
-        return ((1.0 - vi) ** 3 * ll * ll / (2.0 * log_n)
-                - ((1.0 - vi) ** 2
-                   * (1.0 - math.log(2.0) - log_gamma(vi) + x) * ll / log_n))
-    bv = solve_bn(params, log_n=log_n).b_n ** v
-    ex = math.exp(x)
+        return ((1.0 - vi) ** 3 / (2.0 * s1)
+                - (1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x) / s2)
     if tag == "t2_i":
-        return (correction_h(params, p, x) * ex / bv
-                + correction_q(params, p, x) * ex / bv**2)
-    return (correction_s(params, x) * ex / bv**2
-            + correction_b(params, x) * ex / bv**3)
+        return (correction_h(params, p, x) / s1
+                + correction_q(params, p, x) / s2) * math.exp(x)
+    return (correction_s(params, x) / s1 + correction_b(params, x) / s2) * math.exp(x)
 
 
 def theta_deficit(cell: NormedCase, x: float) -> tuple[float, float]:

@@ -52,15 +52,17 @@ class BnSolution:
 
 
 def resolve_log_n(n: int | float | None, log_n: float | None, min_n: float = 2.0) -> float:
-    """Accept either an exact n or log n and return log n."""
+    """Accept either an exact n or log n and return log n, which must be finite."""
     if (n is None) == (log_n is None):
         raise ValueError("pass exactly one of n and log_n")
     if n is not None:
         if n < min_n:
             raise ValueError(f"sample size must be >= {min_n}, got {n}")
-        return math.log(n)
-    if log_n < math.log(min_n):
+        log_n = math.log(n)
+    elif log_n < math.log(min_n):
         raise ValueError(f"log_n must be >= log({min_n}), got {log_n}")
+    if not math.isfinite(log_n):
+        raise ValueError(f"log n must be finite, got {log_n}")
     return float(log_n)
 
 
@@ -196,21 +198,16 @@ def optimal_constants(params: GedParams, n: int | float | None = None, *,
                       log_n: float | None = None) -> LinearNorming:
     """Rate-optimal norming for the power-equals-shape case.
 
-    shift = b^v + 4 (1/v - 1) lam^(2v) b^(-v) and scale = f(b^v) with the
-    same correction, so both tend to the plain pair (2 lam^v, b^v).  The
-    v = 1 case is rejected: there the correction vanishes identically and
-    the powered family already covers it.
+    Hall's pair at p = v, (2 lam^v, b^v), with the correction
+    4 (1/v - 1) lam^(2v) b^(-v) added to both scale and shift, so both tend
+    to the plain pair.  The v = 1 case is rejected: there the correction
+    vanishes identically and the powered family already covers it.
     """
     v, lam = params.v, params.lam
     if abs(v - 1.0) <= EQ_TOL:
         raise ValueError(
             "optimal constants are undefined at v = 1; use power_constants"
         )
-    sol = solve_bn(params, n, log_n=log_n)
-    bv = sol.b_n**v
-    corr = 4.0 * (1.0 / v - 1.0) * lam ** (2.0 * v) / bv
-    return LinearNorming(
-        scale=2.0 * lam**v + corr,
-        shift=bv + corr,
-        log_n=sol.log_n,
-    )
+    hall = hall_constants(params, v, n, log_n=log_n)
+    corr = 4.0 * (1.0 / v - 1.0) * lam ** (2.0 * v) / hall.shift
+    return LinearNorming(hall.scale + corr, hall.shift + corr, hall.log_n)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expansions import gumbel_r
 from .ged import GedParams, _abs_from_gamma, log_survival, survival
+from .norming import resolve_log_n
 
 __all__ = [
     "OrderStatSpec",
@@ -109,22 +111,21 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     """log-n-mode counterpart of :func:`exact_powered_cdf`.
 
     For sample sizes given only through log n the binomial sum collapses to
-    its Poisson limit sum_{j<r} e^(-mu) mu^j / j! with mu = n survival(t)
-    evaluated in log space; the two-sided correction is zero at this scale.
+    its Poisson limit sum_{j<r} e^(-mu) mu^j / j! with mu = n survival(t),
+    which is Lambda_r at x = -log mu; the two-sided correction is zero at
+    this scale.
     """
-    if y < 0.0:
-        return 0.0
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    t = y ** (1.0 / p)
-    log_mu = log_n + log_survival(params, t)
-    if log_mu > 700.0:
+    if not p > 0.0:
+        raise ValueError(f"p must be positive, got {p}")
+    log_n = resolve_log_n(None, log_n, min_n=1.0)
+    if y < 0.0:
         return 0.0
-    mu = math.exp(log_mu)
-    total = 0.0
-    for j in range(r):
-        total += math.exp(-mu + j * log_mu - math.lgamma(j + 1.0))
-    return min(total, 1.0)
+    log_mu = log_n + log_survival(params, y ** (1.0 / p))
+    if log_mu > 700.0:  # gumbel_r would overflow in exp(-x)
+        return 0.0
+    return min(gumbel_r(r, -log_mu), 1.0)
 
 
 def _log1p_plus(s: float) -> float:
@@ -177,24 +178,21 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
     if n is not None and not r <= n:
         raise ValueError(f"need r <= n, got r={r}, n={n:g}")
     emx = math.exp(-x)
-    log_lambda0 = -emx  # log Lambda(x)
+    lams = [math.exp(-emx - j * x - math.lgamma(j + 1.0)) for j in range(r)]
     gap = 0.0
     if n is not None:
         s = emx * (1.0 - deficit) / n
         phi = _log1p_plus(s)
         log_prod = 0.0  # sum_{i<j} log(1 - i/n)
-        for j in range(r):
+        for j, lam_j in enumerate(lams):
             a_j = (log_prod + j * math.log1p(-deficit) + (n - j) * phi
                    + j * s + emx * deficit)
-            lam_j = math.exp(log_lambda0 - j * x - math.lgamma(j + 1.0))
             gap += lam_j * math.expm1(a_j)
             log_prod += math.log1p(-j / n)
         gap -= lower_tail_mass(n, r, s)
     else:
-        for j in range(r):
-            a_j = j * math.log1p(-deficit) + emx * deficit
-            lam_j = math.exp(log_lambda0 - j * x - math.lgamma(j + 1.0))
-            gap += lam_j * math.expm1(a_j)
+        for j, lam_j in enumerate(lams):
+            gap += lam_j * math.expm1(j * math.log1p(-deficit) + emx * deficit)
     return gap
 
 

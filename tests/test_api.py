@@ -1,8 +1,11 @@
-"""The package's export list, its import cost, and the demos that use it."""
+"""The package's export list, its import cost, and the demos and README
+examples that use it."""
 
 import dataclasses
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -12,9 +15,11 @@ import pytest
 
 import gedpower
 from gedpower import expansions, ged, harness, norming, orderstats, specfun
+from gedpower.cli import main
 
 SUBMODULES = (specfun, ged, norming, orderstats, expansions, harness)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _env() -> dict:
@@ -90,3 +95,37 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block after a heading of the README."""
+    text = README.read_text()
+    section = text[text.index(heading):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    block = _readme_block("## CLI", "bash").replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_quickstart_prints_its_quoted_values(capsys):
+    code = _readme_block("## Library quickstart", "python")
+    quoted = re.search(r"# ([\d.]+)\.\.\.\s+([\d.]+)\.\.\.", code).groups()
+    exec(code, {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == len(quoted)
+    for value, prefix in zip(printed, quoted):
+        assert value.startswith(prefix), (value, prefix)
+
+
+def test_readme_cli_examples_found():
+    assert len(_readme_cli_lines()) == 7
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: argv[1])
+def test_readme_cli_example_runs(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # verify writes its output here
+    assert argv[0] == "gedpower"
+    assert main(argv[1:]) == 0

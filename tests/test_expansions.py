@@ -349,6 +349,24 @@ class TestTheoremExpansion:
         theta_deficit(NormedCase(params, case, log_n=30.0), 0.5)
         assert calls == []
 
+    @pytest.mark.parametrize("v,p", [(2.0, 1.0), (0.5, 0.5)])  # t2_i, t2_ii
+    def test_t2_theta_deficit_solves_once_per_cell(self, monkeypatch, v, p):
+        # one solve for the norming, one for the scales; the predicted
+        # deficit reads the scales instead of solving at each x
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem=2), log_n=30.0)
+        calls = []
+
+        def counting(*args, real=solve_bn, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gedpower" and hasattr(module, "solve_bn"):
+                monkeypatch.setattr(module, "solve_bn", counting)
+        for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            theta_deficit(cell, x)
+        assert len(calls) == 2
+
     def test_params_and_case_of_different_shapes_rejected(self):
         # b_n from v = 2 with b^v at v = 3 would mix two laws
         params, case = make_params(2.0), classify_case(3.0, 1.0, 2)

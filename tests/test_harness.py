@@ -385,6 +385,21 @@ class TestCli:
                      "--n", "1000"]) == 2
         assert "nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        ("exact --v 2 --p 0 --r 1 --y 1 --ln-n 10", "p must be positive"),
+        ("exact --v 2 --p -1 --r 1 --y 1 --ln-n 10", "p must be positive"),
+        ("exact --v 2 --p 1 --r 1 --y 1 --ln-n -1", "log_n must be >="),
+        ("exact --v 2 --p 1 --r 1 --y 1 --ln-n nan", "log n must be finite"),
+        ("solve-bn --v 2 --ln-n nan", "log n must be finite"),
+        ("solve-bn --v 2 --ln-n inf", "log n must be finite"),
+        ("expand --v 2 --p 1 --r 1 --x 0 --theorem 2 --ln-n inf",
+         "log n must be finite"),
+        ("norming --family gumbel --v 2 --ln-n nan", "log n must be finite"),
+    ])
+    def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        assert message in capsys.readouterr().err
+
     def test_expand_at_small_v_needs_no_norming(self, capsys):
         # the powered norming of a t1 cell fails at v = 0.05, n = 1000; the
         # expansion does not use it

@@ -18,6 +18,7 @@ from gedpower.orderstats import (
     mc_score,
     mc_top_order_stats,
     poisson_powered_cdf,
+    poisson_remainder_bound,
 )
 from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf
 
@@ -217,6 +218,20 @@ class TestGapEngine:
         # analytic: Lambda(0) (e^{n phi(s)} - 1), phi = log(1-s)+s, s = 1/n
         expected = -math.exp(-1.0) * 0.5 / n
         assert gap == pytest.approx(expected, rel=3e-8)
+
+    def test_poisson_remainder_bound_holds(self):
+        # the log-n-mode gap may differ from the binomial one by at most
+        # the bound; s = e^(-x)(1 - d)/n must be a probability
+        for n in (3, 5, 20, 100, 1000, 10**6):
+            for r in (1, 2, 3):
+                for x in (-1.0, 0.0, 1.0, 2.0):
+                    for d in (-0.3, -1e-3, 0.0, 1e-3, 0.3):
+                        if r > n or math.exp(-x) * (1.0 - d) / n >= 1.0:
+                            continue
+                        diff = (cdf_gap_from_deficit(r, x, d, log_n=math.log(n))
+                                - cdf_gap_from_deficit(r, x, d, n=float(n)))
+                        bound = poisson_remainder_bound(r, x, d, math.log(n))
+                        assert abs(diff) <= bound, (n, r, x, d)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
