@@ -56,12 +56,16 @@ def gumbel(x: float) -> float:
     return math.exp(-math.exp(-x))
 
 
+def _rank_weights(r: int, x: float) -> list[float]:
+    """The addends Lambda(x) e^(-jx)/j!, j < r, of Lambda_r(x); 1, 0, ... at x = inf."""
+    emx = math.exp(-x)
+    return [math.exp(-emx - j * x - math.lgamma(j + 1.0)) if j else math.exp(-emx)
+            for j in range(r)]
+
+
 def gumbel_r(r: int, x: float) -> float:
     """Limit law of the r-th largest: Lambda(x) sum_{j<r} e^(-jx)/j!; zero for r <= 0."""
-    if r <= 0:
-        return 0.0
-    log_lam = -math.exp(-x)
-    return math.fsum(math.exp(log_lam - j * x - math.lgamma(j + 1.0)) for j in range(r))
+    return math.fsum(_rank_weights(r, x))
 
 
 def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
@@ -74,9 +78,9 @@ def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    lam = gumbel(x)
-    lhs1 = math.fsum(lam * j * math.exp(-j * x) / math.factorial(j) for j in range(r))
-    lhs2 = math.fsum(lam * j * j * math.exp(-j * x) / math.factorial(j) for j in range(r))
+    weights = _rank_weights(r, x)
+    lhs1 = math.fsum(j * w for j, w in enumerate(weights))
+    lhs2 = math.fsum(j * j * w for j, w in enumerate(weights))
     rhs1 = math.exp(-x) * gumbel_r(r - 1, x)
     rhs2 = math.exp(-2.0 * x) * gumbel_r(r - 2, x) + math.exp(-x) * gumbel_r(r - 1, x)
     return lhs1, rhs1, lhs2, rhs2
@@ -93,8 +97,8 @@ class TheoremCase:
 
 def classify_case(v: float, p: float, theorem: int) -> TheoremCase:
     """Route (v, p) to its case within theorem branch 1 or 2."""
-    if not v > 0.0 or not p > 0.0:
-        raise ValueError(f"v and p must be positive, got v={v}, p={p}")
+    if not v > 0.0 or not 0.0 < p < math.inf:
+        raise ValueError(f"v and p must be positive and p finite, got v={v}, p={p}")
     v_is_one = abs(v - 1.0) <= EQ_TOL
     p_eq_v = abs(p - v) <= EQ_TOL
     if theorem == 1:
@@ -303,53 +307,35 @@ class ExpansionEval:
     scale_second: float
 
 
-def _t1_i_targets(r: int, x: float) -> tuple[float, float]:
-    lam = gumbel(x)
-    ex = math.exp(x)
-    fact = math.factorial(r - 1)
-    t1 = lam * math.exp(-(r + 1.0) * x) * ((r - 1.0) * ex - 1.0) / (2.0 * fact)
-    poly = ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0) * ex * ex
-            + (9.0 * r**2 - 11.0 * r + 2.0) * ex
-            + 3.0 / ex - 9.0 * r + 1.0)
-    t2 = lam * math.exp(-(r + 2.0) * x) * poly / (24.0 * fact)
-    return t1, t2
-
-
-def _t1_ii_targets(p: float, r: int, x: float) -> tuple[float, float]:
-    lam = gumbel(x)
-    fact = math.factorial(r - 1)
-    t1 = (1.0 - p) * x * x * math.exp(-r * x) * lam / (2.0 * fact)
-    bracket = (4.0 * (1.0 - 2.0 * p) - 3.0 * (1.0 - p) * r * x
-               + 3.0 * (1.0 - p) * x * math.exp(-x))
-    t2 = (1.0 - p) * x**3 * math.exp(-r * x) * bracket * lam / (24.0 * fact)
-    return t1, t2
-
-
-def _t1_iii_targets(v: float, r: int, x: float) -> tuple[float, float]:
-    lam = gumbel(x)
-    fact = math.factorial(r - 1)
-    vi = 1.0 / v
-    t1 = (1.0 - vi) ** 3 * math.exp(-r * x) * lam / (2.0 * fact)
-    t2 = (-(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x)
-          * math.exp(-r * x) * lam / fact)
-    return t1, t2
-
-
 def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     """Leading term, correction terms, and the cell's scale factors at x."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not 1 <= r <= 171:
+        raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales
     leading = gumbel_r(r, x)
     params, tag, p = cell.params, cell.case.tag, cell.case.p
+    lam, fact = gumbel(x), math.factorial(r - 1)
     if tag == "t1_i":
-        t1, t2 = _t1_i_targets(r, x)
+        ex = math.exp(x)
+        t1 = lam * math.exp(-(r + 1.0) * x) * ((r - 1.0) * ex - 1.0) / (2.0 * fact)
+        poly = ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0) * ex * ex
+                + (9.0 * r**2 - 11.0 * r + 2.0) * ex
+                + 3.0 / ex - 9.0 * r + 1.0)
+        t2 = lam * math.exp(-(r + 2.0) * x) * poly / (24.0 * fact)
     elif tag == "t1_ii":
-        t1, t2 = _t1_ii_targets(p, r, x)
+        t1 = (1.0 - p) * x * x * math.exp(-r * x) * lam / (2.0 * fact)
+        bracket = (4.0 * (1.0 - 2.0 * p) - 3.0 * (1.0 - p) * r * x
+                   + 3.0 * (1.0 - p) * x * math.exp(-x))
+        t2 = (1.0 - p) * x**3 * math.exp(-r * x) * bracket * lam / (24.0 * fact)
     elif tag == "t1_iii":
-        t1, t2 = _t1_iii_targets(params.v, r, x)
+        vi = 1.0 / params.v
+        t1 = (1.0 - vi) ** 3 * math.exp(-r * x) * lam / (2.0 * fact)
+        t2 = (-(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x)
+              * math.exp(-r * x) * lam / fact)
     else:
-        pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * gumbel(x)
+        pref = math.exp(-(r - 1.0) * x) / fact * lam
         if tag == "t2_i":
             h, q = correction_h(params, p, x), correction_q(params, p, x)
             t1 = h * pref

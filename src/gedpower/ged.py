@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 EQ_TOL = 1e-12  # tie tolerance for v = 1 and p = v routing
+# beyond this shape cdf loses digits: (x/lambda)^v / 2 underflows while x/lambda counts
+_MAX_SHAPE = 20.0
 _LOG2 = math.log(2.0)
 
 
@@ -47,9 +49,9 @@ class GedParams:
 
 
 def make_params(v: float) -> GedParams:
-    """Build GedParams from v > 0; v < 0.0086 (lambda not a normal double) is rejected."""
-    if not v > 0.0:
-        raise ValueError(f"shape parameter v must be positive, got {v}")
+    """Build GedParams from 0 < v <= 20; v < 0.0086 (lambda not a normal double) is rejected."""
+    if not 0.0 < v <= _MAX_SHAPE:
+        raise ValueError(f"shape parameter v must be in (0, {_MAX_SHAPE:g}], got {v}")
     lam = math.exp(0.5 * (-2.0 / v * _LOG2 + log_gamma(1.0 / v) - log_gamma(3.0 / v)))
     if not (math.isfinite(lam) and lam >= sys.float_info.min):
         raise ValueError(f"scale lambda = {lam} of shape v = {v} is outside "

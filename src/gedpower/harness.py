@@ -5,6 +5,7 @@ and emit the rows as CSV or JSON with deterministic bytes."""
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ CSV_HEADER = ("v,p,r,n,x,exact,limit,err,scaled_err1,target1,"
               "scaled_err2,target2,theta_deficit,remainder_bound,error")
 _ROW_KEYS = CSV_HEADER.split(",")
 _JSON_KEYS = [json.dumps(k) + ": " for k in _ROW_KEYS]
+# .17g prints every integral float below 2^53 (so every exact n) as an integer
+_ROW_FORMAT = ",".join("%d" if k == "r" else "%s" if k == "error" else "%.17g"
+                       for k in _ROW_KEYS)
+_row_values = operator.attrgetter(*_ROW_KEYS)
 _NON_FINITE = ("nan", "inf", "-inf")
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
@@ -242,32 +247,20 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     return rows
 
 
-def _cells(row: VerificationRow) -> list[str]:
-    """The CSV cells of one row in header order; the JSON format reuses them."""
-    cells = [format(float(getattr(row, key)), ".17g") for key in _ROW_KEYS[:-1]]
-    cells[2] = str(int(row.r))
-    if float(row.n).is_integer() and abs(row.n) < 2**53:
-        cells[3] = str(int(row.n))
-    cells.append(row.error)
-    return cells
-
-
 def _json_text(rows: list[VerificationRow]) -> str:
-    out = ["["]
-    for i, row in enumerate(rows):
-        cells = _cells(row)
+    objects = []
+    for row in rows:
+        cells = (_ROW_FORMAT % _row_values(row)).split(",", len(_ROW_KEYS) - 1)
         cells[-1] = json.dumps(row.error)
-        fields = ", ".join(k + ("null" if c in _NON_FINITE else c)
-                           for k, c in zip(_JSON_KEYS, cells))
-        out.append("  {" + fields + ("}," if i + 1 < len(rows) else "}"))
-    out.append("]")
-    return "\n".join(out) + "\n"
+        objects.append("\n  {" + ", ".join(k + ("null" if c in _NON_FINITE else c)
+                                           for k, c in zip(_JSON_KEYS, cells)) + "}")
+    return "[" + ",".join(objects) + "\n]\n"
 
 
 def emit(rows: list[VerificationRow], fmt: str, path: str) -> str:
     """Write rows to ``path`` as csv or json; bytes are deterministic."""
     if fmt == "csv":
-        text = "\n".join([CSV_HEADER, *(",".join(_cells(r)) for r in rows)]) + "\n"
+        text = "\n".join([CSV_HEADER, *(_ROW_FORMAT % _row_values(r) for r in rows)]) + "\n"
     elif fmt == "json":
         text = _json_text(rows)
     else:

@@ -86,8 +86,8 @@ def gumbel_constants(params: GedParams, n: int | float | None = None, *,
 def power_constants(params: GedParams, p: float, n: int | float | None = None, *,
                     log_n: float | None = None) -> LinearNorming:
     """Powered transform of the Gumbel pair: (p a b^(p-1), b^p)."""
-    if not p > 0.0:
-        raise ValueError(f"power index must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"power index must be positive and finite, got {p}")
     base = gumbel_constants(params, n, log_n=log_n)
     if base.shift <= 0.0:
         raise ValueError(
@@ -182,8 +182,8 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
 def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,
                    log_n: float | None = None) -> LinearNorming:
     """Norming built on the calibration root: (2 p lam^v b^(p-v) / v, b^p)."""
-    if not p > 0.0:
-        raise ValueError(f"power index must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"power index must be positive and finite, got {p}")
     sol = solve_bn(params, n, log_n=log_n)
     v, lam = params.v, params.lam
     b = sol.b_n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import gumbel_r
+from .expansions import _rank_weights, gumbel_r
 from .ged import GedParams, _abs_from_gamma, log_survival, survival
 from .norming import resolve_log_n
 
@@ -51,8 +51,8 @@ class OrderStatSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.r <= self.n:
             raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if not self.p > 0.0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
 
 
 def _binom_head(n: float, r: int, log_a: float, log_b: float) -> float:
@@ -71,11 +71,9 @@ def _binom_head(n: float, r: int, log_a: float, log_b: float) -> float:
 
 
 def _upper_sum(n: float, r: int, s: float) -> float:
-    """P(M_{n,r} <= t) = sum_{j<r} C(n,j) s^j (1-s)^(n-j) with s = survival(t)."""
+    """P(M_{n,r} <= t) = sum_{j<r} C(n,j) s^j (1-s)^(n-j) with s = survival(t) <= 1/2."""
     if s <= 0.0:
         return 1.0
-    if s >= 1.0:
-        return 0.0
     return min(_binom_head(n, r, math.log(s), math.log1p(-s)), 1.0)
 
 
@@ -117,8 +115,8 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if not p > 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     log_n = resolve_log_n(None, log_n, min_n=1.0)
     if y < 0.0:
         return 0.0
@@ -178,7 +176,7 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
     if n is not None and not r <= n:
         raise ValueError(f"need r <= n, got r={r}, n={n:g}")
     emx = math.exp(-x)
-    lams = [math.exp(-emx - j * x - math.lgamma(j + 1.0)) for j in range(r)]
+    lams = _rank_weights(r, x)
     gap = 0.0
     if n is not None:
         s = emx * (1.0 - deficit) / n

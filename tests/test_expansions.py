@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -15,6 +16,7 @@ from gedpower.expansions import (
     correction_q,
     correction_s,
     exact_deficit,
+    expand,
     gumbel,
     gumbel_r,
     gumbel_r_identities,
@@ -43,6 +45,10 @@ class TestGumbelLaw:
         assert gumbel_r(-2, 0.0) == 0.0
         assert gumbel_r(1, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
         assert gumbel_r(2, 0.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+
+    def test_gumbel_r_at_infinity_is_one(self):
+        assert gumbel_r(1, math.inf) == 1.0
+        assert gumbel_r(3, math.inf) == 1.0
 
     def test_gumbel_r_vs_mpmath(self):
         for r in (1, 3, 6):
@@ -464,6 +470,16 @@ class TestTheoremExpansion:
             correction_b(params, x) * lam, rel=1e-12
         )
 
+    def test_rank_bound_and_finite_x(self):
+        cell = NormedCase(make_params(2.0), classify_case(2.0, 1.0, 2), log_n=10.0)
+        ee = expand(cell, 171, 0.0)
+        assert all(map(math.isfinite, (ee.leading, ee.first_order, ee.second_order)))
+        with pytest.raises(ValueError, match="r <= 171"):
+            expand(cell, 172, 0.0)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                expand(cell, 1, x)
+
     def test_eval_is_finite_dataclass(self):
         params = make_params(2.0)
         case = classify_case(2.0, 3.0, theorem=2)
@@ -472,6 +488,53 @@ class TestTheoremExpansion:
         assert 0.0 <= ee.leading <= 1.0
         for val in (ee.first_order, ee.second_order, ee.scale_first, ee.scale_second):
             assert math.isfinite(val)
+
+
+class TestBitsPinned:
+    """expand and cdf_gap_from_deficit as they were before the rank weights
+    and (r-1)! were built once: the sha256 of their hex floats over five
+    cases, both modes, r in RANKS and x from -2 to 4."""
+
+    RANKS = (1, 2, 3, 5, 20, 171)
+    XS = [k / 2 for k in range(-4, 9)]
+    MODES = {"n": 1000, "log_n": 30.0}
+    CASES = {"t1_i": (1.0, 1.0, 1), "t1_ii": (1.0, 2.0, 1), "t1_iii": (2.0, 1.5, 1),
+             "t2_i": (2.0, 1.0, 2), "t2_ii": (2.0, 2.0, 2)}
+
+    @pytest.mark.parametrize("tag,mode,digest", [
+        ("t1_i", "n", "fb924be12344207963519b36f58e2a57b1fef627c5cc64c274ada68f2ac1ebad"),
+        ("t1_i", "log_n", "94d6b5a0597c06c5bf6df06dd9988b3978ea3be6d8fc3c2b382170f0fd9f5b0a"),
+        ("t1_ii", "n", "335a2ecd111af5c89d2caedf9a22141dfca37025205ed093e706838bb1bab69d"),
+        ("t1_ii", "log_n", "5e11360577ee110febf2727179f9789e3b53bc35cbff74126fc73212f1e9c967"),
+        ("t1_iii", "n", "b6a10f8b26ac79b78090658b4bc54f5649286f162e09242da27f6f25e035e3f3"),
+        ("t1_iii", "log_n", "e1d3d268c56c0c3d0de07638207ad8f1a13ac01094b2a6bd7bfd213b1b70ec83"),
+        ("t2_i", "n", "1ffe71979a3b0c06c33133810bda73e8c178e8abe2b052414eda737009093d04"),
+        ("t2_i", "log_n", "ea0be30603664babb2392f30de41de0fbadf322529979001d2b8b4719914f75c"),
+        ("t2_ii", "n", "a553c789049af5def3830fca2df17790d3ffb8945cce35303460cbc0cb09d99e"),
+        ("t2_ii", "log_n", "7f70520379a72b647161232221b5695533a3703d8a6b70d64ecf475ffa00bd54"),
+        ("gap", "n", "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654"),
+        ("gap", "log_n", "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309"),
+    ])
+    def test_hex_digest(self, tag, mode, digest):
+        from gedpower.orderstats import cdf_gap_from_deficit
+
+        size = self.MODES[mode]
+        values = []
+        if tag == "gap":
+            kw = {mode: float(size)}
+            values = [cdf_gap_from_deficit(r, x, d, **kw)
+                      for r in self.RANKS for x in self.XS for d in (-0.02, 0.003)]
+        else:
+            v, p, theorem = self.CASES[tag]
+            cell = NormedCase(make_params(v), classify_case(v, p, theorem), **{mode: size})
+            for r in self.RANKS:
+                for x in self.XS:
+                    ee = expand(cell, r, x)
+                    values += [ee.leading, ee.first_order, ee.second_order,
+                               ee.scale_first, ee.scale_second]
+        assert all(map(math.isfinite, values))
+        text = " ".join(map(float.hex, values))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTransferConsistency:

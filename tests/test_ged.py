@@ -51,6 +51,12 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(-2.0)
 
+    def test_shape_bound(self):
+        assert make_params(20.0).v == 20.0
+        for v in (20.5, 1000.0, math.inf):
+            with pytest.raises(ValueError, match=r"v must be in \(0, 20\]"):
+                make_params(v)
+
     def test_scale_underflow_rejected(self):
         # lambda is 0.0 at v = 1e-3 and a subnormal at v = 0.0085
         for v in (1e-3, 0.0085):
@@ -129,6 +135,12 @@ class TestCdfSurvival:
     def test_symmetry(self, v, x):
         params = make_params(v)
         assert cdf(params, x) + cdf(params, -x) == pytest.approx(1.0, abs=1e-14)
+
+    def test_survival_below_zero(self):
+        params = make_params(1.0)
+        assert survival(params, -1.0) == 1.0 - survival(params, 1.0)
+        assert survival(params, -1.0) == pytest.approx(1.0 - 0.5 * math.exp(-math.sqrt(2.0)),
+                                                       rel=1e-15)
 
     def test_log_survival_matches(self):
         for v in V_GRID:

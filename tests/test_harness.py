@@ -6,6 +6,7 @@ import re
 import pytest
 
 from gedpower.cli import _VERIFY_KEYS, _sweep_config, build_parser, main
+from gedpower.ged import make_params
 from gedpower.harness import (
     CSV_HEADER,
     ConfigError,
@@ -14,6 +15,7 @@ from gedpower.harness import (
     emit,
     run_sweep,
 )
+from gedpower.norming import hall_constants
 
 
 def rows_from_json(text: str) -> list[VerificationRow]:
@@ -240,6 +242,24 @@ class TestRunSweep:
         assert sorted(calls) == [(v, n, min(3, n), reps)
                                  for v in (1.0, 2.0) for n in n_ladder]
 
+    def test_rank_above_171_names_the_bound(self):
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(172,),
+                          n_ladder=(1000,), x_min=0.0, x_max=0.0, theorem="1")
+        assert "r <= 171" in run_sweep(cfg)[0].error
+
+    def test_mc_over_budget_is_noted_before_any_draw(self):
+        # n * reps = 2.01e8 exceeds the 2e8 draw budget
+        cfg = t1i_config(n_ladder=(10**6,), r_list=(1,), x_min=0.0, x_max=0.0,
+                         mc_reps=201)
+        assert [row.error for row in run_sweep(cfg)] == ["mc_skipped_budget"]
+
+    def test_mc_miss_is_noted(self, monkeypatch):
+        monkeypatch.setattr("gedpower.harness.mc_score", lambda *args: (1.0, 0.0))
+        cfg = t1i_config(n_ladder=(100,), r_list=(1,), x_min=0.0, x_max=0.0,
+                         mc_reps=100)
+        (row,) = run_sweep(cfg)
+        assert row.error.startswith("mc_3sigma_violation(z=")
+
     def test_mc_cross_check_clean(self):
         cfg = SweepConfig(
             v_list=(1.0,), p_list=(1.0,), r_list=(1,),
@@ -395,10 +415,49 @@ class TestCli:
         ("expand --v 2 --p 1 --r 1 --x 0 --theorem 2 --ln-n inf",
          "log n must be finite"),
         ("norming --family gumbel --v 2 --ln-n nan", "log n must be finite"),
+        ("norming --family power --v 2 --p inf --n 1000",
+         "power index must be positive"),
+        ("norming --family hall --v 2 --p inf --n 1000",
+         "power index must be positive"),
+        ("exact --v 2 --p inf --r 1 --y 2 --ln-n 10", "p must be positive"),
+        ("simulate --v 2 --p inf --r 1 --y 2 --n 100 --mc-reps 10",
+         "p must be positive"),
+        ("expand --v 2 --p inf --r 1 --x 0 --theorem 2 --ln-n 10",
+         "p must be positive"),
+        ("expand --v 2 --p 1 --r 1 --x nan --theorem 2 --ln-n 10",
+         "x must be finite"),
+        ("dist --v 1000 --what cdf --x 0.5", "v must be in (0, 20]"),
+        ("expand --v 2 --p 1 --r 172 --x 0 --theorem 2 --ln-n 10", "r <= 171"),
     ])
     def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--n", "1000"], ["--ln-n", "10"]])
+    def test_exact_at_infinite_y_is_one(self, capsys, mode):
+        assert main(["exact", "--v", "2", "--p", "1", "--r", "2", "--y", "inf",
+                     *mode]) == 0
+        assert capsys.readouterr().out == "1\n"
+
+    def test_expand_at_rank_171(self, capsys):
+        assert main(["expand", "--v", "2", "--p", "1", "--r", "171", "--x", "0",
+                     "--theorem", "2", "--ln-n", "10"]) == 0
+        parts = list(map(float, capsys.readouterr().out.split()))
+        assert len(parts) == 5 and all(map(math.isfinite, parts))
+
+    def test_norming_hall(self, capsys):
+        assert main(["norming", "--family", "hall", "--v", "2", "--p", "1.5",
+                     "--n", "1000"]) == 0
+        nm = hall_constants(make_params(2.0), 1.5, 1000)
+        assert capsys.readouterr().out.split() == [format(nm.scale, ".17g"),
+                                                   format(nm.shift, ".17g")]
+
+    def test_missing_point_or_grid_is_config_error(self, tmp_path, capsys):
+        assert main(["dist", "--v", "2", "--what", "pdf"]) == 2
+        assert "pdf needs --x" in capsys.readouterr().err
+        assert main(["verify", "--v", "1", "--n", "100",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert "verify needs --v, --p and --r" in capsys.readouterr().err
 
     def test_expand_at_small_v_needs_no_norming(self, capsys):
         # the powered norming of a t1 cell fails at v = 0.05, n = 1000; the

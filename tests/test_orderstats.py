@@ -105,6 +105,17 @@ class TestExactPoweredCdf:
         assert exact_powered_cdf(params, spec, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert exact_powered_cdf(params, spec, -3.0) == 0.0
 
+    def test_poisson_mode_early_returns(self):
+        params = make_params(2.0)
+        assert poisson_powered_cdf(params, 2, 1.0, -1.0, 10.0) == 0.0
+        # y = 0 puts log mu = log n - log 2 above 700
+        assert poisson_powered_cdf(params, 2, 1.0, 0.0, 800.0) == 0.0
+
+    def test_lower_tail_mass_at_the_ends(self):
+        assert lower_tail_mass(10.0, 2, 0.0) == 0.0
+        assert lower_tail_mass(10.0, 2, -0.5) == 0.0
+        assert lower_tail_mass(10.0, 2, 1.0) == 1.0
+
     def test_single_draw_laplace(self):
         # P(|X| <= 1) = 1 - e^(-sqrt 2)
         params = make_params(1.0)
@@ -285,6 +296,10 @@ class TestMonteCarlo:
             est, se = mc_powered_cdf(params, spec, y, reps=8000, seed=100 + i)
             se = max(se, math.sqrt(0.25 / 8000) * 0.05)
             assert abs(est - exact) <= 3.0 * se
+
+    def test_reps_below_one_rejected(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            mc_top_order_stats(make_params(2.0), 10, 1, reps=0, seed=0)
 
     def test_budget(self):
         params = make_params(2.0)
