@@ -17,6 +17,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,13 +52,20 @@ __all__ = [
 ]
 
 
+# below this x, e^(-x) overflows; Lambda(x) and every rank weight are 0.0
+_X_MIN = -math.log(sys.float_info.max)
+
+
 def gumbel(x: float) -> float:
     """The Gumbel law Lambda(x) = exp(-exp(-x))."""
-    return math.exp(-math.exp(-x))
+    return 0.0 if x < _X_MIN else math.exp(-math.exp(-x))
 
 
 def _rank_weights(r: int, x: float) -> list[float]:
-    """The addends Lambda(x) e^(-jx)/j!, j < r, of Lambda_r(x); 1, 0, ... at x = inf."""
+    """The addends Lambda(x) e^(-jx)/j!, j < r, of Lambda_r(x); 1, 0, ... at
+    x = inf and 0, 0, ... below _X_MIN."""
+    if x < _X_MIN:
+        return [0.0] * r
     emx = math.exp(-x)
     return [math.exp(-emx - j * x - math.lgamma(j + 1.0)) if j else math.exp(-emx)
             for j in range(r)]
@@ -317,6 +325,8 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     leading = gumbel_r(r, x)
     params, tag, p = cell.params, cell.case.tag, cell.case.p
     lam, fact = gumbel(x), math.factorial(r - 1)
+    if lam == 0.0:  # every term carries the factor Lambda(x); e^(-rx) may overflow
+        return ExpansionEval(leading, 0.0, 0.0, s1, s2)
     if tag == "t1_i":
         ex = math.exp(x)
         t1 = lam * math.exp(-(r + 1.0) * x) * ((r - 1.0) * ex - 1.0) / (2.0 * fact)

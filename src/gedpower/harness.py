@@ -19,10 +19,9 @@ from .expansions import (
 )
 from .ged import EQ_TOL, make_params
 from .orderstats import (
-    BudgetError,
     cdf_gap_from_deficit,
     mc_score,
-    mc_top_order_stats,
+    mc_tables,
     poisson_remainder_bound,
 )
 from .specfun import ConvergenceError
@@ -48,6 +47,9 @@ _NON_FINITE = ("nan", "inf", "-inf")
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
 _MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
+# numerical and domain failures, recorded on their rows; any other
+# exception is a program bug and stops the sweep
+_ROW_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
 
 
 class ConfigError(ValueError):
@@ -177,7 +179,7 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         error = ""
         if config.mc_reps > 0 and n is not None:
             y = cell.norming.scale * x + cell.norming.shift
-            error = _mc_note(config, tables, key, cell.params, r, n, p, y, exact)
+            error = _mc_note(config, tables[key], r, p, y, exact)
         return VerificationRow(
             v=v, p=p, r=r, n=n_value, x=x,
             exact=exact, limit=limit, err=gap,
@@ -185,30 +187,38 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
             scaled_err2=scaled_err2, target2=target2,
             theta_deficit=deficit, remainder_bound=bound, error=error,
         )
-    except (ValueError, ArithmeticError, ConvergenceError) as exc:
-        # a numerical or domain failure is recorded on its row; any other
-        # exception is a program bug and stops the sweep
+    except _ROW_ERRORS as exc:
         msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return VerificationRow(v=v, p=p, r=r, n=n_value, x=x, error=msg)
 
 
-def _mc_note(config, tables, key, params, r, n, p, y, exact) -> str:
-    """Cross-check the exact value against Monte Carlo; note 3-sigma misses.
+def _draw_tables(config: SweepConfig, ladder) -> dict:
+    """One Monte Carlo table of top order statistics per (v, n) cell, keyed
+    by (v index, n index) and shared by every r, p and x of the cell.
 
-    The (v, n) cell's table of top order statistics is drawn at its first
-    Monte Carlo row, stored in ``tables`` under ``key`` = (v index, n
-    index), and shared by every r, p and x of the cell.
+    The tables are drawn concurrently in one :func:`mc_tables` call; a cell
+    over the draw budget gets ``None``, and a v that ``make_params`` rejects
+    gets no table, as its rows carry that error.
     """
-    if key not in tables:
-        seed = int(np.random.SeedSequence((config.seed, *key)).generate_state(1)[0])
+    keys, jobs = [], []
+    for vi, v in enumerate(sorted(config.v_list)):
         try:
-            tables[key] = mc_top_order_stats(
-                params, n, min(max(config.r_list), n), config.mc_reps, seed)
-        except BudgetError:
-            tables[key] = None
-    if tables[key] is None:
+            params = make_params(v)
+        except _ROW_ERRORS:
+            continue
+        for ni, (n, _) in enumerate(ladder):
+            seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
+            keys.append((vi, ni))
+            jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
+    return dict(zip(keys, mc_tables(jobs)))
+
+
+def _mc_note(config, table, r, p, y, exact) -> str:
+    """Cross-check the exact value against the cell's Monte Carlo table;
+    note 3-sigma misses."""
+    if table is None:
         return "mc_skipped_budget"
-    est, se = mc_score(tables[key], r, p, y)
+    est, se = mc_score(table, r, p, y)
     if se == 0.0:
         se = math.sqrt(0.25 / config.mc_reps)
     z = (est - exact) / se
@@ -229,10 +239,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
              * len(ladder) * len(xs))
     done = 0
+    tables = _draw_tables(config, ladder) if config.mc_reps > 0 and config.n_ladder else {}
     for vi, v in enumerate(sorted(config.v_list)):
-        # this v's cells: a NormedCase per (p, n) and an MC table per (v, n)
-        cells: dict = {}
-        tables: dict = {}
+        cells: dict = {}  # this v's NormedCase per (p, n)
         for p in sorted(config.p_list):
             for r in sorted(config.r_list):
                 for ni, (n, log_n) in enumerate(ladder):

@@ -9,6 +9,7 @@ floor of the two probabilities.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,14 @@ __all__ = [
     "cdf_gap_from_deficit",
     "poisson_remainder_bound",
     "mc_top_order_stats",
+    "mc_tables",
     "mc_score",
     "mc_powered_cdf",
 ]
 
 _MC_DEFAULT_BUDGET = 200_000_000
 _MC_CHUNK_DRAWS = 1 << 22
+_MC_BLOCK_DRAWS = 1 << 16  # 512 KB of gamma draws: a block stays in cache
 
 
 class BudgetError(RuntimeError):
@@ -77,17 +80,28 @@ def _upper_sum(n: float, r: int, s: float) -> float:
     return min(_binom_head(n, r, math.log(s), math.log1p(-s)), 1.0)
 
 
+def _log_lower_tail_bound(r: int, n: float, log_n: float, log_s: float) -> float:
+    """log of r n^(r-1) s^(n-r+1), which bounds sum_{j<r} C(n,j) (1-s)^j s^(n-j)
+    for n >= r."""
+    return math.log(r) + (r - 1) * log_n + (n - (r - 1)) * log_s
+
+
 def lower_tail_mass(n: float, r: int, s: float) -> float:
     """P(M_{n,r} < -t) = sum_{j<r} C(n,j) (1-s)^j s^(n-j) with s = survival(t).
 
     This is the mass the one-sided theory drops; it decays like n^(r-1) s^n
-    and underflows to zero long before it could matter in any sweep.
+    and underflows to zero long before it could matter in any sweep.  Where
+    its bound is below e^(-746), every addend underflows to 0.0, so the sum
+    is 0.0 without the loop.
     """
     if s <= 0.0:
         return 0.0
     if s >= 1.0:
         return 1.0
-    return _binom_head(n, r, math.log1p(-s), math.log(s))
+    log_s = math.log(s)
+    if _log_lower_tail_bound(r, n, math.log(n), log_s) < -746.0:
+        return 0.0
+    return _binom_head(n, r, math.log1p(-s), log_s)
 
 
 def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float:
@@ -121,8 +135,6 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     if y < 0.0:
         return 0.0
     log_mu = log_n + log_survival(params, y ** (1.0 / p))
-    if log_mu > 700.0:  # gumbel_r would overflow in exp(-x)
-        return 0.0
     return min(gumbel_r(r, -log_mu), 1.0)
 
 
@@ -204,10 +216,56 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     """
     le_cam = 2.0 * math.exp(-2.0 * x + 2.0 * math.log1p(-deficit) - log_n)
     log_s = -x + math.log1p(-deficit) - log_n
-    n_minus = math.exp(log_n) - (r - 1) if log_n < 700 else math.inf
-    log_two_sided = math.log(r) + (r - 1) * log_n + n_minus * log_s
+    n = math.exp(log_n) if log_n < 700 else math.inf
+    log_two_sided = _log_lower_tail_bound(r, n, log_n, log_s)
     two_sided = math.exp(log_two_sided) if log_two_sided > -745.0 else 0.0
     return le_cam + two_sided
+
+
+def _check_job(n: int, r_max: int, reps: int) -> None:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= r_max <= n:
+        raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
+    if n * reps > _MC_DEFAULT_BUDGET:
+        raise BudgetError(f"n * reps = {n * reps} exceeds the draw "
+                          f"budget {_MC_DEFAULT_BUDGET}")
+
+
+def _top_table(params: GedParams, n: int, r_max: int, reps: int,
+               seed: int) -> np.ndarray:
+    """The body of :func:`mc_top_order_stats`, for a checked job.
+
+    A chunk draws its K column first; its positive gammas then come from
+    the same generator in blocks of about _MC_BLOCK_DRAWS, which is the
+    call sequence of one chunk-sized draw, so the values are the same.
+    """
+    per_chunk = max(1, _MC_CHUNK_DRAWS // n)
+    top = np.empty((reps, r_max))
+    for idx, start in enumerate(range(0, reps, per_chunk)):
+        size = min(per_chunk, reps - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+        k = rng.binomial(n, 0.5, size)[:, None]
+        width = max(k.max(), r_max)
+        cols = np.arange(width)
+        mags = top[start:start + size]
+        block = max(1, _MC_BLOCK_DRAWS // width)
+        for b in range(0, size, block):
+            ys = rng.standard_gamma(1.0 / params.v, size=(min(block, size - b), width))
+            # entries past a row's K positives sort below every Y >= 0
+            np.copyto(ys, -1.0, where=cols >= k[b:b + block])
+            ys.partition(width - r_max, axis=1)
+            mags[b:b + block] = np.sort(ys[:, width - r_max:], axis=1)[:, ::-1]
+        # rows with K < r_max: the smallest negative magnitudes, ascending
+        negative = np.arange(r_max) >= k
+        short_k = k[negative[:, -1]]
+        neg = rng.standard_gamma(1.0 / params.v, size=(short_k.size, n))
+        np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
+        neg.sort(axis=1)
+        mags[negative] = neg[np.arange(n) < r_max - short_k]
+        _abs_from_gamma(params, mags)
+        np.negative(mags, out=mags, where=negative)
+    return top
 
 
 def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
@@ -222,35 +280,43 @@ def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
     with Y, and only the selected values are transformed.  Each chunk of
     about 2^22 / n rows has its own generator seeded by (seed, chunk index).
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 1 <= r_max <= n:
-        raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
-    if n * reps > _MC_DEFAULT_BUDGET:
-        raise BudgetError(f"n * reps = {n * reps} exceeds the draw "
-                          f"budget {_MC_DEFAULT_BUDGET}")
-    per_chunk = max(1, _MC_CHUNK_DRAWS // n)
-    top = np.empty((reps, r_max))
-    for idx, start in enumerate(range(0, reps, per_chunk)):
-        size = min(per_chunk, reps - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        k = rng.binomial(n, 0.5, size)[:, None]
-        width = max(k.max(), r_max)
-        ys = rng.standard_gamma(1.0 / params.v, size=(size, width))
-        # entries past a row's K positives sort below every Y >= 0
-        np.copyto(ys, -1.0, where=np.arange(width) >= k)
-        ys.partition(width - r_max, axis=1)
-        mags = np.sort(ys[:, width - r_max:], axis=1)[:, ::-1]
-        # rows with K < r_max: the smallest negative magnitudes, ascending
-        negative = np.arange(r_max) >= k
-        short_k = k[negative[:, -1]]
-        neg = rng.standard_gamma(1.0 / params.v, size=(short_k.size, n))
-        np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
-        neg.sort(axis=1)
-        mags[negative] = neg[np.arange(n) < r_max - short_k]
-        _abs_from_gamma(params, mags)
-        top[start:start + size] = np.where(negative, -mags, mags)
-    return top
+    _check_job(n, r_max, reps)
+    return _top_table(params, n, r_max, reps, seed)
+
+
+def mc_tables(jobs: list) -> list[np.ndarray | None]:
+    """:func:`mc_top_order_stats` for each ``(params, n, r_max, reps, seed)``
+    job, drawn concurrently; a job over the draw budget gets ``None``.
+
+    Every job is checked before any is drawn.  The tables come from one
+    worker thread per available core, largest job first, and are returned
+    in job order, each the same array as a lone call gives.  An exception
+    in a worker is raised here, and no worker outlives the call.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    live = []
+    for i, (_, n, r_max, reps, _) in enumerate(jobs):
+        try:
+            _check_job(n, r_max, reps)
+        except BudgetError:
+            continue
+        live.append(i)
+    tables = [None] * len(jobs)
+    if not live:
+        return tables
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    # largest n * reps first; among equals the larger v, since Gamma(1/v)
+    # draws take numpy's slowest path at 1/v < 1
+    live.sort(key=lambda i: (jobs[i][1] * jobs[i][3], jobs[i][0].v), reverse=True)
+    with ThreadPoolExecutor(min(len(live), cores)) as pool:
+        futures = {i: pool.submit(_top_table, *jobs[i]) for i in live}
+        for i in sorted(futures):
+            tables[i] = futures[i].result()
+    return tables
 
 
 def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]:

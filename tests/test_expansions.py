@@ -50,6 +50,15 @@ class TestGumbelLaw:
         assert gumbel_r(1, math.inf) == 1.0
         assert gumbel_r(3, math.inf) == 1.0
 
+    def test_far_left_tail_is_zero(self):
+        # e^(-x) overflows below x = -709.78; Lambda_r is 0.0 there and at -inf
+        for x in (-709.79, -710.0, -1000.0, -sys.float_info.max, -math.inf):
+            assert gumbel(x) == 0.0
+            for r in (1, 3, 171):
+                assert gumbel_r(r, x) == 0.0
+        assert gumbel(-709.0) == 0.0 and gumbel_r(3, -709.0) == 0.0
+        assert math.isnan(gumbel(math.nan)) and math.isnan(gumbel_r(2, math.nan))
+
     def test_gumbel_r_vs_mpmath(self):
         for r in (1, 3, 6):
             for x in (-2.0, 0.4, 3.0):
@@ -479,6 +488,20 @@ class TestTheoremExpansion:
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="x must be finite"):
                 expand(cell, 1, x)
+
+    @pytest.mark.parametrize("theorem,v,p", [(1, 1.0, 1.0), (1, 1.0, 2.0),
+                                             (1, 2.0, 1.0), (2, 2.0, 1.0),
+                                             (2, 2.0, 2.0)])
+    def test_terms_are_zero_where_gumbel_is_zero(self, theorem, v, p):
+        # e^(-(r+1)x) overflows at r = 8, x = -100, though Lambda(x) = 0.0;
+        # Lambda_171(-7) is still a normal double
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem), log_n=10.0)
+        for r, x in ((1, -800.0), (8, -100.0), (171, -7.0)):
+            ee = expand(cell, r, x)
+            assert (ee.first_order, ee.second_order) == (0.0, 0.0)
+            assert ee.leading == gumbel_r(r, x)
+            assert (ee.scale_first, ee.scale_second) == cell.scales
+        assert gumbel_r(171, -7.0) > 1e-300
 
     def test_eval_is_finite_dataclass(self):
         params = make_params(2.0)

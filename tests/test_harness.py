@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 
 import pytest
 
@@ -223,13 +224,13 @@ class TestRunSweep:
         import gedpower.harness as harness
 
         calls = []
-        real = harness.mc_top_order_stats
+        real = harness.mc_tables
 
-        def counting(params, n, r_max, reps, seed):
-            calls.append((params.v, n, r_max, reps))
-            return real(params, n, r_max, reps, seed)
+        def counting(jobs):
+            calls.extend((params.v, n, r_max, reps) for params, n, r_max, reps, _ in jobs)
+            return real(jobs)
 
-        monkeypatch.setattr(harness, "mc_top_order_stats", counting)
+        monkeypatch.setattr(harness, "mc_tables", counting)
         n_ladder, reps = (30, 200), 50
         cfg = SweepConfig(
             v_list=(1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
@@ -241,6 +242,18 @@ class TestRunSweep:
         assert not any(r.error and not r.error.startswith("mc_") for r in rows)
         assert sorted(calls) == [(v, n, min(3, n), reps)
                                  for v in (1.0, 2.0) for n in n_ladder]
+
+    def test_mc_worker_error_stops_the_sweep_and_no_thread_is_left(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken table")
+
+        cfg = t1i_config(n_ladder=(100, 200), mc_reps=50)
+        threads = threading.active_count()
+        assert run_sweep(cfg) and threading.active_count() == threads
+        monkeypatch.setattr("gedpower.orderstats._top_table", broken)
+        with pytest.raises(TypeError, match="broken table"):
+            run_sweep(cfg)
+        assert threading.active_count() == threads
 
     def test_rank_above_171_names_the_bound(self):
         cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(172,),
@@ -438,6 +451,11 @@ class TestCli:
         assert main(["exact", "--v", "2", "--p", "1", "--r", "2", "--y", "inf",
                      *mode]) == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_expand_far_left_is_zero(self, capsys):
+        assert main(["expand", "--v", "2", "--p", "1", "--r", "1", "--x", "-800",
+                     "--theorem", "2", "--ln-n", "10"]) == 0
+        assert capsys.readouterr().out.split()[:3] == ["0", "0", "0"]
 
     def test_expand_at_rank_171(self, capsys):
         assert main(["expand", "--v", "2", "--p", "1", "--r", "171", "--x", "0",

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from gedpower import orderstats
 from gedpower.expansions import gumbel_r
 from gedpower.ged import cdf, make_params, quantile, survival
 from gedpower.norming import gumbel_constants, hall_constants, power_constants
@@ -16,6 +17,7 @@ from gedpower.orderstats import (
     lower_tail_mass,
     mc_powered_cdf,
     mc_score,
+    mc_tables,
     mc_top_order_stats,
     poisson_powered_cdf,
     poisson_remainder_bound,
@@ -96,6 +98,21 @@ def test_binom_head_matches_per_term_rebuild(n, r):
                     fn(*args)
         else:
             assert _binom_head(*args) == _binom_head_per_term(*args)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (3.0, 10.0, 1e3, 1e6, 1e15)
+                                 for r in (1, 2, 5, 20) if r <= n])
+def test_lower_tail_early_return_matches_loop(n, r):
+    # s puts the bound log r + (r-1) log n + (n-r+1) log s at each offset
+    # from the -746 cut, on both sides of it
+    cut = []
+    for offset in (-20.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 20.0, 200.0):
+        log_s = (-746.0 + offset - math.log(r) - (r - 1) * math.log(n)) / (n - r + 1)
+        s = math.exp(log_s)
+        loop = _binom_head(n, r, math.log1p(-s), math.log(s))
+        assert lower_tail_mass(n, r, s).hex() == loop.hex()
+        cut.append(orderstats._log_lower_tail_bound(r, n, math.log(n), math.log(s)) < -746.0)
+    assert cut[0] and not cut[-1]
 
 
 class TestExactPoweredCdf:
@@ -363,6 +380,49 @@ class TestMonteCarlo:
                 sample = np.concatenate([sample, -mag(neg[j, :n - k[i]])])
             rows.append(np.sort(sample)[::-1][:r_max])
         return np.array(rows)
+
+    def test_row_blocks_match_one_draw_per_chunk(self, monkeypatch):
+        # an n = 1000 block holds about 120 rows, an n = 40 block 1638, so
+        # these tables take several blocks and the last one is short
+        params = make_params(2.0)
+        for n, r_max, reps in ((1000, 3, 300), (40, 40, 5000)):
+            top = mc_top_order_stats(params, n, r_max, reps, seed=11)
+            assert np.array_equal(top, self._white_box_table(params, n, r_max, reps, 11))
+        monkeypatch.setattr(orderstats, "_MC_BLOCK_DRAWS", 1)  # a row per block
+        top = mc_top_order_stats(params, 1000, 3, 50, seed=12)
+        assert np.array_equal(top, self._white_box_table(params, 1000, 3, 50, 12))
+
+    def test_mc_tables_equal_lone_calls(self):
+        # the last job spans two chunks; 1500 and 777 rows are no multiple
+        # of a block
+        jobs = [(make_params(0.5), 100, 1, 2000, 3),
+                (make_params(2.0), 1000, 3, 1500, 17),
+                (make_params(1.0), 3, 3, 777, 8),
+                (make_params(4.0), 100000, 2, 60, 5)]
+        tables = mc_tables(jobs)
+        assert len(tables) == len(jobs)
+        for job, table in zip(jobs, tables):
+            assert np.array_equal(table, mc_top_order_stats(*job))
+        assert mc_tables([]) == []
+
+    def test_mc_tables_budget_job_is_none_and_not_drawn(self, monkeypatch):
+        drawn = []
+        real = orderstats._top_table
+
+        def recording(params, n, r_max, reps, seed):
+            drawn.append((n, reps))
+            return real(params, n, r_max, reps, seed)
+
+        monkeypatch.setattr(orderstats, "_top_table", recording)
+        params = make_params(2.0)
+        over, fits = (params, 10**6, 3, 201, 0), (params, 100, 2, 50, 1)
+        first, second = mc_tables([over, fits])
+        assert first is None and second.shape == (50, 2)
+        assert drawn == [(100, 50)]
+        # a job that fails its checks stops the call before any draw
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            mc_tables([fits, (params, 10, 1, 0, 2)])
+        assert drawn == [(100, 50)]
 
     def test_table_width_can_be_n(self):
         # the table equals a full sort of the same draws at widths 1, 3, n
