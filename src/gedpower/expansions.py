@@ -86,6 +86,8 @@ def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if x < 0.5 * _X_MIN:  # e^(-2x) overflows; Lambda(x) is 0.0
+        return 0.0, 0.0, 0.0, 0.0
     weights = _rank_weights(r, x)
     lhs1 = math.fsum(j * w for j, w in enumerate(weights))
     lhs2 = math.fsum(j * j * w for j, w in enumerate(weights))

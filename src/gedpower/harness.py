@@ -197,19 +197,22 @@ def _draw_tables(config: SweepConfig, ladder) -> dict:
     by (v index, n index) and shared by every r, p and x of the cell.
 
     The tables are drawn concurrently in one :func:`mc_tables` call; a cell
-    over the draw budget gets ``None``, and a v that ``make_params`` rejects
-    gets no table, as its rows carry that error.
+    over the draw budget gets ``None``, and a v with no routed cell (routing
+    does not depend on n) gets no table, as its rows carry that error.
     """
     keys, jobs = [], []
     for vi, v in enumerate(sorted(config.v_list)):
-        try:
-            params = make_params(v)
-        except _ROW_ERRORS:
-            continue
-        for ni, (n, _) in enumerate(ladder):
-            seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
-            keys.append((vi, ni))
-            jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
+        for p in config.p_list:  # v's tables, once some p routes
+            try:
+                params = NormedCase(make_params(v), _resolve_theorem(config.theorem, v, p),
+                                    *ladder[0]).params
+            except _ROW_ERRORS:
+                continue
+            for ni, (n, _) in enumerate(ladder):
+                seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
+                keys.append((vi, ni))
+                jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
+            break
     return dict(zip(keys, mc_tables(jobs)))
 
 

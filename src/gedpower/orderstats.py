@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import _rank_weights, gumbel_r
+from .expansions import _X_MIN, _rank_weights, gumbel_r
 from .ged import GedParams, _abs_from_gamma, log_survival, survival
 from .norming import resolve_log_n
 
@@ -26,7 +26,6 @@ __all__ = [
     "lower_tail_mass",
     "cdf_gap_from_deficit",
     "poisson_remainder_bound",
-    "mc_top_order_stats",
     "mc_tables",
     "mc_score",
     "mc_powered_cdf",
@@ -177,7 +176,8 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
     relative accuracy even when it is ~1e-17.
 
     With ``log_n`` instead of ``n`` the Poisson-limit form is used and the
-    lower-tail term is zero.
+    lower-tail term is zero.  In exact-n mode s must be below 1.  Where A_j
+    or e^(-x) overflows, Lambda_r(x) < 1e-130, so P - Lambda_r(x) is taken.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -187,23 +187,30 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
         raise ValueError("pass exactly one of n and log_n")
     if n is not None and not r <= n:
         raise ValueError(f"need r <= n, got r={r}, n={n:g}")
-    emx = math.exp(-x)
     lams = _rank_weights(r, x)
+    emx = math.exp(-x) if not x < _X_MIN else math.inf
+    s = emx * (1.0 - deficit) / n if n is not None else 0.0
+    if not s < 1.0:
+        raise ValueError(f"need s = e^(-x)(1 - deficit)/n < 1, got s={s:g}")
     gap = 0.0
-    if n is not None:
-        s = emx * (1.0 - deficit) / n
-        phi = _log1p_plus(s)
-        log_prod = 0.0  # sum_{i<j} log(1 - i/n)
-        for j, lam_j in enumerate(lams):
-            a_j = (log_prod + j * math.log1p(-deficit) + (n - j) * phi
-                   + j * s + emx * deficit)
-            gap += lam_j * math.expm1(a_j)
-            log_prod += math.log1p(-j / n)
-        gap -= lower_tail_mass(n, r, s)
-    else:
-        for j, lam_j in enumerate(lams):
-            gap += lam_j * math.expm1(j * math.log1p(-deficit) + emx * deficit)
-    return gap
+    try:
+        if n is not None:
+            phi = _log1p_plus(s)
+            log_prod = 0.0  # sum_{i<j} log(1 - i/n)
+            for j, lam_j in enumerate(lams):
+                a_j = (log_prod + j * math.log1p(-deficit) + (n - j) * phi
+                       + j * s + emx * deficit)
+                gap += lam_j * math.expm1(a_j)
+                log_prod += math.log1p(-j / n)
+            return gap - lower_tail_mass(n, r, s)
+        if emx < math.inf:
+            for j, lam_j in enumerate(lams):
+                gap += lam_j * math.expm1(j * math.log1p(-deficit) + emx * deficit)
+            return gap
+    except OverflowError:
+        if n is not None:
+            return _upper_sum(n, r, s) - lower_tail_mass(n, r, s) - gumbel_r(r, x)
+    return gumbel_r(r, x - math.log1p(-deficit)) - gumbel_r(r, x)
 
 
 def poisson_remainder_bound(r: int, x: float, deficit: float,
@@ -212,29 +219,22 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
 
     Le Cam gives total variation <= 2 n s^2 = 2 e^(-2x)(1-deficit)^2 / n for
     the Binomial(n, s) vs Poisson(ns) substitution; the neglected two-sided
-    mass is bounded by r n^(r-1) s^(n-r+1), included when representable.
+    mass is bounded by r n^(r-1) s^(n-r+1), included when representable;
+    the bound is inf where either term overflows.
     """
-    le_cam = 2.0 * math.exp(-2.0 * x + 2.0 * math.log1p(-deficit) - log_n)
+    log_le_cam = -2.0 * x + 2.0 * math.log1p(-deficit) - log_n
     log_s = -x + math.log1p(-deficit) - log_n
     n = math.exp(log_n) if log_n < 700 else math.inf
     log_two_sided = _log_lower_tail_bound(r, n, log_n, log_s)
+    if max(log_le_cam, log_two_sided) > -_X_MIN:
+        return math.inf
     two_sided = math.exp(log_two_sided) if log_two_sided > -745.0 else 0.0
-    return le_cam + two_sided
-
-
-def _check_job(n: int, r_max: int, reps: int) -> None:
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 1 <= r_max <= n:
-        raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
-    if n * reps > _MC_DEFAULT_BUDGET:
-        raise BudgetError(f"n * reps = {n * reps} exceeds the draw "
-                          f"budget {_MC_DEFAULT_BUDGET}")
+    return 2.0 * math.exp(log_le_cam) + two_sided
 
 
 def _top_table(params: GedParams, n: int, r_max: int, reps: int,
                seed: int) -> np.ndarray:
-    """The body of :func:`mc_top_order_stats`, for a checked job.
+    """One table of :func:`mc_tables`, for a checked job.
 
     A chunk draws its K column first; its positive gammas then come from
     the same generator in blocks of about _MC_BLOCK_DRAWS, which is the
@@ -268,43 +268,34 @@ def _top_table(params: GedParams, n: int, r_max: int, reps: int,
     return top
 
 
-def mc_top_order_stats(params: GedParams, n: int, r_max: int, reps: int,
-                       seed: int) -> np.ndarray:
-    """The signed r_max largest of each of ``reps`` GED(v) samples of size n.
+def mc_tables(jobs: list) -> list[np.ndarray | None]:
+    """For each ``(params, n, r_max, reps, seed)`` job, the signed r_max
+    largest of each of ``reps`` GED(v) samples of size n; a job over the
+    draw budget gets ``None``.
 
-    Returns a (reps, r_max) array, largest first: column r - 1 holds M_{n,r}.
-    A variate is +-|X| with a fair sign, so a row draws its count of
-    positives K ~ Binomial(n, 1/2), then only what can reach its top: K
+    A table is a (reps, r_max) array, largest first: column r - 1 holds
+    M_{n,r}.  A variate is +-|X| with a fair sign, so a row draws its count
+    of positives K ~ Binomial(n, 1/2), then only what can reach its top: K
     positive magnitudes and, if K < r_max, n - K negative ones.  Selection
     runs on the raw Y ~ Gamma(1/v, 1), as |X| = lambda (2 Y)^(1/v) grows
     with Y, and only the selected values are transformed.  Each chunk of
     about 2^22 / n rows has its own generator seeded by (seed, chunk index).
-    """
-    _check_job(n, r_max, reps)
-    return _top_table(params, n, r_max, reps, seed)
-
-
-def mc_tables(jobs: list) -> list[np.ndarray | None]:
-    """:func:`mc_top_order_stats` for each ``(params, n, r_max, reps, seed)``
-    job, drawn concurrently; a job over the draw budget gets ``None``.
 
     Every job is checked before any is drawn.  The tables come from one
-    worker thread per available core, largest job first, and are returned
-    in job order, each the same array as a lone call gives.  An exception
-    in a worker is raised here, and no worker outlives the call.
+    worker thread per available core (a one-worker pool for one job),
+    largest job first, and are returned in job order.  An exception in a
+    worker is raised here, and no worker outlives the call.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     live = []
     for i, (_, n, r_max, reps, _) in enumerate(jobs):
-        try:
-            _check_job(n, r_max, reps)
-        except BudgetError:
-            continue
-        live.append(i)
-    tables = [None] * len(jobs)
-    if not live:
-        return tables
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
+        if not 1 <= r_max <= n:
+            raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
+        if n * reps <= _MC_DEFAULT_BUDGET:
+            live.append(i)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -312,22 +303,22 @@ def mc_tables(jobs: list) -> list[np.ndarray | None]:
     # largest n * reps first; among equals the larger v, since Gamma(1/v)
     # draws take numpy's slowest path at 1/v < 1
     live.sort(key=lambda i: (jobs[i][1] * jobs[i][3], jobs[i][0].v), reverse=True)
-    with ThreadPoolExecutor(min(len(live), cores)) as pool:
+    with ThreadPoolExecutor(max(1, min(len(live), cores))) as pool:
         futures = {i: pool.submit(_top_table, *jobs[i]) for i in live}
-        for i in sorted(futures):
-            tables[i] = futures[i].result()
-    return tables
+        return [futures[i].result() if i in futures else None for i in range(len(jobs))]
 
 
 def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]:
-    """Estimate of P(|M_{n,r}|^p <= y) from a :func:`mc_top_order_stats`
-    table, with its binomial stderr.
+    """Estimate of P(|M_{n,r}|^p <= y) from a table of :func:`mc_tables`,
+    with its binomial stderr.
 
     |M|^p <= y holds exactly when |M| <= y^(1/p), so one table serves every
     rank up to its width, every power and every threshold.
     """
     if math.isnan(y):
         raise ValueError("threshold y must not be nan")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     reps, width = top.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
@@ -341,5 +332,8 @@ def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
                    reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr,
     drawn from a table of the top r order statistics."""
-    top = mc_top_order_stats(params, spec.n, spec.r, reps, seed)
+    [top] = mc_tables([(params, spec.n, spec.r, reps, seed)])
+    if top is None:
+        raise BudgetError(f"n * reps = {spec.n * reps} exceeds the draw "
+                          f"budget {_MC_DEFAULT_BUDGET}")
     return mc_score(top, spec.r, spec.p, y)

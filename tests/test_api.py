@@ -49,7 +49,7 @@ def test_all_is_the_union_of_the_submodules():
     "aux_f_g", "AuxFG", "powered_abs_survival_expansion", "log_pdf",
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
-    "rows_from_json", "normed_threshold",
+    "rows_from_json", "normed_threshold", "mc_top_order_stats",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):

@@ -80,6 +80,11 @@ class TestMomentIdentities:
             assert lhs1 == pytest.approx(rhs1, rel=1e-13, abs=1e-15)
             assert lhs2 == pytest.approx(rhs2, rel=1e-13, abs=1e-15)
 
+    def test_far_left_is_zero(self):
+        # e^(-2x) overflows below x = -354.89, where Lambda(x) is 0.0
+        for x in (-354.9, -400.0, -1000.0, -math.inf):
+            assert gumbel_r_identities(3, x) == (0.0, 0.0, 0.0, 0.0)
+
     def test_spec_points(self):
         lhs1, rhs1, _, _ = gumbel_r_identities(3, 0.7)
         assert lhs1 == pytest.approx(rhs1, rel=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import threading
 import pytest
 
 from gedpower.cli import _VERIFY_KEYS, _sweep_config, build_parser, main
+from gedpower.expansions import NormedCase, classify_case
 from gedpower.ged import make_params
 from gedpower.harness import (
     CSV_HEADER,
@@ -17,6 +19,7 @@ from gedpower.harness import (
     run_sweep,
 )
 from gedpower.norming import hall_constants
+from gedpower.orderstats import OrderStatSpec, exact_powered_cdf, poisson_powered_cdf
 
 
 def rows_from_json(text: str) -> list[VerificationRow]:
@@ -242,6 +245,48 @@ class TestRunSweep:
         assert not any(r.error and not r.error.startswith("mc_") for r in rows)
         assert sorted(calls) == [(v, n, min(3, n), reps)
                                  for v in (1.0, 2.0) for n in n_ladder]
+
+    def test_mc_draws_no_table_for_a_v_no_p_routes(self, monkeypatch):
+        # p = 1 routes to t1_iii at v = 2, so no v = 2 row can use a table
+        import gedpower.harness as harness
+
+        calls = []
+        real = harness.mc_tables
+
+        def counting(jobs):
+            calls.extend((params.v, n) for params, n, _, _, _ in jobs)
+            return real(jobs)
+
+        monkeypatch.setattr(harness, "mc_tables", counting)
+        cfg = SweepConfig(v_list=(1.0, 2.0), p_list=(1.0,), r_list=(1, 2),
+                          n_ladder=(1000,), x_min=0.0, x_max=1.0, x_step=0.5,
+                          theorem="t1_i", mc_reps=500, seed=7)
+        rows = run_sweep(cfg)
+        assert calls == [(1.0, 1000)]
+        alone = run_sweep(dataclasses.replace(cfg, v_list=(1.0,)))
+        assert rows[:len(alone)] == alone and all(row.error == "" for row in alone)
+        assert all("belongs to case 't1_iii'" in row.error for row in rows[len(alone):])
+
+    @pytest.mark.parametrize("ladder", [{"log_n_ladder": (50.0,)},
+                                        {"n_ladder": (10**6,)}])
+    def test_rows_far_left_hold_numbers(self, ladder):
+        # at x = -12 and -10, e^(-x) deficit is past 709.78, where the gap
+        # engine's expm1 overflows
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 3),
+                          x_min=-12.0, x_max=-6.0, x_step=2.0, **ladder)
+        n, log_n = (10**6, None) if "n_ladder" in ladder else (None, 50.0)
+        params = make_params(2.0)
+        norming = NormedCase(params, classify_case(2.0, 1.0, theorem=2), n, log_n).norming
+        rows = run_sweep(cfg)
+        assert len(rows) == 8
+        for row in rows:
+            assert row.error == "" and math.isfinite(row.err)
+            y = norming.scale * row.x + norming.shift
+            if n is None:
+                expected = poisson_powered_cdf(params, row.r, 1.0, y, log_n)
+            else:
+                expected = exact_powered_cdf(params, OrderStatSpec(n=n, r=row.r, p=1.0), y)
+            assert abs(row.exact - expected) <= 1e-12
 
     def test_mc_worker_error_stops_the_sweep_and_no_thread_is_left(self, monkeypatch):
         def broken(*args):

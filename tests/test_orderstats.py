@@ -18,11 +18,10 @@ from gedpower.orderstats import (
     mc_powered_cdf,
     mc_score,
     mc_tables,
-    mc_top_order_stats,
     poisson_powered_cdf,
     poisson_remainder_bound,
 )
-from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf
+from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf, mp_gumbel_r
 
 mp.mp.dps = 50
 
@@ -261,6 +260,27 @@ class TestGapEngine:
                         bound = poisson_remainder_bound(r, x, d, math.log(n))
                         assert abs(diff) <= bound, (n, r, x, d)
 
+    def test_overflowing_addend_gives_the_plain_difference(self):
+        # e^(-x) deficit past 709.78 overflows expm1; Lambda_r(x) is tiny there
+        xm, dm = mp.mpf(-6.6), mp.mpf(0.999)
+        expected = mp.exp(-mp.exp(-xm) * (1 - dm)) - mp.exp(-mp.exp(-xm))
+        got = cdf_gap_from_deficit(1, -6.6, 0.999, log_n=10.0)
+        assert got == pytest.approx(float(expected), rel=1e-14)
+        for x in (-10.0, -1000.0, -math.inf):
+            assert cdf_gap_from_deficit(2, x, 0.1, log_n=10.0) == 0.0
+        # exact n: s = e^(-x)(1 - d)/n = 1e-6, so P is about Poisson(1)'s
+        n, x, r = 10**6, -10.0, 3
+        d = 1.0 - n * 1e-6 * math.exp(x)
+        sm = mp.e ** (-mp.mpf(x)) * (1 - mp.mpf(d)) / n
+        expected = mp.fsum(mp.binomial(n, j) * sm**j * (1 - sm) ** (n - j)
+                           for j in range(r)) - mp_gumbel_r(r, x)
+        got = cdf_gap_from_deficit(r, x, d, n=float(n))
+        assert got == pytest.approx(float(expected), rel=1e-12)
+        assert poisson_remainder_bound(2, -1000.0, 0.1, 10.0) == math.inf
+        for x in (-10.0, -1000.0, -math.inf):  # s >= 1 is not a survival
+            with pytest.raises(ValueError, match="got s="):
+                cdf_gap_from_deficit(2, x, 0.1, n=1000.0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cdf_gap_from_deficit(0, 0.0, 0.0, n=100.0)
@@ -280,6 +300,12 @@ def _exact_median(params, spec):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _table(params, n, r_max, reps, seed):
+    """The table of a one-job :func:`mc_tables` call."""
+    [top] = mc_tables([(params, n, r_max, reps, seed)])
+    return top
 
 
 class TestMonteCarlo:
@@ -316,15 +342,14 @@ class TestMonteCarlo:
 
     def test_reps_below_one_rejected(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            mc_top_order_stats(make_params(2.0), 10, 1, reps=0, seed=0)
+            _table(make_params(2.0), 10, 1, reps=0, seed=0)
 
     def test_budget(self):
         params = make_params(2.0)
         spec = OrderStatSpec(n=10**6, r=1, p=1.0)
         with pytest.raises(BudgetError):
             mc_powered_cdf(params, spec, 1.0, reps=10**6, seed=0)
-        with pytest.raises(BudgetError):
-            mc_top_order_stats(params, 10**6, 3, reps=10**6, seed=0)
+        assert mc_tables([(params, 10**6, 3, 10**6, 0)]) == [None]
 
     # (v, n, r, p, y, reps, seed) -> (est, se), computed when each row drew
     # only its positive magnitudes; the last case spans two chunks
@@ -339,10 +364,18 @@ class TestMonteCarlo:
         spec = OrderStatSpec(n=n, r=r, p=p)
         assert mc_powered_cdf(make_params(v), spec, y, reps, seed) == expected
 
+    @pytest.mark.parametrize("v,n,r,p,y,reps,seed", [
+        (0.5, 100, 1, 1.0, 3.6, 2000, 3), (4.0, 100000, 2, 1.5, 4.8, 60, 5)])
+    def test_mc_powered_cdf_scores_a_one_job_table(self, v, n, r, p, y, reps, seed):
+        params = make_params(v)
+        spec = OrderStatSpec(n=n, r=r, p=p)
+        assert mc_powered_cdf(params, spec, y, reps, seed) == mc_score(
+            _table(params, n, r, reps, seed), r, p, y)
+
     def test_table_columns_score_like_mc_powered_cdf(self):
         params = make_params(1.5)
         n, r_max, reps, seed, p = 40, 6, 3000, 21, 1.5
-        top = mc_top_order_stats(params, n, r_max, reps, seed)
+        top = _table(params, n, r_max, reps, seed)
         assert top.shape == (reps, r_max)
         assert np.all(top[:, :-1] >= top[:, 1:])  # largest first
         for r in range(1, r_max + 1):
@@ -386,10 +419,10 @@ class TestMonteCarlo:
         # these tables take several blocks and the last one is short
         params = make_params(2.0)
         for n, r_max, reps in ((1000, 3, 300), (40, 40, 5000)):
-            top = mc_top_order_stats(params, n, r_max, reps, seed=11)
+            top = _table(params, n, r_max, reps, seed=11)
             assert np.array_equal(top, self._white_box_table(params, n, r_max, reps, 11))
         monkeypatch.setattr(orderstats, "_MC_BLOCK_DRAWS", 1)  # a row per block
-        top = mc_top_order_stats(params, 1000, 3, 50, seed=12)
+        top = _table(params, 1000, 3, 50, seed=12)
         assert np.array_equal(top, self._white_box_table(params, 1000, 3, 50, 12))
 
     def test_mc_tables_equal_lone_calls(self):
@@ -402,7 +435,7 @@ class TestMonteCarlo:
         tables = mc_tables(jobs)
         assert len(tables) == len(jobs)
         for job, table in zip(jobs, tables):
-            assert np.array_equal(table, mc_top_order_stats(*job))
+            assert np.array_equal(table, _table(*job))
         assert mc_tables([]) == []
 
     def test_mc_tables_budget_job_is_none_and_not_drawn(self, monkeypatch):
@@ -429,11 +462,11 @@ class TestMonteCarlo:
         params, seed = make_params(2.0), 1
         for n, widths, reps in ((1000, (1, 3, 1000), 7), (3, (1, 2, 3), 64)):
             for r_max in widths:
-                top = mc_top_order_stats(params, n, r_max, reps, seed)
+                top = _table(params, n, r_max, reps, seed)
                 expected = self._white_box_table(params, n, r_max, reps, seed)
                 assert np.array_equal(top, expected)
             with pytest.raises(ValueError):
-                mc_top_order_stats(params, n, n + 1, reps, seed)
+                _table(params, n, n + 1, reps, seed)
 
     @pytest.mark.parametrize("v", (0.5, 2.0))
     @pytest.mark.parametrize("n", (2, 3, 5))
@@ -441,7 +474,7 @@ class TestMonteCarlo:
         # at r_max = n most rows hold fewer than r_max positive values, so
         # the negative magnitudes fill the lower columns
         params, reps = make_params(v), 20000
-        top = mc_top_order_stats(params, n, n, reps, seed=40 + n)
+        top = _table(params, n, n, reps, seed=40 + n)
         for r in range(1, n + 1):
             y_half = _exact_median(params, OrderStatSpec(n=n, r=r, p=1.0))
             est, se = mc_score(top, r, 1.0, y_half)
@@ -450,17 +483,23 @@ class TestMonteCarlo:
     def test_three_draws_smallest_is_negative_seven_eighths(self):
         # the smallest of three is negative unless all three signs are +
         reps = 20000
-        top = mc_top_order_stats(make_params(1.0), 3, 3, reps, seed=8)
+        top = _table(make_params(1.0), 3, 3, reps, seed=8)
         share = np.count_nonzero(top[:, 2] < 0.0) / reps
         assert abs(share - 7.0 / 8.0) <= 3.0 * math.sqrt(7.0 / 64.0 / reps)
 
     def test_score_rank_within_table_width(self):
-        top = mc_top_order_stats(make_params(1.0), 10, 2, 100, seed=0)
+        top = _table(make_params(1.0), 10, 2, 100, seed=0)
         for r in (1, 2):
             mc_score(top, r, 1.0, 1.0)
         for r in (0, 3):
             with pytest.raises(ValueError, match="table width"):
                 mc_score(top, r, 1.0, 1.0)
+
+    @pytest.mark.parametrize("p", (0.0, math.inf))
+    def test_score_power_positive_and_finite(self, p):
+        top = _table(make_params(1.0), 10, 2, 100, seed=0)
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            mc_score(top, 1, p, 1.0)
 
     def test_nan_threshold_rejected(self):
         params = make_params(1.0)
