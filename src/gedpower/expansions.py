@@ -1,4 +1,4 @@
-"""Limit law, correction polynomials, tail-deficit channels, and the
+"""Limit law, correction polynomials, the exact tail deficit, and the
 assembled first/second-order approximations of the five theorem cases.
 
 Case tags
@@ -42,7 +42,6 @@ __all__ = [
     "classify_case",
     "case_norming",
     "exact_deficit",
-    "theta_deficit",
     "correction_h",
     "correction_q",
     "correction_s",
@@ -209,36 +208,6 @@ def exact_deficit(cell: NormedCase, x: float) -> float:
         return 0.0
     z = arg ** (1.0 / cell.case.p)
     return -math.expm1(norming.log_n + x + log_survival(cell.params, z))
-
-
-def _lemma_deficit(cell: NormedCase, x: float) -> float:
-    """Closed-form prediction of 1 - theta through second order, in terms of
-    the cell's scale factors."""
-    params, tag, v, p = cell.params, cell.case.tag, cell.case.v, cell.case.p
-    if tag == "t1_i":
-        return 0.0
-    s1, s2 = cell.scales
-    if tag == "t1_ii":
-        return ((1.0 - p) * x * x / (2.0 * s1)
-                - ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
-                   * x**3 / (24.0 * s1**2)))
-    if tag == "t1_iii":
-        vi = 1.0 / v
-        return ((1.0 - vi) ** 3 / (2.0 * s1)
-                - (1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x) / s2)
-    if tag == "t2_i":
-        return (correction_h(params, p, x) / s1
-                + correction_q(params, p, x) / s2) * math.exp(x)
-    return (correction_s(params, x) / s1 + correction_b(params, x) / s2) * math.exp(x)
-
-
-def theta_deficit(cell: NormedCase, x: float) -> tuple[float, float]:
-    """(exact, predicted) tail deficit 1 - theta at the case's normed point.
-
-    The exact channel never touches the expansions, so comparing the two
-    isolates expansion error from tail-evaluation error.
-    """
-    return exact_deficit(cell, x), _lemma_deficit(cell, x)
 
 
 def _check_v_not_one(v: float, name: str) -> None:

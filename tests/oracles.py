@@ -1,12 +1,24 @@
 """Independent oracles the tests compare the library against: adaptive
 quadrature of defining integrals, exact-binomial sums in high precision,
-and mpmath evaluations that never touch the package's own code paths."""
+and mpmath evaluations that never touch the package's own code paths.
+The lemma's closed-form deficit prediction is here too: it reads the
+package's correction polynomials, and only tests compare it with the exact
+deficit."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy import integrate
+
+from gedpower.expansions import (
+    NormedCase,
+    correction_b,
+    correction_h,
+    correction_q,
+    correction_s,
+    exact_deficit,
+)
 
 
 def quad_gamma_integral(a: float, x: float | None = None) -> float:
@@ -38,6 +50,15 @@ def mp_survival(v, z) -> mp.mpf:
     v = mp.mpf(v)
     u = (mp.mpf(z) / mp_lambda(v)) ** v / 2
     return mp.gammainc(1 / v, a=u, b=mp.inf, regularized=True) / 2
+
+
+def mp_tail_deficit(v, lam, log_n, x, z) -> mp.mpf:
+    """1 - theta = 1 - n e^x (1 - G(z)) in mpmath for the GED(v) law of
+    scale lam, with lam, log n and the threshold z taken as exact."""
+    v = mp.mpf(v)
+    u = (mp.mpf(z) / mp.mpf(lam)) ** v / 2
+    log_s = mp.log(mp.gammainc(1 / v, a=u, b=mp.inf, regularized=True) / 2)
+    return -mp.expm1(mp.mpf(log_n) + x + log_s)
 
 
 def brute_upper_orderstat_cdf(n: int, r: int, s) -> mp.mpf:
@@ -77,3 +98,33 @@ def lemma3_transfer(one_minus_theta: float, r: int, x: float) -> float:
     d = one_minus_theta
     return (math.exp(-math.exp(-x)) * (1.0 - 0.5 * d * (r - 1.0 - math.exp(-x))) * d
             * math.exp(-r * x) / math.factorial(r - 1))
+
+
+def lemma_deficit(cell: NormedCase, x: float) -> float:
+    """Closed-form prediction of 1 - theta through second order, in terms of
+    the cell's scale factors."""
+    params, tag, v, p = cell.params, cell.case.tag, cell.case.v, cell.case.p
+    if tag == "t1_i":
+        return 0.0
+    s1, s2 = cell.scales
+    if tag == "t1_ii":
+        return ((1.0 - p) * x * x / (2.0 * s1)
+                - ((1.0 - p) * (3.0 * (1.0 - p) * x - 4.0 * (1.0 - 2.0 * p))
+                   * x**3 / (24.0 * s1**2)))
+    if tag == "t1_iii":
+        vi = 1.0 / v
+        return ((1.0 - vi) ** 3 / (2.0 * s1)
+                - (1.0 - vi) ** 2 * (1.0 - math.log(2.0) - math.lgamma(vi) + x) / s2)
+    if tag == "t2_i":
+        return (correction_h(params, p, x) / s1
+                + correction_q(params, p, x) / s2) * math.exp(x)
+    return (correction_s(params, x) / s1 + correction_b(params, x) / s2) * math.exp(x)
+
+
+def theta_deficit(cell: NormedCase, x: float) -> tuple[float, float]:
+    """(exact, predicted) tail deficit 1 - theta at the case's normed point.
+
+    The exact channel never touches the expansions, so comparing the two
+    isolates expansion error from tail-evaluation error.
+    """
+    return exact_deficit(cell, x), lemma_deficit(cell, x)

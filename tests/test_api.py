@@ -49,7 +49,7 @@ def test_all_is_the_union_of_the_submodules():
     "aux_f_g", "AuxFG", "powered_abs_survival_expansion", "log_pdf",
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
-    "rows_from_json", "normed_threshold", "mc_top_order_stats",
+    "rows_from_json", "normed_threshold", "mc_top_order_stats", "theta_deficit",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
@@ -66,7 +66,6 @@ def test_no_function_takes_a_single_valued_setting():
         obj = getattr(gedpower, name)
         if inspect.isfunction(obj):
             assert not removed & set(inspect.signature(obj).parameters), name
-    assert "order" not in inspect.signature(gedpower.theta_deficit).parameters
 
 
 def test_stored_fields():

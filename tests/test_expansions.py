@@ -21,11 +21,16 @@ from gedpower.expansions import (
     gumbel_r,
     gumbel_r_identities,
     theorem_expansion,
-    theta_deficit,
 )
 from gedpower.ged import make_params
 from gedpower.norming import solve_bn
-from oracles import brute_upper_orderstat_cdf, lemma3_transfer, mp_gumbel_r
+from oracles import (
+    brute_upper_orderstat_cdf,
+    lemma3_transfer,
+    mp_gumbel_r,
+    mp_tail_deficit,
+    theta_deficit,
+)
 
 mp.mp.dps = 50
 
@@ -244,6 +249,30 @@ class TestThetaDeficit:
         case = classify_case(1.0, 1.0, theorem=1)
         with pytest.raises(ValueError, match="not positive"):
             exact_deficit(NormedCase(params, case, 8), -10.0)
+
+    @pytest.mark.parametrize("v", (0.5, 2.0, 3.0))
+    @pytest.mark.parametrize("tag", ("t2_i", "t2_ii"))
+    @pytest.mark.parametrize("log_n", (100.0, 691.0))
+    def test_exact_deficit_against_mpmath(self, tag, v, log_n):
+        # the library's lambda, norming and double point z held fixed, the
+        # tail in 50 digits. log n + x + log S(z) cancels: the error grows
+        # like eps (log n)^2 for t2_i and eps (log n)^3 for t2_ii, relative
+        # to the largest deficit on the grid (t2_ii's crosses 0 at x = -1)
+        p = v / 2.0 if tag == "t2_i" else v
+        params = make_params(v)
+        cell = NormedCase(params, classify_case(v, p, theorem=2), log_n=log_n)
+        assert cell.case.tag == tag
+        nm = cell.norming
+        errors, scale = [], 0.0
+        for k in range(21):
+            x = -1.0 + 0.2 * k
+            z = (nm.scale * x + nm.shift) ** (1.0 / p)
+            ref = mp_tail_deficit(v, params.lam, log_n, x, z)
+            errors.append(float(abs(exact_deficit(cell, x) - ref)))
+            scale = max(scale, float(abs(ref)))
+        eps = 2.0**-52
+        bound = eps * log_n**2 if tag == "t2_i" else 0.5 * eps * log_n**3
+        assert max(errors) <= bound * scale
 
     @pytest.mark.parametrize(
         "tag,v,p,expo",
@@ -534,12 +563,12 @@ class TestBitsPinned:
         ("t1_i", "log_n", "94d6b5a0597c06c5bf6df06dd9988b3978ea3be6d8fc3c2b382170f0fd9f5b0a"),
         ("t1_ii", "n", "335a2ecd111af5c89d2caedf9a22141dfca37025205ed093e706838bb1bab69d"),
         ("t1_ii", "log_n", "5e11360577ee110febf2727179f9789e3b53bc35cbff74126fc73212f1e9c967"),
-        ("t1_iii", "n", "b6a10f8b26ac79b78090658b4bc54f5649286f162e09242da27f6f25e035e3f3"),
-        ("t1_iii", "log_n", "e1d3d268c56c0c3d0de07638207ad8f1a13ac01094b2a6bd7bfd213b1b70ec83"),
-        ("t2_i", "n", "1ffe71979a3b0c06c33133810bda73e8c178e8abe2b052414eda737009093d04"),
-        ("t2_i", "log_n", "ea0be30603664babb2392f30de41de0fbadf322529979001d2b8b4719914f75c"),
-        ("t2_ii", "n", "a553c789049af5def3830fca2df17790d3ffb8945cce35303460cbc0cb09d99e"),
-        ("t2_ii", "log_n", "7f70520379a72b647161232221b5695533a3703d8a6b70d64ecf475ffa00bd54"),
+        ("t1_iii", "n", "79a21d3f6059f8f4631f219501b25bd37977945ef5523030213d6a4e853d884b"),
+        ("t1_iii", "log_n", "da2f3645609456420de25aded150be3e40eaa5243bd248e6e512621db3edbd92"),
+        ("t2_i", "n", "1b5ebfa7603f7f69862f79bc64ec90d9b918bc94d1d99487ded60627b875f0fc"),
+        ("t2_i", "log_n", "64c5c0979ee78aeac6892b34d22012159c0ef9680787f66edda35152fb543fa0"),
+        ("t2_ii", "n", "c9a4076b94dd4ec1327c661995cdb9e0ba2725d08d90edf3fd09ea688e03f0e7"),
+        ("t2_ii", "log_n", "b216fc4b67420a6a01311836fd9a40a1601039ecbb411c2cf9e8106d1b0c368c"),
         ("gap", "n", "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654"),
         ("gap", "log_n", "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309"),
     ])

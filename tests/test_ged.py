@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gedpower.ged import (
     tail_expansion_coefficients,
     tail_survival_expansion,
 )
+from oracles import mp_lambda
 
 V_GRID = (0.5, 1.0, 2.0, 4.0)
 
@@ -44,6 +46,12 @@ class TestParams:
             * math.exp(math.lgamma(1.0 / v) - math.lgamma(3.0 / v))
         )
         assert lam == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("v", (0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
+    def test_scale_within_four_ulp(self, v):
+        lam = make_params(v).lam
+        with mp.workdps(50):
+            assert abs(lam - mp_lambda(v)) <= 4.0 * math.ulp(lam)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -404,12 +404,12 @@ class TestGoldenBytes:
         theorem="1", **BENCH_X)
 
     @pytest.mark.parametrize("grid,fmt,digest", [
-        ("EXACT_N", "csv", "f60c78193ce2d609a46f558d2a4386bac750f80047e079ef728a338764d2235d"),
-        ("EXACT_N", "json", "bb7cb5c3024fb1925ab0def0ca74fb9a69f088b644f6c2747c9307b889ca9380"),
-        ("LOG_N", "csv", "e036e80f3064b42c1c9e5fab572421c9821e05ab432ea9f701734ce6f7e83b47"),
-        ("LOG_N", "json", "6afa8f99b2a63df02b0559e6325d4e6f552a4f823cad3947c94b940a1e3b9095"),
-        ("SWEEP_LOGN", "json", "daf945ebb7e3abfb270a0b481adf3a6aaf0f9704e48a4be9b9ffea61afe167db"),
-        ("SWEEP_EXACTN", "csv", "1ea2c430871e9ba234e0301615854b1df002c3a92a93be2f861092f373721804"),
+        ("EXACT_N", "csv", "13c5f3ccba0cbec4b2b8342470ed166b9aa8736ff479fef215b377a574f81efa"),
+        ("EXACT_N", "json", "19e897795e3bb6bc6c43d037f4d31596101479e8e281377f93ad49418740c0ed"),
+        ("LOG_N", "csv", "e5a2cc3d908d3ff5806166a70cef9254bd4e1a423e99a108ef2a1acc69f19dcc"),
+        ("LOG_N", "json", "d22174dfc9038de2cb1ed6e879426aa13cb9db7cd029006d33cb7ed4806b5625"),
+        ("SWEEP_LOGN", "json", "59dd2689228ec558974012ce4a0a12c76a2b6ce24c70dd7443b12070e3b4e179"),
+        ("SWEEP_EXACTN", "csv", "9ac1afb3977a754498ffc7b78e9f467aba6d43b1a742c32fb412eb3203854078"),
     ])
     def test_sweep_digest(self, tmp_path, grid, fmt, digest):
         rows = run_sweep(SweepConfig(**getattr(self, grid)))

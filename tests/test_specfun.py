@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,22 @@ class TestLogGamma:
     def test_against_libm(self):
         for x in np.linspace(0.1, 50.0, 37):
             assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13)
+
+    def test_against_mpmath(self):
+        # lambda's arguments 1/v and 3/v over the supported shapes, and
+        # random x.  Near x = 63, |log Gamma| is about 190 and 5e-14 is one
+        # or two ulp, so the absolute bound holds at lambda's arguments only
+        eps = 2.0**-52
+        vs = [0.05 + (20.0 - 0.05) * k / 999 for k in range(1000)]
+        shape_args = [a for v in vs for a in (1.0 / v, 3.0 / v)]
+        rng = random.Random(7)
+        random_args = [rng.uniform(1e-3, 63.0) for _ in range(2000)]
+        with mp.workdps(50):
+            for i, x in enumerate(shape_args + random_args):
+                ref = mp.loggamma(x)
+                err = abs(mp.mpf(log_gamma(x)) - ref)
+                assert err <= 8.0 * eps * max(1.0, abs(ref)), x
+                assert i >= len(shape_args) or err <= 5e-14, x
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
