@@ -100,16 +100,14 @@ def cdf(params: GedParams, x: float) -> float:
 
 
 def quantile(params: GedParams, u: float) -> float:
-    """Inverse of cdf on (0, 1); odd around u = 1/2."""
+    """Inverse of cdf on (0, 1), odd around u = 1/2; inverts the smaller tail as given."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must be in (0, 1), got {u}")
     if u == 0.5:
         return 0.0
-    if u < 0.5:
-        return -quantile(params, 1.0 - u)
-    # survival(x) = (1 - u)  =>  Q(1/v, (x/lam)^v / 2) = 2 (1 - u)
-    y = inv_reg_gamma_upper(1.0 / params.v, 2.0 * (1.0 - u))
-    return params.lam * (2.0 * y) ** (1.0 / params.v)
+    # survival(|x|) = t = min(u, 1 - u)  =>  Q(1/v, (|x|/lam)^v / 2) = 2 t
+    y = inv_reg_gamma_upper(1.0 / params.v, 2.0 * min(u, 1.0 - u))
+    return math.copysign(params.lam * (2.0 * y) ** (1.0 / params.v), u - 0.5)
 
 
 def _abs_from_gamma(params: GedParams, y: np.ndarray) -> None:

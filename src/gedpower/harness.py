@@ -116,6 +116,8 @@ class SweepConfig:
                               f"got {self.theorem!r}")
         if self.mc_reps < 0:
             raise ConfigError("mc_reps must be >= 0")
+        if self.mc_reps > 0 and self.log_n_ladder:
+            raise ConfigError("Monte Carlo (mc_reps > 0) needs an exact n ladder")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -162,6 +164,9 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         if cell is None:
             cell = cells[(p, key[1])] = NormedCase(
                 make_params(v), _resolve_theorem(config.theorem, v, p), n, log_n)
+        if n is None and cell.case.tag == "t1_i":
+            raise ValueError("t1_i needs an exact n: its rate is the O(1/n) term "
+                             "that the log-n Poisson limit drops")
         deficit = exact_deficit(cell, x)
         if n is not None:
             gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
@@ -177,7 +182,7 @@ def _eval_point(config: SweepConfig, v: float, p: float, r: int,
         scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
         exact = min(1.0, max(0.0, limit + gap))
         error = ""
-        if config.mc_reps > 0 and n is not None:
+        if config.mc_reps > 0:
             y = cell.norming.scale * x + cell.norming.shift
             error = _mc_note(config, tables[key], r, p, y, exact)
         return VerificationRow(
@@ -242,7 +247,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
              * len(ladder) * len(xs))
     done = 0
-    tables = _draw_tables(config, ladder) if config.mc_reps > 0 and config.n_ladder else {}
+    tables = _draw_tables(config, ladder) if config.mc_reps > 0 else {}
     for vi, v in enumerate(sorted(config.v_list)):
         cells: dict = {}  # this v's NormedCase per (p, n)
         for p in sorted(config.p_list):

@@ -122,7 +122,12 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
     def fprime(b: float) -> float:
         return (v - 1.0) / b + v * b ** (v - 1.0) / two_lam_v
 
-    b0 = (two_lam_v * ln) ** (1.0 / v)
+    try:
+        b0 = (two_lam_v * ln) ** (1.0 / v)
+    except OverflowError:
+        b0 = math.inf
+    if not math.isfinite(b0):
+        raise ValueError(f"b_n overflows a double for v={v}, log_n={ln}")
     lo, hi = 0.5 * b0, 2.0 * b0
     if v < 1.0:
         # the log LHS decreases up to b_stat and increases after it; the

@@ -189,6 +189,36 @@ class TestQuantile:
             assert cdf(params, x) == pytest.approx(u, rel=1e-11, abs=1e-13)
             assert quantile(params, 1.0 - u) == pytest.approx(-x, rel=1e-11, abs=1e-13)
 
+    @staticmethod
+    def assert_inverts_smaller_tail(params, u):
+        # survival(|x|) matches t = min(u, 1 - u) to about ln(t) * eps
+        x = quantile(params, u)
+        t = min(u, 1.0 - u)
+        assert math.isfinite(x) and (x < 0.0) == (u < 0.5)
+        assert abs(survival(params, abs(x)) / t - 1.0) <= 1e-14 * (1.0 + abs(math.log(t)))
+
+    @given(
+        log_v=st.floats(min_value=math.log(0.05), max_value=math.log(20.0)),
+        log10_t=st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+        upper=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_smaller_tail_relative_accuracy(self, log_v, log10_t, upper):
+        t = 10.0**log10_t
+        u = 1.0 - t if upper else t
+        if 0.0 < u < 1.0 and u != 0.5:
+            self.assert_inverts_smaller_tail(make_params(math.exp(log_v)), u)
+
+    @pytest.mark.parametrize("v", V_GRID)
+    @pytest.mark.parametrize("u", (1e-10, 1e-15, 1e-300))
+    def test_deep_lower_tail(self, v, u):
+        self.assert_inverts_smaller_tail(make_params(v), u)
+
+    @pytest.mark.parametrize("v", V_GRID)
+    def test_smallest_subnormal(self, v):
+        x = quantile(make_params(v), 5e-324)
+        assert math.isfinite(x) and x < 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             quantile(make_params(1.0), 0.0)

@@ -267,6 +267,14 @@ class TestRunSweep:
         assert rows[:len(alone)] == alone and all(row.error == "" for row in alone)
         assert all("belongs to case 't1_iii'" in row.error for row in rows[len(alone):])
 
+    def test_log_n_t1_i_rows_are_errors(self):
+        # the t1_i rate is the O(1/n) term that the Poisson limit drops
+        rows = run_sweep(t1i_config(n_ladder=(), log_n_ladder=(13.8, 27.6)))
+        assert len(rows) == 20
+        for row in rows:
+            assert "t1_i needs an exact n" in row.error
+            assert math.isnan(row.err) and math.isnan(row.scaled_err2)
+
     @pytest.mark.parametrize("ladder", [{"log_n_ladder": (50.0,)},
                                         {"n_ladder": (10**6,)}])
     def test_rows_far_left_hold_numbers(self, ladder):
@@ -384,7 +392,8 @@ class TestGoldenBytes:
     EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                    n_ladder=(8, 100, 1000), x_min=-3.0, x_max=1.5, x_step=1.5,
                    mc_reps=200, seed=4)
-    # log n = 750 makes n = inf ("inf" in CSV, null in JSON) and t1_i errors
+    # log n = 750 makes n = inf ("inf" in CSV, null in JSON); t1_i rows are
+    # errors, as log-n mode drops their O(1/n) rate
     LOG_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                  log_n_ladder=(10.0, 100.0, 750.0), x_min=-1.0, x_max=2.0,
                  x_step=1.5)
@@ -406,9 +415,9 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("grid,fmt,digest", [
         ("EXACT_N", "csv", "13c5f3ccba0cbec4b2b8342470ed166b9aa8736ff479fef215b377a574f81efa"),
         ("EXACT_N", "json", "19e897795e3bb6bc6c43d037f4d31596101479e8e281377f93ad49418740c0ed"),
-        ("LOG_N", "csv", "e5a2cc3d908d3ff5806166a70cef9254bd4e1a423e99a108ef2a1acc69f19dcc"),
-        ("LOG_N", "json", "d22174dfc9038de2cb1ed6e879426aa13cb9db7cd029006d33cb7ed4806b5625"),
-        ("SWEEP_LOGN", "json", "59dd2689228ec558974012ce4a0a12c76a2b6ce24c70dd7443b12070e3b4e179"),
+        ("LOG_N", "csv", "08ce6c1b183799dc25a1f66d8dd881a62928b1c0224d731cce109f447440d802"),
+        ("LOG_N", "json", "dd70c7836d997be0b0b0f17457d7b24e8213f1425fb6a743bdf624065db1477d"),
+        ("SWEEP_LOGN", "json", "49d169b71522444f9d81bbec0ed2c20d00c23a90f685671857f885b4b331e56f"),
         ("SWEEP_EXACTN", "csv", "9ac1afb3977a754498ffc7b78e9f467aba6d43b1a742c32fb412eb3203854078"),
     ])
     def test_sweep_digest(self, tmp_path, grid, fmt, digest):
@@ -428,6 +437,11 @@ class TestCli:
         assert main(["dist", "--v", "1", "--what", "quantile", "--u", "0.9"]) == 0
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(-math.log(0.2) / math.sqrt(2.0), rel=1e-10)
+
+    def test_dist_quantile_deep_lower_tail(self, capsys):
+        assert main(["dist", "--v", "2", "--what", "quantile", "--u", "1e-300"]) == 0
+        # the standard normal quantile, scipy.special.ndtri(1e-300)
+        assert float(capsys.readouterr().out) == pytest.approx(-37.0470962993612, rel=1e-13)
 
     def test_dist_missing_arg_is_config_error(self, capsys):
         assert main(["dist", "--v", "1", "--what", "quantile"]) == 2
@@ -486,6 +500,10 @@ class TestCli:
          "x must be finite"),
         ("dist --v 1000 --what cdf --x 0.5", "v must be in (0, 20]"),
         ("expand --v 2 --p 1 --r 172 --x 0 --theorem 2 --ln-n 10", "r <= 171"),
+        ("solve-bn --v 0.01 --ln-n 1e6", "b_n overflows a double for v=0.01"),
+        ("norming --family hall --v 0.5 --p 1 --ln-n 1e300",
+         "b_n overflows a double for v=0.5"),
+        ("solve-bn --v 2 --ln-n 1e308", "b_n overflows a double for v=2.0"),
     ])
     def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == 2
@@ -604,6 +622,7 @@ class TestCli:
         ("--ln-n nan", "must be finite"),
         ("--ln-n 10,inf", "must be finite"),
         ("--n 100 --x-max 1e300 --x-step 1e-300", "x grid has more than"),
+        ("--ln-n 10 --mc-reps 100", "needs an exact n ladder"),
     ])
     def test_verify_malformed_config_is_config_error(self, tmp_path, capsys,
                                                      cfg, message):
@@ -620,7 +639,8 @@ class TestCli:
 
     @pytest.mark.parametrize("mode,key", [
         (mode, key) for mode in ("n", "ln_n") for key in _VERIFY_KEYS
-        if key not in ("n", "ln_n") or key == mode
+        if (key not in ("n", "ln_n") or key == mode)
+        and (mode, key) != ("ln_n", "mc_reps")  # Monte Carlo needs an exact n
     ])
     def test_config_key_matches_its_flag(self, tmp_path, mode, key):
         # every value differs from SweepConfig's default; the whole numbers
@@ -628,7 +648,9 @@ class TestCli:
         values = {"v": [0.5, 2], "p": [1.0, 2.0], "r": [1, 3],
                   mode: [1000, 100000] if mode == "n" else [10.0, 20.5],
                   "x_min": -0.5, "x_max": 2, "x_step": 0.5, "theorem": "2",
-                  "out": "rows.json", "format": "json", "seed": 7, "mc_reps": 20}
+                  "out": "rows.json", "format": "json", "seed": 7}
+        if mode == "n":
+            values["mc_reps"] = 20
 
         def flags(items):
             return [f"--{k.replace('_', '-')}=" + (",".join(map(str, v))
