@@ -9,6 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc
 
 from gedpower.expansions import (
     NormedCase,
@@ -285,7 +286,15 @@ def test_criterion_8b_brute_force_binomial():
 
 
 def test_criterion_8c_monte_carlo_grid():
-    """99% of the standard grid within 3 binomial standard errors."""
+    """99% of the standard grid within the two-sided 3-sigma binomial level.
+
+    A cell misses when its count k of 5000 is as far out as
+    min(P(K <= k), P(K >= k)) < Phi(-3) = 0.00135 under K ~
+    Binomial(5000, exact).  The tails are exact, so a zero count at a
+    small exact value scores its true probability, not a floored
+    standard error.
+    """
+    reps = 5000
     points, jobs = [], []
     for vi, v in enumerate((0.5, 1.0, 2.0)):
         params = make_params(v)
@@ -296,15 +305,16 @@ def test_criterion_8c_monte_carlo_grid():
                     t = quantile(params, 1.0 - min(0.45, r / (w * n)))
                     points.append((r, t, exact_powered_cdf(params, spec, t)))
                     seed = 1000 * vi + 100 * ni + 10 * r + wi
-                    jobs.append((params, n, r, 5000, seed))
+                    jobs.append((params, n, r, reps, seed))
     misses = 0
     total = len(jobs)
     for (r, t, exact), table in zip(points, mc_tables(jobs)):
-        est, se = mc_score(table, r, 1.0, t)
-        se = max(se, math.sqrt(0.25 / 5000) * 1e-3)
-        if abs(est - exact) > 3.0 * se:
+        k = round(mc_score(table, r, 1.0, t)[0] * reps)
+        lower = bdtr(k, reps, exact)  # P(K <= k)
+        upper = bdtrc(k - 1, reps, exact) if k > 0 else 1.0  # P(K >= k)
+        if min(lower, upper) < 0.00135:
             misses += 1
-    report("criterion 8c (Monte Carlo 3-sigma agreement on standard grid)",
+    report("criterion 8c (Monte Carlo 3-sigma binomial tails on standard grid)",
            misses <= math.floor(0.01 * total), f"{misses}/{total} misses")
 
 
