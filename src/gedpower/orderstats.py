@@ -33,7 +33,7 @@ __all__ = [
 
 _MC_DEFAULT_BUDGET = 200_000_000
 _MC_CHUNK_DRAWS = 1 << 22
-_MC_BLOCK_DRAWS = 1 << 16  # 512 KB of gamma draws: a block stays in cache
+_MC_BLOCK_DRAWS = 1 << 16  # 512 KB of draws: a block stays in cache
 
 
 class BudgetError(RuntimeError):
@@ -232,13 +232,34 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     return 2.0 * math.exp(log_le_cam) + two_sided
 
 
+def _magnitude_draws(v: float, rng: "np.random.Generator",
+                     shape: tuple[int, int]) -> np.ndarray:
+    """I.i.d. draws that grow with |X| under GED(v), from the cheapest exact
+    generator of their law.
+
+    GED(2) is N(0, 1), so at v = 2 they are |Z| = |X| / lambda.  Elsewhere
+    they are Y ~ Gamma(1/v) with |X| = lambda (2 Y)^(1/v); at v = 1/2,
+    Gamma(2) is E1 + E2, the two halves of a row of standard exponentials,
+    so a block of rows draws what the same rows of one larger draw would.
+    """
+    if v == 2.0:
+        z = rng.standard_normal(shape)
+        return np.abs(z, out=z)
+    if v == 0.5:
+        rows, width = shape
+        e = rng.standard_exponential((rows, 2 * width))
+        y = e[:, :width]
+        return np.add(y, e[:, width:], out=y)
+    return rng.standard_gamma(1.0 / v, shape)
+
+
 def _top_table(params: GedParams, n: int, r_max: int, reps: int,
                seed: int) -> np.ndarray:
     """One table of :func:`mc_tables`, for a checked job.
 
-    A chunk draws its K column first; its positive gammas then come from
-    the same generator in blocks of about _MC_BLOCK_DRAWS, which is the
-    call sequence of one chunk-sized draw, so the values are the same.
+    A chunk draws its K column first; its positive magnitudes then come
+    from the same generator in blocks of about _MC_BLOCK_DRAWS, which is
+    the call sequence of one chunk-sized draw, so the values are the same.
     """
     per_chunk = max(1, _MC_CHUNK_DRAWS // n)
     top = np.empty((reps, r_max))
@@ -251,19 +272,22 @@ def _top_table(params: GedParams, n: int, r_max: int, reps: int,
         mags = top[start:start + size]
         block = max(1, _MC_BLOCK_DRAWS // width)
         for b in range(0, size, block):
-            ys = rng.standard_gamma(1.0 / params.v, size=(min(block, size - b), width))
-            # entries past a row's K positives sort below every Y >= 0
+            ys = _magnitude_draws(params.v, rng, (min(block, size - b), width))
+            # entries past a row's K positives sort below every draw >= 0
             np.copyto(ys, -1.0, where=cols >= k[b:b + block])
             ys.partition(width - r_max, axis=1)
             mags[b:b + block] = np.sort(ys[:, width - r_max:], axis=1)[:, ::-1]
         # rows with K < r_max: the smallest negative magnitudes, ascending
         negative = np.arange(r_max) >= k
         short_k = k[negative[:, -1]]
-        neg = rng.standard_gamma(1.0 / params.v, size=(short_k.size, n))
+        neg = _magnitude_draws(params.v, rng, (short_k.size, n))
         np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
         neg.sort(axis=1)
         mags[negative] = neg[np.arange(n) < r_max - short_k]
-        _abs_from_gamma(params, mags)
+        if params.v == 2.0:
+            mags *= params.lam
+        else:
+            _abs_from_gamma(params, mags)
         np.negative(mags, out=mags, where=negative)
     return top
 
@@ -277,9 +301,11 @@ def mc_tables(jobs: list) -> list[np.ndarray | None]:
     M_{n,r}.  A variate is +-|X| with a fair sign, so a row draws its count
     of positives K ~ Binomial(n, 1/2), then only what can reach its top: K
     positive magnitudes and, if K < r_max, n - K negative ones.  Selection
-    runs on the raw Y ~ Gamma(1/v, 1), as |X| = lambda (2 Y)^(1/v) grows
-    with Y, and only the selected values are transformed.  Each chunk of
-    about 2^22 / n rows has its own generator seeded by (seed, chunk index).
+    runs on raw draws that grow with |X|, and only the selected values are
+    transformed: |Z| from normals at v = 2, Y ~ Gamma(1/v, 1) elsewhere,
+    with Gamma(2) drawn as the sum of two exponentials at v = 1/2.  Each
+    chunk of about 2^22 / n rows has its own generator seeded by (seed,
+    chunk index).
 
     Every job is checked before any is drawn.  The tables come from one
     worker thread per available core (a one-worker pool for one job),
@@ -301,7 +327,7 @@ def mc_tables(jobs: list) -> list[np.ndarray | None]:
     else:
         cores = os.cpu_count() or 1
     # largest n * reps first; among equals the larger v, since Gamma(1/v)
-    # draws take numpy's slowest path at 1/v < 1
+    # draws take numpy's slowest path at 1/v < 1 (v = 2 draws normals)
     live.sort(key=lambda i: (jobs[i][1] * jobs[i][3], jobs[i][0].v), reverse=True)
     with ThreadPoolExecutor(max(1, min(len(live), cores))) as pool:
         futures = {i: pool.submit(_top_table, *jobs[i]) for i in live}

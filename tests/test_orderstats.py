@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -352,11 +353,11 @@ class TestMonteCarlo:
         assert mc_tables([(params, 10**6, 3, 10**6, 0)]) == [None]
 
     # (v, n, r, p, y, reps, seed) -> (est, se), computed when each row drew
-    # only its positive magnitudes; the last case spans two chunks
+    # only its positive magnitudes, and at v = 1/2 and v = 2 re-pinned when
+    # those shapes got their own generators; the last case spans two chunks
     @pytest.mark.parametrize("case,expected", [
-        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.496, 0.011179982110898032)),
-        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17),
-         (0.8626666666666667, 0.008887177613051621)),
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.512, 0.011177119485806708)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.84, 0.009465727652959386)),
         ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.55, 0.06422616289332565)),
     ])
     def test_pinned_estimates(self, case, expected):
@@ -390,20 +391,32 @@ class TestMonteCarlo:
     def _white_box_table(params, n, r_max, reps, seed):
         """Rebuild a one-chunk table from the generator calls it makes.
 
-        K ~ Binomial(n, 1/2) per row; then one gamma block whose row i
+        K ~ Binomial(n, 1/2) per row; then one block of draws whose row i
         starts with its K_i positive magnitudes; then, for the rows with
         K_i < r_max in order, one block of width n whose row starts with
-        the n - K_i negative magnitudes.  Each signed sample is sorted in
-        full, so the reference makes no selection of its own.
+        the n - K_i negative magnitudes.  A draw is |Z| at v = 2, the sum
+        of a row's two halves of exponentials at v = 1/2, and Gamma(1/v)
+        elsewhere.  Each signed sample is sorted in full, so the reference
+        makes no selection of its own.
         """
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        k = rng.binomial(n, 0.5, reps)
-        pos = rng.standard_gamma(1.0 / params.v, size=(reps, max(k.max(), r_max)))
-        short = np.flatnonzero(k < r_max)
-        neg = rng.standard_gamma(1.0 / params.v, size=(short.size, n))
+        v, lam = params.v, params.lam
+
+        def draws(rows, width):
+            if v == 2.0:
+                return np.abs(rng.standard_normal((rows, width)))
+            if v == 0.5:
+                e = rng.standard_exponential((rows, 2 * width))
+                return e[:, :width] + e[:, width:]
+            return rng.standard_gamma(1.0 / v, size=(rows, width))
 
         def mag(y):
-            return params.lam * (2.0 * y) ** (1.0 / params.v)
+            return lam * y if v == 2.0 else lam * (2.0 * y) ** (1.0 / v)
+
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        k = rng.binomial(n, 0.5, reps)
+        pos = draws(reps, max(k.max(), r_max))
+        short = np.flatnonzero(k < r_max)
+        neg = draws(short.size, n)
 
         rows = []
         for i in range(reps):
@@ -414,10 +427,11 @@ class TestMonteCarlo:
             rows.append(np.sort(sample)[::-1][:r_max])
         return np.array(rows)
 
-    def test_row_blocks_match_one_draw_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
+    def test_row_blocks_match_one_draw_per_chunk(self, monkeypatch, v):
         # an n = 1000 block holds about 120 rows, an n = 40 block 1638, so
         # these tables take several blocks and the last one is short
-        params = make_params(2.0)
+        params = make_params(v)
         for n, r_max, reps in ((1000, 3, 300), (40, 40, 5000)):
             top = _table(params, n, r_max, reps, seed=11)
             assert np.array_equal(top, self._white_box_table(params, n, r_max, reps, 11))
@@ -457,9 +471,10 @@ class TestMonteCarlo:
             mc_tables([fits, (params, 10, 1, 0, 2)])
         assert drawn == [(100, 50)]
 
-    def test_table_width_can_be_n(self):
+    @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
+    def test_table_width_can_be_n(self, v):
         # the table equals a full sort of the same draws at widths 1, 3, n
-        params, seed = make_params(2.0), 1
+        params, seed = make_params(v), 1
         for n, widths, reps in ((1000, (1, 3, 1000), 7), (3, (1, 2, 3), 64)):
             for r_max in widths:
                 top = _table(params, n, r_max, reps, seed)
@@ -467,6 +482,36 @@ class TestMonteCarlo:
                 assert np.array_equal(top, expected)
             with pytest.raises(ValueError):
                 _table(params, n, n + 1, reps, seed)
+
+    # sha256 of tables drawn before v = 1/2 and v = 2 got their own
+    # generators; every other shape still draws Gamma(1/v) as it did
+    @pytest.mark.parametrize("job,digest", [
+        ((1.0, 1000, 3, 300, 11),
+         "405a56aab8ec2ba960af3b38fa87281aa5f229a398216b6521b947decea830eb"),
+        ((1.0, 3, 3, 64, 1),
+         "661e0ffbdd0fa05f2624f34710df53ae73a2981716bd93b92dd8a4878f19bc38"),
+        ((4.0, 1000, 3, 300, 11),
+         "5556fe22dabbfd1911e6bd8b4c6420a77024c5824f1f799283d87186568d54cb"),
+        ((4.0, 3, 3, 64, 1),
+         "900499ce72e47f499440b491fecb3b05dfe8fea5e6eb3e40c0f2c482d9c264d0"),
+    ])
+    def test_gamma_tables_are_unchanged(self, job, digest):
+        v, n, r_max, reps, seed = job
+        top = _table(make_params(v), n, r_max, reps, seed)
+        assert hashlib.sha256(top.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v", (0.5, 2.0))
+    def test_own_generator_law_three_sigma(self, v):
+        # thresholds where P(|M_{1000,r}| <= t) spans about 0.06 to 0.96
+        params, n, reps = make_params(v), 1000, 20000
+        top = _table(params, n, 3, reps, seed=77)
+        for r in (1, 2, 3):
+            spec = OrderStatSpec(n=n, r=r, p=1.0)
+            for w in (0.5, 1.0, 2.0, 4.0):
+                t = quantile(params, 1.0 - r / (w * n))
+                exact = exact_powered_cdf(params, spec, t)
+                est, _ = mc_score(top, r, 1.0, t)
+                assert abs(est - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / reps)
 
     @pytest.mark.parametrize("v", (0.5, 2.0))
     @pytest.mark.parametrize("n", (2, 3, 5))
