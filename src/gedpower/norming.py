@@ -83,6 +83,16 @@ def gumbel_constants(params: GedParams, n: int | float | None = None, *,
     return LinearNorming(scale=scale, shift=shift, log_n=ln)
 
 
+def _finite_norming(family: str, v: float, p: float, scale: float, shift: float,
+                    log_n: float) -> LinearNorming:
+    """The pair as a LinearNorming; a ValueError naming v, p and log n where
+    either value overflowed a double."""
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        raise ValueError(f"{family} norming overflows a double for v={v}, p={p}, "
+                         f"log_n={log_n}")
+    return LinearNorming(scale=scale, shift=shift, log_n=log_n)
+
+
 def power_constants(params: GedParams, p: float, n: int | float | None = None, *,
                     log_n: float | None = None) -> LinearNorming:
     """Powered transform of the Gumbel pair: (p a b^(p-1), b^p)."""
@@ -94,11 +104,12 @@ def power_constants(params: GedParams, p: float, n: int | float | None = None, *
             f"gumbel shift {base.shift} is not positive at log_n={base.log_n}; "
             "n too small for the powered transform"
         )
-    return LinearNorming(
-        scale=p * base.scale * base.shift ** (p - 1.0),
-        shift=base.shift ** p,
-        log_n=base.log_n,
-    )
+    try:
+        scale = p * base.scale * base.shift ** (p - 1.0)
+        shift = base.shift ** p
+    except OverflowError:
+        scale = shift = math.inf
+    return _finite_norming("power", params.v, p, scale, shift, base.log_n)
 
 
 def solve_bn(params: GedParams, n: int | float | None = None, *,
@@ -117,7 +128,12 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
     two_lam_v = 2.0 * lam**v
 
     def f(b: float) -> float:
-        return head + (v - 1.0) * math.log(b) + b**v / two_lam_v - ln
+        try:
+            b_v = b**v
+        except OverflowError:
+            raise ValueError(f"the b_n bracket overflows a double at b={b:g} "
+                             f"for v={v}, log_n={ln}") from None
+        return head + (v - 1.0) * math.log(b) + b_v / two_lam_v - ln
 
     def fprime(b: float) -> float:
         return (v - 1.0) / b + v * b ** (v - 1.0) / two_lam_v
@@ -192,11 +208,12 @@ def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,
     sol = solve_bn(params, n, log_n=log_n)
     v, lam = params.v, params.lam
     b = sol.b_n
-    return LinearNorming(
-        scale=2.0 * p / v * lam**v * b ** (p - v),
-        shift=b**p,
-        log_n=sol.log_n,
-    )
+    try:
+        scale = 2.0 * p / v * lam**v * b ** (p - v)
+        shift = b**p
+    except OverflowError:
+        scale = shift = math.inf
+    return _finite_norming("hall", v, p, scale, shift, sol.log_n)
 
 
 def optimal_constants(params: GedParams, n: int | float | None = None, *,

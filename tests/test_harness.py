@@ -504,6 +504,14 @@ class TestCli:
         ("norming --family hall --v 0.5 --p 1 --ln-n 1e300",
          "b_n overflows a double for v=0.5"),
         ("solve-bn --v 2 --ln-n 1e308", "b_n overflows a double for v=2.0"),
+        ("solve-bn --v 2 --ln-n 5e307",
+         "b_n bracket overflows a double at b=2e+154 for v=2.0, log_n=5e+307"),
+        ("solve-bn --v 20 --ln-n 1e300",
+         "b_n bracket overflows a double at b=3.53842e+15 for v=20.0, log_n=1e+300"),
+        ("norming --family hall --v 2 --p 10 --ln-n 1e100",
+         "hall norming overflows a double for v=2.0, p=10.0, log_n=1e+100"),
+        ("norming --family power --v 2 --p 10 --ln-n 1e100",
+         "power norming overflows a double for v=2.0, p=10.0, log_n=1e+100"),
     ])
     def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == 2
