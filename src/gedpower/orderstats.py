@@ -239,17 +239,16 @@ def _magnitude_draws(v: float, rng: "np.random.Generator",
 
     GED(2) is N(0, 1), so at v = 2 they are |Z| = |X| / lambda.  Elsewhere
     they are Y ~ Gamma(1/v) with |X| = lambda (2 Y)^(1/v); at v = 1/2,
-    Gamma(2) is E1 + E2, the two halves of a row of standard exponentials,
-    so a block of rows draws what the same rows of one larger draw would.
+    Gamma(2) is E1 + E2, the two halves of a row of 2 * width standard
+    exponentials, so a block of rows draws what the same rows of one
+    larger draw would.
     """
     if v == 2.0:
         z = rng.standard_normal(shape)
         return np.abs(z, out=z)
     if v == 0.5:
         rows, width = shape
-        e = rng.standard_exponential((rows, 2 * width))
-        y = e[:, :width]
-        return np.add(y, e[:, width:], out=y)
+        return rng.standard_exponential((rows, 2, width)).sum(axis=1)
     return rng.standard_gamma(1.0 / v, shape)
 
 
@@ -270,7 +269,8 @@ def _top_table(params: GedParams, n: int, r_max: int, reps: int,
         width = max(k.max(), r_max)
         cols = np.arange(width)
         mags = top[start:start + size]
-        block = max(1, _MC_BLOCK_DRAWS // width)
+        # a v = 1/2 value takes two exponentials, so its blocks are half as tall
+        block = max(1, _MC_BLOCK_DRAWS // (width * (2 if params.v == 0.5 else 1)))
         for b in range(0, size, block):
             ys = _magnitude_draws(params.v, rng, (min(block, size - b), width))
             # entries past a row's K positives sort below every draw >= 0
