@@ -1,12 +1,10 @@
 """The general error distribution GED(v): density, distribution, tails,
-quantiles, sampling, and the closed-form tail expansions used by the
-higher-order limit theory."""
+quantiles, and the closed-form tail expansions used by the higher-order
+limit theory."""
 
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .specfun import (
     inv_reg_gamma_upper,
@@ -24,7 +22,6 @@ __all__ = [
     "survival",
     "log_survival",
     "quantile",
-    "sample_stream",
     "tail_expansion_coefficients",
     "tail_survival_expansion",
 ]
@@ -108,30 +105,6 @@ def quantile(params: GedParams, u: float) -> float:
     # survival(|x|) = t = min(u, 1 - u)  =>  Q(1/v, (|x|/lam)^v / 2) = 2 t
     y = inv_reg_gamma_upper(1.0 / params.v, 2.0 * min(u, 1.0 - u))
     return math.copysign(params.lam * (2.0 * y) ** (1.0 / params.v), u - 0.5)
-
-
-def _abs_from_gamma(params: GedParams, y: np.ndarray) -> None:
-    """Map Y ~ Gamma(1/v, 1) to |X| = lambda (2 Y)^(1/v), in place."""
-    y *= 2.0
-    y **= 1.0 / params.v
-    y *= params.lam
-
-
-# the seed annotation is a string: evaluating np.random at definition time
-# would import numpy.random with the package, about 6 MB of resident memory
-def sample_stream(params: GedParams, count: int,
-                  seed: "int | np.random.SeedSequence") -> np.ndarray:
-    """Draw ``count`` i.i.d. GED(v) variates, |X| with a fair sign,
-    deterministic per (seed, count)."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    rng = np.random.default_rng(seed)
-    y = rng.standard_gamma(1.0 / params.v, size=count)
-    signs = rng.integers(0, 2, size=count) * 2.0  # the signs follow all the gammas
-    signs -= 1.0
-    _abs_from_gamma(params, y)
-    y *= signs  # multiplying by +-1.0 is exact
-    return y
 
 
 def tail_expansion_coefficients(params: GedParams, order: int) -> tuple[float, ...]:

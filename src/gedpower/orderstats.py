@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansions import _X_MIN, _rank_weights, gumbel_r
-from .ged import GedParams, _abs_from_gamma, log_survival, survival
+from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
 
 __all__ = [
@@ -252,6 +252,15 @@ def _magnitude_draws(v: float, rng: "np.random.Generator",
     return rng.standard_gamma(1.0 / v, shape)
 
 
+def _abs_from_draws(params: GedParams, draws: np.ndarray) -> None:
+    """Map draws of :func:`_magnitude_draws` to |X|, in place: lambda |Z| at
+    v = 2, lambda (2 Y)^(1/v) elsewhere."""
+    if params.v != 2.0:
+        draws *= 2.0
+        draws **= 1.0 / params.v
+    draws *= params.lam
+
+
 def _top_table(params: GedParams, n: int, r_max: int, reps: int,
                seed: int) -> np.ndarray:
     """One table of :func:`mc_tables`, for a checked job.
@@ -284,10 +293,7 @@ def _top_table(params: GedParams, n: int, r_max: int, reps: int,
         np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
         neg.sort(axis=1)
         mags[negative] = neg[np.arange(n) < r_max - short_k]
-        if params.v == 2.0:
-            mags *= params.lam
-        else:
-            _abs_from_gamma(params, mags)
+        _abs_from_draws(params, mags)
         np.negative(mags, out=mags, where=negative)
     return top
 

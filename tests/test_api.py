@@ -1,6 +1,7 @@
 """The package's export list, its import cost, and the demos and README
 examples that use it."""
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -50,6 +51,7 @@ def test_all_is_the_union_of_the_submodules():
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
     "rows_from_json", "normed_threshold", "mc_top_order_stats", "theta_deficit",
+    "sample_stream",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
@@ -85,6 +87,31 @@ def test_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.strip() == "True True", proc.stderr
+
+
+def _load_time_imports(tree: ast.Module):
+    """The modules a source file imports when it is loaded, that is outside
+    any function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_monte_carlo_modules_import_numpy():
+    # the scalar modules stay free of numpy, so their callers never load it
+    package = Path(gedpower.__file__).resolve().parent
+    users = {path.stem for path in package.glob("*.py")
+             if any(name.split(".")[0] == "numpy"
+                    for name in _load_time_imports(ast.parse(path.read_text())))}
+    assert "orderstats" in users  # the sampler's import is seen
+    assert users <= {"orderstats", "harness"}
 
 
 def test_demos_found():

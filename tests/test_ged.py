@@ -13,7 +13,6 @@ from gedpower.ged import (
     make_params,
     pdf,
     quantile,
-    sample_stream,
     survival,
     tail_expansion_coefficients,
     tail_survival_expansion,
@@ -224,47 +223,6 @@ class TestQuantile:
             quantile(make_params(1.0), 0.0)
         with pytest.raises(ValueError):
             quantile(make_params(1.0), 1.2)
-
-
-class TestSampling:
-    def test_empty(self):
-        assert sample_stream(make_params(1.0), 0, seed=1).size == 0
-
-    def test_deterministic(self):
-        params = make_params(0.7)
-        a = sample_stream(params, 1000, seed=42)
-        b = sample_stream(params, 1000, seed=42)
-        assert np.array_equal(a, b)
-        c = sample_stream(params, 1000, seed=43)
-        assert not np.array_equal(a, c)
-
-    def test_normal_moments(self):
-        xs = sample_stream(make_params(2.0), 10**6, seed=7)
-        assert abs(xs.mean()) < 4e-3
-        assert xs.var() == pytest.approx(1.0, rel=1e-2)
-
-    @pytest.mark.parametrize("v", (0.5, 4.0))
-    def test_unit_variance_any_shape(self, v):
-        xs = sample_stream(make_params(v), 10**6, seed=11)
-        assert xs.var() == pytest.approx(1.0, rel=2e-2)
-
-    @pytest.mark.parametrize("v", (0.3, 0.5, 1.0, 1.5, 2.0, 4.0))
-    def test_blocked_signs_match_one_call_draw(self, v):
-        # the stream is all the gammas, then one integers() call for the signs
-        params = make_params(v)
-        count = 3 * 2**15 + 5
-        rng = np.random.default_rng(17)
-        y = rng.standard_gamma(1.0 / v, size=count)
-        signs = rng.integers(0, 2, size=count) * 2 - 1
-        expected = signs * params.lam * (2.0 * y) ** (1.0 / v)
-        assert sample_stream(params, count, seed=17).tobytes() == expected.tobytes()
-
-    def test_laplace_tail_frequency(self):
-        n = 10**6
-        xs = sample_stream(make_params(1.0), n, seed=3)
-        p_true = 0.5 * math.exp(-math.sqrt(2.0))
-        se = math.sqrt(p_true * (1.0 - p_true) / n)
-        assert abs((xs > 1.0).mean() - p_true) < 3.0 * se
 
 
 class TestTailExpansion:

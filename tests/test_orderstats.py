@@ -323,6 +323,23 @@ class TestMonteCarlo:
         a = mc_powered_cdf(params, spec, 2.0, reps=2000, seed=9)
         b = mc_powered_cdf(params, spec, 2.0, reps=2000, seed=9)
         assert a == b
+        assert not np.array_equal(_table(params, 50, 2, 2000, 9),
+                                  _table(params, 50, 2, 2000, 10))
+
+    # one replication of a width-n table is a whole sorted sample
+    @pytest.mark.parametrize("v,var_rel", [(0.5, 2e-2), (1.0, 2e-2), (2.0, 1e-2),
+                                           (4.0, 2e-2)])
+    def test_full_sample_moments(self, v, var_rel):
+        [xs] = _table(make_params(v), 10**6, 10**6, 1, seed=11)
+        assert abs(xs.mean()) < 4e-3
+        assert xs.var() == pytest.approx(1.0, rel=var_rel)
+
+    def test_full_sample_laplace_tail_frequency(self):
+        n = 10**6
+        [xs] = _table(make_params(1.0), n, n, 1, seed=3)
+        p_true = 0.5 * math.exp(-math.sqrt(2.0))
+        se = math.sqrt(p_true * (1.0 - p_true) / n)
+        assert abs((xs > 1.0).mean() - p_true) < 3.0 * se
 
     def test_median_point_three_sigma(self):
         # pick y with exact probability 1/2 by bisection, then simulate
