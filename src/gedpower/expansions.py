@@ -215,14 +215,30 @@ def _check_v_not_one(v: float, name: str) -> None:
         raise ValueError(f"{name} degenerates at v = 1")
 
 
-def correction_h(params: GedParams, p: float, x: float) -> float:
-    """First-order correction h_v(x) of the calibration-root case."""
+def _poly_h(params: GedParams, p: float, x: float) -> float:
+    """h_v(x) e^x."""
     v, vi = params.v, 1.0 / params.v
     lam_v = params.lam ** v
-    poly = (vi * (v - p) * lam_v * x * x
+    return (vi * (v - p) * lam_v * x * x
             - 2.0 * vi * (1.0 - v) * lam_v * x
             - 2.0 * (vi - 1.0) * lam_v)
-    return poly * math.exp(-x)
+
+
+def correction_h(params: GedParams, p: float, x: float) -> float:
+    """First-order correction h_v(x) of the calibration-root case."""
+    return _poly_h(params, p, x) * math.exp(-x)
+
+
+def _poly_q(params: GedParams, p: float, x: float) -> float:
+    """q_v(x) e^x."""
+    v, vi = params.v, 1.0 / params.v
+    _check_v_not_one(v, "correction_q")
+    lam2 = params.lam ** (2.0 * v)
+    return (-0.5 * lam2 * vi * vi * (v - p) ** 2 * x**4
+            + vi * vi * (v - p) * lam2 * (2.0 - 4.0 * v / 3.0 - 4.0 * p / 3.0) * x**3
+            - 2.0 * vi * vi * (1.0 - v) * lam2 * x * x
+            - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2 * x
+            - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2)
 
 
 def correction_q(params: GedParams, p: float, x: float) -> float:
@@ -233,15 +249,7 @@ def correction_q(params: GedParams, p: float, x: float) -> float:
     deficit select over eq22's -4(1/v-1)^2 lam^2v (see the README
     verification notes).
     """
-    v, vi = params.v, 1.0 / params.v
-    _check_v_not_one(v, "correction_q")
-    lam2 = params.lam ** (2.0 * v)
-    poly = (-0.5 * lam2 * vi * vi * (v - p) ** 2 * x**4
-            + vi * vi * (v - p) * lam2 * (2.0 - 4.0 * v / 3.0 - 4.0 * p / 3.0) * x**3
-            - 2.0 * vi * vi * (1.0 - v) * lam2 * x * x
-            - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2 * x
-            - 4.0 * (vi - 1.0) * (vi - 2.0) * lam2)
-    return poly * math.exp(-x)
+    return _poly_q(params, p, x) * math.exp(-x)
 
 
 def correction_s(params: GedParams, x: float) -> float:
@@ -286,18 +294,9 @@ class ExpansionEval:
     scale_second: float
 
 
-def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
-    """Leading term, correction terms, and the cell's scale factors at x."""
-    if not 1 <= r <= 171:
-        raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    s1, s2 = cell.scales
-    leading = gumbel_r(r, x)
-    params, tag, p = cell.params, cell.case.tag, cell.case.p
-    lam, fact = gumbel(x), math.factorial(r - 1)
-    if lam == 0.0:  # every term carries the factor Lambda(x); e^(-rx) may overflow
-        return ExpansionEval(leading, 0.0, 0.0, s1, s2)
+def _terms(params: GedParams, tag: str, p: float, r: int, x: float, lam: float,
+           fact: int) -> tuple[float, float]:
+    """The unscaled first- and second-order terms of :func:`expand`."""
     if tag == "t1_i":
         ex = math.exp(x)
         t1 = lam * math.exp(-(r + 1.0) * x) * ((r - 1.0) * ex - 1.0) / (2.0 * fact)
@@ -324,6 +323,57 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
         else:
             t1 = correction_s(params, x) * pref
             t2 = correction_b(params, x) * pref
+    return t1, t2
+
+
+# right of this x, a term's formula in _terms can overflow: t1_i's
+# second-order polynomial does from x = 346.6 at r = 171
+_X_FAR = 300.0
+
+
+def _far_right_terms(params: GedParams, tag: str, p: float, r: int,
+                     x: float) -> tuple[float, float]:
+    """The terms of :func:`expand` right of _X_FAR, where _terms overflows.
+
+    Each term is a polynomial in x times e^(-kx), and where _terms
+    overflows its value is below the smallest normal double, except in
+    t2_i at r = 1 before e^(-x) underflows: there t1 = h_v and
+    t2 = q_v + h_v^2/2, with e^(-x) = e^(-x/2) e^(-x/2) so that each
+    product rounds once into the subnormal range and e^x is never formed.
+    """
+    if tag != "t2_i" or r > 1 or math.exp(-x) == 0.0:
+        return 0.0, 0.0
+    half = math.exp(-0.5 * x)
+    h = _poly_h(params, p, x) * half * half
+    return h, _poly_q(params, p, x) * half * half + h * h / 2.0
+
+
+def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
+    """Leading term, correction terms, and the cell's scale factors at x.
+
+    Every finite x gives finite terms.  Right of the mode, where a term's
+    formula overflows, the term is taken from :func:`_far_right_terms`.
+    """
+    if not 1 <= r <= 171:
+        raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    s1, s2 = cell.scales
+    leading = gumbel_r(r, x)
+    params, tag, p = cell.params, cell.case.tag, cell.case.p
+    lam, fact = gumbel(x), math.factorial(r - 1)
+    if lam == 0.0:  # every term carries the factor Lambda(x); e^(-rx) may overflow
+        return ExpansionEval(leading, 0.0, 0.0, s1, s2)
+    try:
+        t1, t2 = _terms(params, tag, p, r, x, lam, fact)
+    except OverflowError:  # e^x or a power of x left the double range
+        if not x > _X_FAR:
+            raise
+        t1 = t2 = math.nan
+    if x > _X_FAR and not (math.isfinite(t1) and math.isfinite(t2)):
+        far1, far2 = _far_right_terms(params, tag, p, r, x)
+        t1 = t1 if math.isfinite(t1) else far1
+        t2 = t2 if math.isfinite(t2) else far2
     return ExpansionEval(leading, t1 / s1, t2 / s2, s1, s2)
 
 

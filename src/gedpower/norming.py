@@ -43,7 +43,8 @@ class LinearNorming:
 class BnSolution:
     """Root of the tail-calibration equation together with its residual.
 
-    residual = LHS(b_n)/n - 1; the solver targets |residual| <= 1e-13.
+    residual = LHS(b_n)/n - 1, inf where that overflows a double; the solver
+    targets |log LHS(b_n) - log n| <= max(1e-13, 5e-15 log n).
     """
 
     b_n: float
@@ -76,19 +77,24 @@ def gumbel_constants(params: GedParams, n: int | float | None = None, *,
     ln = resolve_log_n(n, log_n, min_n=3)
     v, lam = params.v, params.lam
     pref = 2.0 ** (1.0 / v) * lam
-    scale = pref / (v * ln ** (1.0 - 1.0 / v))
-    shift = pref * ln ** (1.0 / v) - scale * (
-        (v - 1.0) / v * math.log(ln) + math.log(2.0) + log_gamma(1.0 / v)
-    )
-    return LinearNorming(scale=scale, shift=shift, log_n=ln)
+    try:
+        # for v < 1 at large log n, ln^(1-1/v) underflows or ln^(1/v) overflows
+        scale = pref / (v * ln ** (1.0 - 1.0 / v))
+        shift = pref * ln ** (1.0 / v) - scale * (
+            (v - 1.0) / v * math.log(ln) + math.log(2.0) + log_gamma(1.0 / v)
+        )
+    except (OverflowError, ZeroDivisionError):
+        scale = shift = math.inf
+    return _finite_norming("gumbel", v, None, scale, shift, ln)
 
 
-def _finite_norming(family: str, v: float, p: float, scale: float, shift: float,
-                    log_n: float) -> LinearNorming:
-    """The pair as a LinearNorming; a ValueError naming v, p and log n where
-    either value overflowed a double."""
+def _finite_norming(family: str, v: float, p: float | None, scale: float,
+                    shift: float, log_n: float) -> LinearNorming:
+    """The pair as a LinearNorming; a ValueError naming v, p (if the family
+    has one) and log n where either value overflowed a double."""
     if not (math.isfinite(scale) and math.isfinite(shift)):
-        raise ValueError(f"{family} norming overflows a double for v={v}, p={p}, "
+        p_part = "" if p is None else f"p={p}, "
+        raise ValueError(f"{family} norming overflows a double for v={v}, {p_part}"
                          f"log_n={log_n}")
     return LinearNorming(scale=scale, shift=shift, log_n=log_n)
 
@@ -197,7 +203,11 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
             f"calibration solve did not converge for v={v}, log_n={ln}; "
             f"iterates: {trace[-8:]}"
         )
-    return BnSolution(b_n=b, residual=math.expm1(f(b)), log_n=ln)
+    try:
+        residual = math.expm1(f(b))
+    except OverflowError:  # f(b) > 709.78, within the tolerance once log n > 1.4e17
+        residual = math.inf
+    return BnSolution(b_n=b, residual=residual, log_n=ln)
 
 
 def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,

@@ -614,3 +614,83 @@ class TestTransferConsistency:
                 transfer = lemma3_transfer(d, r, x)
                 bound = 5.0 * (abs(d) ** 3 + 1.0 / n)
                 assert abs(gap - transfer) <= bound
+
+
+def _mp_t1_i_terms(r: int, x: float) -> tuple[mp.mpf, mp.mpf]:
+    """t1_i's unscaled terms at 50 digits."""
+    x = mp.mpf(x)
+    lam, fact, ex = mp.exp(-mp.exp(-x)), mp.factorial(r - 1), mp.exp(x)
+    t1 = lam * mp.exp(-(r + 1) * x) * ((r - 1) * ex - 1) / (2 * fact)
+    poly = ((-3 * r**3 + 10 * r**2 - 9 * r + 2) * ex**2
+            + (9 * r**2 - 11 * r + 2) * ex + 3 / ex - 9 * r + 1)
+    return t1, lam * mp.exp(-(r + 2) * x) * poly / (24 * fact)
+
+
+def _mp_t2_i_terms(params, p: float, r: int, x: float) -> tuple[mp.mpf, mp.mpf]:
+    """t2_i's unscaled terms at 50 digits: (h pref, (q + (1 - (r-1) e^x) h^2/2) pref)
+    with pref = Lambda(x) e^(-(r-1)x) / (r-1)!."""
+    v, p, x = mp.mpf(params.v), mp.mpf(p), mp.mpf(x)
+    vi, lam_v = 1 / v, mp.mpf(params.lam) ** v
+    lam2 = lam_v**2
+    h = (vi * (v - p) * lam_v * x**2 - 2 * vi * (1 - v) * lam_v * x
+         - 2 * (vi - 1) * lam_v) * mp.exp(-x)
+    q = (-lam2 * vi**2 * (v - p) ** 2 * x**4 / 2
+         + vi**2 * (v - p) * lam2 * (2 - 4 * v / 3 - 4 * p / 3) * x**3
+         - 2 * vi**2 * (1 - v) * lam2 * x**2
+         - 4 * (vi - 1) * (vi - 2) * lam2 * x
+         - 4 * (vi - 1) * (vi - 2) * lam2) * mp.exp(-x)
+    pref = mp.exp(-mp.exp(-x) - (r - 1) * x) / mp.factorial(r - 1)
+    return h * pref, (q + (1 - (r - 1) * mp.exp(x)) * h**2 / 2) * pref
+
+
+class TestFarRightOfTheMode:
+    """expand where e^x, e^(2x) or a power of x leaves the double range."""
+
+    RANKS = (1, 2, 3, 20, 171)
+    XS = (340.0, 346.7, 354.9, 360.0, 700.0, 704.7, 709.7, 709.8, 720.0, 745.0,
+          745.2, 1e3)
+
+    @pytest.mark.parametrize("tag", sorted(TestBitsPinned.CASES))
+    def test_every_finite_x_gives_finite_terms(self, tag):
+        v, p, theorem = TestBitsPinned.CASES[tag]
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem), n=10**6)
+        for r in self.RANKS:
+            for x in (*self.XS, 1e78, 1e103, 1e160, sys.float_info.max):
+                ee = expand(cell, r, x)
+                assert math.isfinite(ee.first_order), (r, x)
+                assert math.isfinite(ee.second_order), (r, x)
+
+    @pytest.mark.parametrize("tag", ["t1_i", "t2_i"])
+    def test_a_zero_term_is_below_the_normal_range(self, tag):
+        # t1_i from x = 354.89, where e^(2x) overflows
+        v, p, theorem = TestBitsPinned.CASES[tag]
+        params = make_params(v)
+        cell = NormedCase(params, classify_case(v, p, theorem), n=10**6)
+        for r in self.RANKS:
+            for x in self.XS[2 if tag == "t1_i" else 0:]:
+                ee = expand(cell, r, x)
+                want = _mp_t1_i_terms(r, x) if tag == "t1_i" else _mp_t2_i_terms(params, p, r, x)
+                for got, term, scale in ((ee.first_order, want[0], ee.scale_first),
+                                         (ee.second_order, want[1], ee.scale_second)):
+                    if got == 0.0:
+                        assert abs(term / scale) < sys.float_info.min, (r, x)
+
+    @pytest.mark.parametrize("v,p", [(2.0, 1.0), (0.5, 2.0), (4.0, 1.0), (1.5, 0.5)])
+    def test_t2_i_window_matches_mpmath(self, v, p):
+        # at r = 1, e^x overflows from x = 709.78 and e^(-x) underflows past
+        # 745.13; in between a term rounds once into the subnormal range
+        params = make_params(v)
+        cell = NormedCase(params, classify_case(v, p, theorem=2), log_n=30.0)
+        normal = 0
+        for x in (709.79, 712.0, 716.0, 720.0, 725.0, 730.0, 735.0, 740.0, 745.0):
+            ee = expand(cell, 1, x)
+            t1, t2 = _mp_t2_i_terms(params, p, 1, x)
+            for got, term, scale in ((ee.first_order, t1, ee.scale_first),
+                                     (ee.second_order, t2, ee.scale_second)):
+                want = term / scale
+                if abs(want) >= sys.float_info.min:
+                    normal += 1
+                    assert abs(got - want) <= 2e-15 * abs(want), (x, got, want)
+                else:
+                    assert abs(got - want) <= 5e-324 * (1.0 + 1.0 / scale), (x, got, want)
+        assert normal >= 4

@@ -177,6 +177,20 @@ class TestRunSweep:
         assert "is not positive at x=-5.0" in first.error
         assert second.error == "ValueError: sample size must be >= 3; got 2"
 
+    def test_gumbel_overflow_is_noted_with_v_and_log_n(self):
+        cfg = SweepConfig(v_list=(0.1,), p_list=(1.0,), r_list=(1,),
+                          log_n_ladder=(1e40,), theorem="1")
+        [row] = run_sweep(cfg)
+        assert row.error == ("ValueError: gumbel norming overflows a double "
+                             "for v=0.1; log_n=1e+40")
+
+    def test_row_right_of_the_mode_has_no_nan(self):
+        # e^(2x) overflows in t1_i's second-order polynomial at x = 360
+        cfg = SweepConfig(v_list=(1.0,), p_list=(1.0,), r_list=(3,),
+                          n_ladder=(10**6,), x_min=360.0, x_max=360.0, theorem="1")
+        [row] = run_sweep(cfg)
+        assert row.error == "" and row.target1 == 0.0 and row.target2 == 0.0
+
     def test_rank_above_n_names_r_and_n(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert main(["verify", "--v", "2", "--p", "1", "--r", "5", "--n", "3",
@@ -512,6 +526,10 @@ class TestCli:
          "hall norming overflows a double for v=2.0, p=10.0, log_n=1e+100"),
         ("norming --family power --v 2 --p 10 --ln-n 1e100",
          "power norming overflows a double for v=2.0, p=10.0, log_n=1e+100"),
+        ("norming --family gumbel --v 0.1 --ln-n 1e40",
+         "gumbel norming overflows a double for v=0.1, log_n=1e+40"),
+        ("norming --family power --v 0.3 --p 2 --ln-n 1e100",
+         "gumbel norming overflows a double for v=0.3, log_n=1e+100"),
     ])
     def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == 2
@@ -527,6 +545,23 @@ class TestCli:
         assert main(["expand", "--v", "2", "--p", "1", "--r", "1", "--x", "-800",
                      "--theorem", "2", "--ln-n", "10"]) == 0
         assert capsys.readouterr().out.split()[:3] == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("argv,out", [
+        # log LHS/n may reach 5e-15 log n > 709.78, where LHS/n - 1 is inf
+        ("solve-bn --v 2 --ln-n 1e20", "14142135623.730955 inf"),
+        ("norming --family optimal --v 2 --p 2 --ln-n 1e300",
+         "2.0000000000000009 2.0000000000000013e+300"),
+    ])
+    def test_residual_past_the_double_range_is_inf(self, capsys, argv, out):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.strip() == out
+
+    @pytest.mark.parametrize("r,x", [(2, "710"), (1, "720"), (3, "1e100")])
+    def test_expand_far_right_is_finite(self, capsys, r, x):
+        assert main(["expand", "--v", "2", "--p", "1", "--r", str(r), "--x", x,
+                     "--theorem", "2", "--ln-n", "10"]) == 0
+        parts = list(map(float, capsys.readouterr().out.split()))
+        assert len(parts) == 5 and all(map(math.isfinite, parts))
 
     def test_expand_at_rank_171(self, capsys):
         assert main(["expand", "--v", "2", "--p", "1", "--r", "171", "--x", "0",
