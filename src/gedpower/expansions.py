@@ -351,8 +351,9 @@ def _far_right_terms(params: GedParams, tag: str, p: float, r: int,
 def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     """Leading term, correction terms, and the cell's scale factors at x.
 
-    Every finite x gives finite terms.  Right of the mode, where a term's
-    formula overflows, the term is taken from :func:`_far_right_terms`.
+    Right of _X_FAR, where a term's formula overflows, the term is taken
+    from :func:`_far_right_terms`, so every finite x there gives finite
+    terms.
     """
     if not 1 <= r <= 171:
         raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
