@@ -326,6 +326,14 @@ class TestMonteCarlo:
         assert not np.array_equal(_table(params, 50, 2, 2000, 9),
                                   _table(params, 50, 2, 2000, 10))
 
+    def test_full_sample_deterministic(self):
+        params = make_params(0.7)
+        [a] = _table(params, 1000, 1000, 1, seed=42)
+        [b] = _table(params, 1000, 1000, 1, seed=42)
+        assert np.array_equal(a, b)
+        [c] = _table(params, 1000, 1000, 1, seed=43)
+        assert not np.array_equal(a, c)
+
     # one replication of a width-n table is a whole sorted sample
     @pytest.mark.parametrize("v,var_rel", [(0.5, 2e-2), (1.0, 2e-2), (2.0, 1e-2),
                                            (4.0, 2e-2)])
