@@ -162,23 +162,31 @@ class NormedCase:
         (log n/(loglog n)^2, log n/loglog n) for t1_iii -- the second
         multiplier follows the statement literally, i.e. loglog n applied to
         the residual; (b^v, b^2v) for t2_i and (b^2v, b^3v) for t2_ii.
+        A scale that overflows a double is a ValueError naming the case,
+        v and log n.
         """
         ln = resolve_log_n(self.n, self.log_n, min_n=3)
-        tag = self.case.tag
-        if tag == "t1_i":
-            if ln > 700.0:
-                raise ValueError("t1_i scales need a representable n; log_n too large")
-            nn = float(self.n) if self.n is not None else math.exp(ln)
-            return nn, nn * nn
-        if tag == "t1_ii":
-            s1 = ln - math.log(2.0)
-            return s1, ln * s1
-        if tag == "t1_iii":
-            ll = math.log(ln)
-            s1 = ln / (ll * ll)
-            return s1, s1 * ll
-        bv = solve_bn(self.params, log_n=ln).b_n ** self.params.v
-        return (bv, bv * bv) if tag == "t2_i" else (bv * bv, bv**3)
+        tag, v = self.case.tag, self.params.v
+        b = solve_bn(self.params, log_n=ln).b_n if tag.startswith("t2") else 0.0
+        try:
+            if tag == "t1_i":
+                nn = float(self.n) if self.n is not None else math.exp(ln)
+                s1, s2 = nn, nn * nn
+            elif tag == "t1_ii":
+                s1 = ln - math.log(2.0)
+                s2 = ln * s1
+            elif tag == "t1_iii":
+                ll = math.log(ln)
+                s1 = ln / (ll * ll)
+                s2 = s1 * ll
+            else:
+                bv = b**v
+                s1, s2 = (bv, bv * bv) if tag == "t2_i" else (bv * bv, bv**3)
+        except OverflowError:  # e^(log n) or a power of b
+            s1 = s2 = math.inf
+        if not (math.isfinite(s1) and math.isfinite(s2)):
+            raise ValueError(f"{tag} scales overflow a double for v={v}, log_n={ln}")
+        return s1, s2
 
 
 def case_norming(params: GedParams, case: TheoremCase,
@@ -252,29 +260,35 @@ def correction_q(params: GedParams, p: float, x: float) -> float:
     return _poly_q(params, p, x) * math.exp(-x)
 
 
-def correction_s(params: GedParams, x: float) -> float:
-    """Second-order correction s_v(x) of the corrected (p = v) case."""
+def _poly_s(params: GedParams, x: float) -> float:
+    """s_v(x) e^x."""
     v, vi = params.v, 1.0 / params.v
     _check_v_not_one(v, "correction_s")
     lam2 = params.lam ** (2.0 * v)
-    poly = 2.0 * (vi - 1.0) * lam2 * (
-        x * x - 2.0 * (vi - 2.0) * x - (3.0 * vi - 5.0)
-    )
-    return poly * math.exp(-x)
+    return 2.0 * (vi - 1.0) * lam2 * (x * x - 2.0 * (vi - 2.0) * x - (3.0 * vi - 5.0))
 
 
-def correction_b(params: GedParams, x: float) -> float:
-    """Third-order correction b_v(x) of the corrected (p = v) case."""
+def correction_s(params: GedParams, x: float) -> float:
+    """Second-order correction s_v(x) of the corrected (p = v) case."""
+    return _poly_s(params, x) * math.exp(-x)
+
+
+def _poly_b(params: GedParams, x: float) -> float:
+    """b_v(x) e^x."""
     v, vi = params.v, 1.0 / params.v
     _check_v_not_one(v, "correction_b")
     lam3 = params.lam ** (3.0 * v)
-    poly = -4.0 / 3.0 * (vi - 1.0) * lam3 * (
+    return -4.0 / 3.0 * (vi - 1.0) * lam3 * (
         (4.0 - vi) * (vi - 1.0) * x**3
         - 6.0 * (vi - 2.0) * x * x
         - 6.0 * (3.0 * vi - 5.0) * x
         + (2.0 * vi * vi - 22.0 * vi + 32.0)
     )
-    return poly * math.exp(-x)
+
+
+def correction_b(params: GedParams, x: float) -> float:
+    """Third-order correction b_v(x) of the corrected (p = v) case."""
+    return _poly_b(params, x) * math.exp(-x)
 
 
 @dataclass(frozen=True)
@@ -294,66 +308,36 @@ class ExpansionEval:
     scale_second: float
 
 
-def _terms(params: GedParams, tag: str, p: float, r: int, x: float, lam: float,
-           fact: int) -> tuple[float, float]:
-    """The unscaled first- and second-order terms of :func:`expand`."""
+def _term_polys(params: GedParams, tag: str, p: float, r: int,
+                x: float) -> tuple[float, float]:
+    """The first- and second-order terms of :func:`expand` divided by the
+    rank weight Lambda(x) e^(-rx)/(r-1)!: polynomials in x and e^(-x)."""
+    emx = math.exp(-x)
     if tag == "t1_i":
-        ex = math.exp(x)
-        t1 = lam * math.exp(-(r + 1.0) * x) * ((r - 1.0) * ex - 1.0) / (2.0 * fact)
-        poly = ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0) * ex * ex
-                + (9.0 * r**2 - 11.0 * r + 2.0) * ex
-                + 3.0 / ex - 9.0 * r + 1.0)
-        t2 = lam * math.exp(-(r + 2.0) * x) * poly / (24.0 * fact)
-    elif tag == "t1_ii":
-        t1 = (1.0 - p) * x * x * math.exp(-r * x) * lam / (2.0 * fact)
+        t2 = ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0)
+              + emx * ((9.0 * r**2 - 11.0 * r + 2.0) + emx * (1.0 - 9.0 * r + 3.0 * emx)))
+        return (r - 1.0 - emx) / 2.0, t2 / 24.0
+    if tag == "t1_ii":
         bracket = (4.0 * (1.0 - 2.0 * p) - 3.0 * (1.0 - p) * r * x
-                   + 3.0 * (1.0 - p) * x * math.exp(-x))
-        t2 = (1.0 - p) * x**3 * math.exp(-r * x) * bracket * lam / (24.0 * fact)
-    elif tag == "t1_iii":
+                   + 3.0 * (1.0 - p) * x * emx)
+        return (1.0 - p) * x * x / 2.0, (1.0 - p) * x**3 * bracket / 24.0
+    if tag == "t1_iii":
         vi = 1.0 / params.v
-        t1 = (1.0 - vi) ** 3 * math.exp(-r * x) * lam / (2.0 * fact)
-        t2 = (-(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x)
-              * math.exp(-r * x) * lam / fact)
-    else:
-        pref = math.exp(-(r - 1.0) * x) / fact * lam
-        if tag == "t2_i":
-            h, q = correction_h(params, p, x), correction_q(params, p, x)
-            t1 = h * pref
-            t2 = (q + (1.0 - (r - 1.0) * math.exp(x)) * h * h / 2.0) * pref
-        else:
-            t1 = correction_s(params, x) * pref
-            t2 = correction_b(params, x) * pref
-    return t1, t2
-
-
-# right of this x, a term's formula in _terms can overflow: t1_i's
-# second-order polynomial does from x = 346.6 at r = 171
-_X_FAR = 300.0
-
-
-def _far_right_terms(params: GedParams, tag: str, p: float, r: int,
-                     x: float) -> tuple[float, float]:
-    """The terms of :func:`expand` right of _X_FAR, where _terms overflows.
-
-    Each term is a polynomial in x times e^(-kx), and where _terms
-    overflows its value is below the smallest normal double, except in
-    t2_i at r = 1 before e^(-x) underflows: there t1 = h_v and
-    t2 = q_v + h_v^2/2, with e^(-x) = e^(-x/2) e^(-x/2) so that each
-    product rounds once into the subnormal range and e^x is never formed.
-    """
-    if tag != "t2_i" or r > 1 or math.exp(-x) == 0.0:
-        return 0.0, 0.0
-    half = math.exp(-0.5 * x)
-    h = _poly_h(params, p, x) * half * half
-    return h, _poly_q(params, p, x) * half * half + h * h / 2.0
+        return ((1.0 - vi) ** 3 / 2.0,
+                -(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x))
+    if tag == "t2_i":
+        h = _poly_h(params, p, x)
+        return h, _poly_q(params, p, x) + (emx - (r - 1.0)) * h * h / 2.0
+    return _poly_s(params, x), _poly_b(params, x)
 
 
 def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     """Leading term, correction terms, and the cell's scale factors at x.
 
-    Right of _X_FAR, where a term's formula overflows, the term is taken
-    from :func:`_far_right_terms`, so every finite x there gives finite
-    terms.
+    Each term is a polynomial of :func:`_term_polys` times the rank weight,
+    formed as (poly Lambda(x) h)(h/(r-1)!) with h = e^(-rx/2): no factor
+    leaves the double range, and only the last product can round into the
+    subnormal range.  Both terms are 0.0 where Lambda(x) or h is.
     """
     if not 1 <= r <= 171:
         raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
@@ -361,21 +345,13 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
         raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales
     leading = gumbel_r(r, x)
-    params, tag, p = cell.params, cell.case.tag, cell.case.p
-    lam, fact = gumbel(x), math.factorial(r - 1)
-    if lam == 0.0:  # every term carries the factor Lambda(x); e^(-rx) may overflow
+    lam = gumbel(x)
+    half = math.exp(-0.5 * r * x) if lam else 0.0  # e^(-rx/2) overflows left of lam = 0
+    if half == 0.0:
         return ExpansionEval(leading, 0.0, 0.0, s1, s2)
-    try:
-        t1, t2 = _terms(params, tag, p, r, x, lam, fact)
-    except OverflowError:  # e^x or a power of x left the double range
-        if not x > _X_FAR:
-            raise
-        t1 = t2 = math.nan
-    if x > _X_FAR and not (math.isfinite(t1) and math.isfinite(t2)):
-        far1, far2 = _far_right_terms(params, tag, p, r, x)
-        t1 = t1 if math.isfinite(t1) else far1
-        t2 = t2 if math.isfinite(t2) else far2
-    return ExpansionEval(leading, t1 / s1, t2 / s2, s1, s2)
+    t1, t2 = _term_polys(cell.params, cell.case.tag, cell.case.p, r, x)
+    w, tail = lam * half, half / math.factorial(r - 1)
+    return ExpansionEval(leading, t1 * w * tail / s1, t2 * w * tail / s2, s1, s2)
 
 
 def theorem_expansion(params: GedParams, case: TheoremCase, r: int,

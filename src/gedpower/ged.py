@@ -63,10 +63,17 @@ def _log_norm_const(params: GedParams) -> float:
             - log_gamma(1.0 / v))
 
 
+def _half_power(params: GedParams, x: float) -> float:
+    """(|x|/lambda)^v / 2; inf where it overflows a double."""
+    try:
+        return abs(x / params.lam) ** params.v / 2.0
+    except OverflowError:
+        return math.inf
+
+
 def pdf(params: GedParams, x: float) -> float:
     """Density g_v(x) = v exp(-|x/lambda|^v / 2) / (lambda 2^(1+1/v) Gamma(1/v))."""
-    u = abs(x / params.lam) ** params.v
-    return math.exp(_log_norm_const(params) - 0.5 * u)
+    return math.exp(_log_norm_const(params) - _half_power(params, x))
 
 
 def survival(params: GedParams, x: float) -> float:
@@ -77,16 +84,14 @@ def survival(params: GedParams, x: float) -> float:
     """
     if x < 0.0:
         return 1.0 - survival(params, -x)
-    u = (x / params.lam) ** params.v / 2.0
-    return 0.5 * reg_gamma_upper(1.0 / params.v, u)
+    return 0.5 * reg_gamma_upper(1.0 / params.v, _half_power(params, x))
 
 
 def log_survival(params: GedParams, x: float) -> float:
     """log(1 - G_v(x)) for x >= 0; finite even where the tail underflows."""
     if x < 0.0:
         raise ValueError("log_survival is defined for x >= 0")
-    u = (x / params.lam) ** params.v / 2.0
-    return log_reg_gamma_upper(1.0 / params.v, u) - _LOG2
+    return log_reg_gamma_upper(1.0 / params.v, _half_power(params, x)) - _LOG2
 
 
 def cdf(params: GedParams, x: float) -> float:

@@ -103,6 +103,14 @@ def lower_tail_mass(n: float, r: int, s: float) -> float:
     return _binom_head(n, r, math.log1p(-s), log_s)
 
 
+def _root(y: float, p: float) -> float:
+    """y^(1/p) for y >= 0; inf where it overflows a double."""
+    try:
+        return y ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+
+
 def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float:
     """P(|M_{n,r}|^p <= y), exactly two-sided.
 
@@ -111,7 +119,7 @@ def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float
     """
     if y < 0.0:
         return 0.0
-    t = y ** (1.0 / spec.p)
+    t = _root(y, spec.p)
     s = survival(params, t)
     n = float(spec.n)
     return max(0.0, _upper_sum(n, spec.r, s) - lower_tail_mass(n, spec.r, s))
@@ -133,7 +141,7 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     log_n = resolve_log_n(None, log_n, min_n=1.0)
     if y < 0.0:
         return 0.0
-    log_mu = log_n + log_survival(params, y ** (1.0 / p))
+    log_mu = log_n + log_survival(params, _root(y, p))
     return min(gumbel_r(r, -log_mu), 1.0)
 
 
@@ -354,7 +362,7 @@ def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]
     reps, width = top.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
-    t = y ** (1.0 / p) if y >= 0.0 else -1.0
+    t = _root(y, p) if y >= 0.0 else -1.0
     est = int(np.count_nonzero(np.abs(top[:, r - 1]) <= t)) / reps
     stderr = math.sqrt(est * (1.0 - est) / reps)
     return est, stderr

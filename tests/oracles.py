@@ -84,6 +84,43 @@ def mp_gumbel_r(r: int, x) -> mp.mpf:
     return lam * mp.fsum(mp.e ** (-j * x) / mp.factorial(j) for j in range(r))
 
 
+def mp_expansion_terms(params, tag: str, p, r: int, x) -> tuple[mp.mpf, mp.mpf]:
+    """The unscaled first- and second-order terms of ``expand`` in mpmath,
+    in the form each case states them, with the library's lambda, v, p and
+    x taken as exact."""
+    v, p, x = mp.mpf(params.v), mp.mpf(p), mp.mpf(x)
+    lam, fact, ex = mp.exp(-mp.exp(-x)), mp.factorial(r - 1), mp.exp(x)
+    weight = lam * mp.exp(-r * x) / fact  # Lambda(x) e^(-rx) / (r-1)!
+    if tag == "t1_i":
+        poly = ((-3 * r**3 + 10 * r**2 - 9 * r + 2) * ex**2
+                + (9 * r**2 - 11 * r + 2) * ex + 3 / ex - 9 * r + 1)
+        return (lam * mp.exp(-(r + 1) * x) * ((r - 1) * ex - 1) / (2 * fact),
+                lam * mp.exp(-(r + 2) * x) * poly / (24 * fact))
+    if tag == "t1_ii":
+        bracket = 4 * (1 - 2 * p) - 3 * (1 - p) * r * x + 3 * (1 - p) * x / ex
+        return (1 - p) * x**2 * weight / 2, (1 - p) * x**3 * bracket * weight / 24
+    vi = 1 / v
+    if tag == "t1_iii":
+        return ((1 - vi) ** 3 * weight / 2,
+                -(1 - vi) ** 2 * (1 - mp.log(2) - mp.loggamma(vi) + x) * weight)
+    lam_v = mp.mpf(params.lam) ** v
+    lam2, lam3 = lam_v**2, lam_v**3
+    pref = lam * mp.exp(-(r - 1) * x) / fact
+    if tag == "t2_i":
+        h = (vi * (v - p) * lam_v * x**2 - 2 * vi * (1 - v) * lam_v * x
+             - 2 * (vi - 1) * lam_v) / ex
+        q = (-lam2 * vi**2 * (v - p) ** 2 * x**4 / 2
+             + vi**2 * (v - p) * lam2 * (2 - 4 * v / 3 - 4 * p / 3) * x**3
+             - 2 * vi**2 * (1 - v) * lam2 * x**2
+             - 4 * (vi - 1) * (vi - 2) * lam2 * x
+             - 4 * (vi - 1) * (vi - 2) * lam2) / ex
+        return h * pref, (q + (1 - (r - 1) * ex) * h**2 / 2) * pref
+    s = 2 * (vi - 1) * lam2 * (x**2 - 2 * (vi - 2) * x - (3 * vi - 5)) / ex
+    b = -4 * (vi - 1) * lam3 * ((4 - vi) * (vi - 1) * x**3 - 6 * (vi - 2) * x**2
+                                - 6 * (3 * vi - 5) * x + (2 * vi**2 - 22 * vi + 32)) / (3 * ex)
+    return s * pref, b * pref
+
+
 def lemma3_transfer(one_minus_theta: float, r: int, x: float) -> float:
     """Quadratic transfer from tail deficit to CDF deficit.
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -27,6 +28,7 @@ from gedpower.norming import solve_bn
 from oracles import (
     brute_upper_orderstat_cdf,
     lemma3_transfer,
+    mp_expansion_terms,
     mp_gumbel_r,
     mp_tail_deficit,
     theta_deficit,
@@ -486,6 +488,18 @@ class TestTheoremExpansion:
         assert ee.scale_first == pytest.approx(b**4, rel=1e-12)
         assert ee.scale_second == pytest.approx(b**6, rel=1e-12)
 
+    @pytest.mark.parametrize("v,p,theorem,log_n", [
+        (2.0, 1.0, 2, 1e160), (1.0, 2.0, 1, 1e300), (1.0, 1.0, 1, 400.0),
+        (2.0, 2.0, 2, 1e200),
+    ])
+    def test_scale_overflow_names_case_v_and_log_n(self, v, p, theorem, log_n):
+        # b^2v, log n log(n/2) or n^2 overflows; b^3v raised a bare errno
+        case = classify_case(v, p, theorem)
+        cell = NormedCase(make_params(v), case, log_n=log_n)
+        message = f"{case.tag} scales overflow a double for v={v}, log_n={log_n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cell.scales
+
     def test_t2_i_targets_assembled(self):
         params = make_params(4.0)
         case = classify_case(4.0, 1.0, theorem=2)
@@ -548,9 +562,10 @@ class TestTheoremExpansion:
 
 
 class TestBitsPinned:
-    """expand and cdf_gap_from_deficit as they were before the rank weights
-    and (r-1)! were built once: the sha256 of their hex floats over five
-    cases, both modes, r in RANKS and x from -2 to 4."""
+    """expand with every term on the one rank weight, and cdf_gap_from_deficit
+    as it was before the rank weights and (r-1)! were built once: the sha256
+    of their hex floats over five cases, both modes, r in RANKS and x from
+    -2 to 4."""
 
     RANKS = (1, 2, 3, 5, 20, 171)
     XS = [k / 2 for k in range(-4, 9)]
@@ -559,16 +574,16 @@ class TestBitsPinned:
              "t2_i": (2.0, 1.0, 2), "t2_ii": (2.0, 2.0, 2)}
 
     @pytest.mark.parametrize("tag,mode,digest", [
-        ("t1_i", "n", "fb924be12344207963519b36f58e2a57b1fef627c5cc64c274ada68f2ac1ebad"),
-        ("t1_i", "log_n", "94d6b5a0597c06c5bf6df06dd9988b3978ea3be6d8fc3c2b382170f0fd9f5b0a"),
-        ("t1_ii", "n", "335a2ecd111af5c89d2caedf9a22141dfca37025205ed093e706838bb1bab69d"),
-        ("t1_ii", "log_n", "5e11360577ee110febf2727179f9789e3b53bc35cbff74126fc73212f1e9c967"),
-        ("t1_iii", "n", "79a21d3f6059f8f4631f219501b25bd37977945ef5523030213d6a4e853d884b"),
-        ("t1_iii", "log_n", "da2f3645609456420de25aded150be3e40eaa5243bd248e6e512621db3edbd92"),
-        ("t2_i", "n", "1b5ebfa7603f7f69862f79bc64ec90d9b918bc94d1d99487ded60627b875f0fc"),
-        ("t2_i", "log_n", "64c5c0979ee78aeac6892b34d22012159c0ef9680787f66edda35152fb543fa0"),
-        ("t2_ii", "n", "c9a4076b94dd4ec1327c661995cdb9e0ba2725d08d90edf3fd09ea688e03f0e7"),
-        ("t2_ii", "log_n", "b216fc4b67420a6a01311836fd9a40a1601039ecbb411c2cf9e8106d1b0c368c"),
+        ("t1_i", "n", "e07365e9f5c0952c5488b38aa178dd5082fac298f6a92581828c3d2234170f96"),
+        ("t1_i", "log_n", "8b76fb63ec7b2500f0cdedad5055e623f63e7be5aae62e3731a79d1a11ffdc43"),
+        ("t1_ii", "n", "a754e562d26f02eaae81db435f9c2ff25ad2af0b4c33a3897d7ef9b092236dc6"),
+        ("t1_ii", "log_n", "cd2f57a609d52efda0c2326dea8943263ddee52acdf71f2b38942761d20b0dc7"),
+        ("t1_iii", "n", "957795f87d59946d04568219b5bc5f2e86c886690bee0b4df752d92bd826d9a1"),
+        ("t1_iii", "log_n", "fb900dbfb007d874fa8ed1ecddf38579c2cd21b926749218352e7d5921fdc39e"),
+        ("t2_i", "n", "4702f2ab4a6598073bf57390de7103094d56804b460a0b0137735fdbc4f10880"),
+        ("t2_i", "log_n", "e12ef28f56a1f413e4d3457c13022f11d08bcf00545b86497cdb6abfccede5b0"),
+        ("t2_ii", "n", "8e07e3e2e9fe283a337ba3602c8becb582da75cc17206e62257b42921b8a4ef5"),
+        ("t2_ii", "log_n", "26a916b8a4ebe554718166e75ca9735dc7693fa7299a93846df4a5af9398ebff"),
         ("gap", "n", "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654"),
         ("gap", "log_n", "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309"),
     ])
@@ -617,30 +632,11 @@ class TestTransferConsistency:
 
 
 def _mp_t1_i_terms(r: int, x: float) -> tuple[mp.mpf, mp.mpf]:
-    """t1_i's unscaled terms at 50 digits."""
-    x = mp.mpf(x)
-    lam, fact, ex = mp.exp(-mp.exp(-x)), mp.factorial(r - 1), mp.exp(x)
-    t1 = lam * mp.exp(-(r + 1) * x) * ((r - 1) * ex - 1) / (2 * fact)
-    poly = ((-3 * r**3 + 10 * r**2 - 9 * r + 2) * ex**2
-            + (9 * r**2 - 11 * r + 2) * ex + 3 / ex - 9 * r + 1)
-    return t1, lam * mp.exp(-(r + 2) * x) * poly / (24 * fact)
+    return mp_expansion_terms(make_params(1.0), "t1_i", 1.0, r, x)
 
 
 def _mp_t2_i_terms(params, p: float, r: int, x: float) -> tuple[mp.mpf, mp.mpf]:
-    """t2_i's unscaled terms at 50 digits: (h pref, (q + (1 - (r-1) e^x) h^2/2) pref)
-    with pref = Lambda(x) e^(-(r-1)x) / (r-1)!."""
-    v, p, x = mp.mpf(params.v), mp.mpf(p), mp.mpf(x)
-    vi, lam_v = 1 / v, mp.mpf(params.lam) ** v
-    lam2 = lam_v**2
-    h = (vi * (v - p) * lam_v * x**2 - 2 * vi * (1 - v) * lam_v * x
-         - 2 * (vi - 1) * lam_v) * mp.exp(-x)
-    q = (-lam2 * vi**2 * (v - p) ** 2 * x**4 / 2
-         + vi**2 * (v - p) * lam2 * (2 - 4 * v / 3 - 4 * p / 3) * x**3
-         - 2 * vi**2 * (1 - v) * lam2 * x**2
-         - 4 * (vi - 1) * (vi - 2) * lam2 * x
-         - 4 * (vi - 1) * (vi - 2) * lam2) * mp.exp(-x)
-    pref = mp.exp(-mp.exp(-x) - (r - 1) * x) / mp.factorial(r - 1)
-    return h * pref, (q + (1 - (r - 1) * mp.exp(x)) * h**2 / 2) * pref
+    return mp_expansion_terms(params, "t2_i", p, r, x)
 
 
 class TestFarRightOfTheMode:
@@ -694,3 +690,45 @@ class TestFarRightOfTheMode:
                 else:
                     assert abs(got - want) <= 5e-324 * (1.0 + 1.0 / scale), (x, got, want)
         assert normal >= 4
+
+
+class TestTermsAgainstMpmath:
+    """expand's terms against the 50-digit oracle on both sides of the mode,
+    up to r = 171, where e^(-rx) alone leaves the double range."""
+
+    RANKS = (1, 2, 3, 20, 107, 171)
+    XS = [float(x) for x in np.linspace(-6.5, 5.0, 31)]  # step 23/60
+    SHAPES = [*TestBitsPinned.CASES.values(), (0.5, 2.0, 1), (3.0, 1.0, 1),
+              (0.5, 2.0, 2), (3.0, 1.5, 2), (0.5, 0.5, 2), (3.0, 3.0, 2)]
+
+    @staticmethod
+    def _check(cell: NormedCase, r: int, x: float) -> None:
+        """Finite terms; a term whose true value is a normal double within
+        2e-12 relative."""
+        ee = expand(cell, r, x)
+        want = mp_expansion_terms(cell.params, cell.case.tag, cell.case.p, r, x)
+        for got, term, scale in ((ee.first_order, want[0], ee.scale_first),
+                                 (ee.second_order, want[1], ee.scale_second)):
+            assert math.isfinite(got), (r, x)
+            if abs(term / scale) >= sys.float_info.min:
+                assert abs(got - term / scale) <= 2e-12 * abs(term / scale), (r, x, got)
+
+    @pytest.mark.parametrize("v,p,theorem", SHAPES)
+    def test_grid(self, v, p, theorem):
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem), log_n=30.0)
+        for r in self.RANKS:
+            for x in self.XS:
+                self._check(cell, r, x)
+
+    @pytest.mark.parametrize("v,p,theorem,mode,r,x", [
+        # e^(-rx) = e^855 overflowed before it met Lambda(-5) = e^(-148.4)
+        (2.0, 1.0, 2, {"log_n": 10.0}, 171, -5.0),
+        # (1 - p) x^3 e^(-rx) overflowed to -inf
+        (1.0, 1e10, 1, {"log_n": 10.0}, 171, -4.0),
+        # e^(-(r+1)x) underflowed before it met (r-1) e^x: t1 read 0.0
+        (1.0, 1.0, 1, {"n": 10**6}, 2, 340.0),
+    ])
+    def test_point(self, v, p, theorem, mode, r, x):
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem), **mode)
+        self._check(cell, r, x)
+        assert abs(expand(cell, r, x).first_order) >= sys.float_info.min

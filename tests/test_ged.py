@@ -166,6 +166,18 @@ class TestCdfSurvival:
         )
 
 
+    @pytest.mark.parametrize("v", [2.0, 4.0, 20.0])
+    def test_huge_arguments_match_infinity(self, v):
+        # (x / lambda)^v overflows a double: the law's values at +-inf
+        params = make_params(v)
+        for x in (1e200, 1e308):
+            assert (survival(params, x), log_survival(params, x)) == (0.0, -math.inf)
+            assert (pdf(params, x), pdf(params, -x)) == (0.0, 0.0)
+            assert (cdf(params, x), cdf(params, -x)) == (1.0, 0.0)
+            assert survival(params, x) == survival(params, math.inf)
+            assert cdf(params, -x) == cdf(params, -math.inf)
+
+
 class TestQuantile:
     def test_median(self):
         assert quantile(make_params(2.0), 0.5) == 0.0

@@ -191,6 +191,25 @@ class TestRunSweep:
         [row] = run_sweep(cfg)
         assert row.error == "" and row.target1 == 0.0 and row.target2 == 0.0
 
+    @pytest.mark.parametrize("ladder", [{"log_n_ladder": (10.0,)},
+                                        {"n_ladder": (10**6,)}])
+    def test_rank_150_left_of_the_mode_holds_numbers(self, ladder):
+        # e^(-150x) overflowed before it met Lambda(x) = e^(-e^(-x))
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(150,),
+                          x_min=-6.0, x_max=-5.0, x_step=0.5, **ladder)
+        rows = run_sweep(cfg)
+        assert len(rows) == 3
+        for row in rows:
+            assert row.error == ""
+            assert math.isfinite(row.target1) and math.isfinite(row.target2)
+
+    def test_scale_overflow_is_noted_with_case_v_and_log_n(self):
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1,),
+                          log_n_ladder=(1e160,), x_min=1.0, x_max=1.0)
+        [row] = run_sweep(cfg)
+        assert row.error == ("ValueError: t2_i scales overflow a double "
+                             "for v=2.0; log_n=1e+160")
+
     def test_rank_above_n_names_r_and_n(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert main(["verify", "--v", "2", "--p", "1", "--r", "5", "--n", "3",
@@ -399,7 +418,8 @@ class TestEmit:
 
 class TestGoldenBytes:
     """sha256 of emitted sweeps, pinned from the formatter, sampler and
-    binomial sums as they were before those paths were merged."""
+    binomial sums as they were before those paths were merged, and from
+    expand's terms on the one rank weight."""
 
     # With one Monte Carlo table per (v, n) cell, seed 4 puts no 3-sigma
     # note on this grid; n = 8 gives error rows.
@@ -427,12 +447,12 @@ class TestGoldenBytes:
         theorem="1", **BENCH_X)
 
     @pytest.mark.parametrize("grid,fmt,digest", [
-        ("EXACT_N", "csv", "13c5f3ccba0cbec4b2b8342470ed166b9aa8736ff479fef215b377a574f81efa"),
-        ("EXACT_N", "json", "19e897795e3bb6bc6c43d037f4d31596101479e8e281377f93ad49418740c0ed"),
-        ("LOG_N", "csv", "08ce6c1b183799dc25a1f66d8dd881a62928b1c0224d731cce109f447440d802"),
-        ("LOG_N", "json", "dd70c7836d997be0b0b0f17457d7b24e8213f1425fb6a743bdf624065db1477d"),
-        ("SWEEP_LOGN", "json", "49d169b71522444f9d81bbec0ed2c20d00c23a90f685671857f885b4b331e56f"),
-        ("SWEEP_EXACTN", "csv", "9ac1afb3977a754498ffc7b78e9f467aba6d43b1a742c32fb412eb3203854078"),
+        ("EXACT_N", "csv", "31dd412a199fec183268933e734f936ae761752f552b55dbb35e43bb4bca3e6b"),
+        ("EXACT_N", "json", "127335cf8e2205fceb6019456518a315467f62f84bbdec0acb8806a06636f743"),
+        ("LOG_N", "csv", "a1cf9261098f8eb7835d5736a42667bb6e8ec2ded2b425d27948cf1cf7222e90"),
+        ("LOG_N", "json", "2e462a43277abfa340a7e255407a40bfddd2e46aba3ba2625524f9b2ea6b5fdc"),
+        ("SWEEP_LOGN", "json", "1bb26c52e3ac7a479f029d0bf8c9407534383a441f6651f1fde03dfaa5c900f0"),
+        ("SWEEP_EXACTN", "csv", "25c75a31f3aa98fb0e8292e9e935807852d12be1586ff6dca4c21aa63abd755a"),
     ])
     def test_sweep_digest(self, tmp_path, grid, fmt, digest):
         rows = run_sweep(SweepConfig(**getattr(self, grid)))
@@ -534,6 +554,29 @@ class TestCli:
     def test_single_point_domain_error_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,code,names", [
+        ("expand --v 2 --p 1 --r 171 --x -5 --theorem 2 --ln-n 10", 0, ()),
+        ("expand --v 2 --p 1 --r 1 --x 1 --theorem 2 --ln-n 1e160", 2,
+         ("t2_i", "v=2.0", "log_n=1e+160")),
+        ("expand --v 1 --p 2 --r 1 --x 1 --theorem 1 --ln-n 1e300", 2,
+         ("t1_ii", "v=1.0", "log_n=1e+300")),
+        ("expand --v 1 --p 1 --r 1 --x 1 --theorem 1 --ln-n 400", 2,
+         ("t1_i", "v=1.0", "log_n=400.0")),
+        ("expand --v 2 --p 2 --r 1 --x 1 --theorem 2 --ln-n 1e200", 2,
+         ("t2_ii", "v=2.0", "log_n=1e+200")),
+        ("dist --v 2 --what survival --x 1e200", 0, ()),
+        ("dist --v 2 --what pdf --x 1e200", 0, ()),
+        ("exact --v 2 --p 1 --r 1 --y 1e308 --n 10", 0, ()),
+        ("exact --v 2 --p 0.5 --r 1 --y 1e200 --ln-n 10", 0, ()),
+        ("simulate --v 2 --p 0.5 --r 1 --y 1e200 --n 10 --mc-reps 10", 0, ()),
+    ])
+    def test_no_raw_errno(self, capsys, argv, code, names):
+        assert main(argv.split()) == code
+        out, err = capsys.readouterr()
+        assert "(34," not in err and "math range error" not in err
+        assert all(name in err for name in names)
+        assert all(map(math.isfinite, map(float, out.split())))
 
     @pytest.mark.parametrize("mode", [["--n", "1000"], ["--ln-n", "10"]])
     def test_exact_at_infinite_y_is_one(self, capsys, mode):

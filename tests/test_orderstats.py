@@ -128,6 +128,15 @@ class TestExactPoweredCdf:
         # y = 0 puts log mu = log n - log 2 above 700
         assert poisson_powered_cdf(params, 2, 1.0, 0.0, 800.0) == 0.0
 
+    @pytest.mark.parametrize("p,y", [(1.0, 1e308), (0.5, 1e200), (0.1, 1e40)])
+    def test_huge_threshold_is_one(self, p, y):
+        # y^(1/p) or (y^(1/p) / lambda)^v overflows a double: the CDF at y = inf
+        params = make_params(2.0)
+        spec = OrderStatSpec(n=10, r=1, p=p)
+        assert exact_powered_cdf(params, spec, y) == 1.0
+        assert poisson_powered_cdf(params, 1, p, y, 10.0) == 1.0
+        assert mc_powered_cdf(params, spec, y, reps=10, seed=0) == (1.0, 0.0)
+
     def test_lower_tail_mass_at_the_ends(self):
         assert lower_tail_mass(10.0, 2, 0.0) == 0.0
         assert lower_tail_mass(10.0, 2, -0.5) == 0.0
