@@ -17,7 +17,6 @@ a ``t2_*`` case under branch 2, which use different norming families.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +29,7 @@ from .norming import (
     resolve_log_n,
     solve_bn,
 )
-from .specfun import log_gamma
+from .specfun import exp_or_inf, log_gamma, pow_or_inf
 
 __all__ = [
     "TheoremCase",
@@ -51,21 +50,17 @@ __all__ = [
 ]
 
 
-# below this x, e^(-x) overflows; Lambda(x) and every rank weight are 0.0
-_X_MIN = -math.log(sys.float_info.max)
-
-
 def gumbel(x: float) -> float:
     """The Gumbel law Lambda(x) = exp(-exp(-x))."""
-    return 0.0 if x < _X_MIN else math.exp(-math.exp(-x))
+    return math.exp(-exp_or_inf(-x))
 
 
 def _rank_weights(r: int, x: float) -> list[float]:
     """The addends Lambda(x) e^(-jx)/j!, j < r, of Lambda_r(x); 1, 0, ... at
-    x = inf and 0, 0, ... below _X_MIN."""
-    if x < _X_MIN:
+    x = inf and 0, 0, ... where e^(-x) overflows."""
+    emx = exp_or_inf(-x)
+    if emx == math.inf:
         return [0.0] * r
-    emx = math.exp(-x)
     return [math.exp(-emx - j * x - math.lgamma(j + 1.0)) if j else math.exp(-emx)
             for j in range(r)]
 
@@ -85,13 +80,14 @@ def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if x < 0.5 * _X_MIN:  # e^(-2x) overflows; Lambda(x) is 0.0
+    e2mx = exp_or_inf(-2.0 * x)
+    if e2mx == math.inf:  # Lambda(x) is 0.0
         return 0.0, 0.0, 0.0, 0.0
     weights = _rank_weights(r, x)
     lhs1 = math.fsum(j * w for j, w in enumerate(weights))
     lhs2 = math.fsum(j * j * w for j, w in enumerate(weights))
     rhs1 = math.exp(-x) * gumbel_r(r - 1, x)
-    rhs2 = math.exp(-2.0 * x) * gumbel_r(r - 2, x) + math.exp(-x) * gumbel_r(r - 1, x)
+    rhs2 = e2mx * gumbel_r(r - 2, x) + math.exp(-x) * gumbel_r(r - 1, x)
     return lhs1, rhs1, lhs2, rhs2
 
 
@@ -168,22 +164,19 @@ class NormedCase:
         ln = resolve_log_n(self.n, self.log_n, min_n=3)
         tag, v = self.case.tag, self.params.v
         b = solve_bn(self.params, log_n=ln).b_n if tag.startswith("t2") else 0.0
-        try:
-            if tag == "t1_i":
-                nn = float(self.n) if self.n is not None else math.exp(ln)
-                s1, s2 = nn, nn * nn
-            elif tag == "t1_ii":
-                s1 = ln - math.log(2.0)
-                s2 = ln * s1
-            elif tag == "t1_iii":
-                ll = math.log(ln)
-                s1 = ln / (ll * ll)
-                s2 = s1 * ll
-            else:
-                bv = b**v
-                s1, s2 = (bv, bv * bv) if tag == "t2_i" else (bv * bv, bv**3)
-        except OverflowError:  # e^(log n) or a power of b
-            s1 = s2 = math.inf
+        if tag == "t1_i":
+            nn = float(self.n) if self.n is not None else exp_or_inf(ln)
+            s1, s2 = nn, nn * nn
+        elif tag == "t1_ii":
+            s1 = ln - math.log(2.0)
+            s2 = ln * s1
+        elif tag == "t1_iii":
+            ll = math.log(ln)
+            s1 = ln / (ll * ll)
+            s2 = s1 * ll
+        else:
+            bv = pow_or_inf(b, v)
+            s1, s2 = (bv, bv * bv) if tag == "t2_i" else (bv * bv, pow_or_inf(bv, 3))
         if not (math.isfinite(s1) and math.isfinite(s2)):
             raise ValueError(f"{tag} scales overflow a double for v={v}, log_n={ln}")
         return s1, s2

@@ -10,6 +10,7 @@ from .specfun import (
     inv_reg_gamma_upper,
     log_gamma,
     log_reg_gamma_upper,
+    pow_or_inf,
     reg_gamma_upper,
 )
 
@@ -65,10 +66,7 @@ def _log_norm_const(params: GedParams) -> float:
 
 def _half_power(params: GedParams, x: float) -> float:
     """(|x|/lambda)^v / 2; inf where it overflows a double."""
-    try:
-        return abs(x / params.lam) ** params.v / 2.0
-    except OverflowError:
-        return math.inf
+    return pow_or_inf(abs(x / params.lam), params.v) / 2.0
 
 
 def pdf(params: GedParams, x: float) -> float:

@@ -24,7 +24,7 @@ from .orderstats import (
     mc_tables,
     poisson_remainder_bound,
 )
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, exp_or_inf
 
 __all__ = [
     "ConfigError",
@@ -158,7 +158,7 @@ def _resolve_theorem(theorem: str | None, v: float, p: float) -> TheoremCase:
 def _eval_point(config: SweepConfig, v: float, p: float, r: int,
                 n: int | None, log_n: float | None, x: float,
                 cells: dict, tables: dict, key: tuple[int, int]) -> VerificationRow:
-    n_value = float(n) if n is not None else math.exp(log_n) if log_n < 700 else math.inf
+    n_value = float(n) if n is not None else exp_or_inf(log_n)
     try:
         cell = cells.get((p, key[1]))
         if cell is None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .ged import EQ_TOL, GedParams
-from .specfun import MAX_ITER, REL_TOL, ConvergenceError, log_gamma
+from .specfun import MAX_ITER, REL_TOL, ConvergenceError, log_gamma, pow_or_inf
 
 __all__ = [
     "LinearNorming",
@@ -77,14 +77,12 @@ def gumbel_constants(params: GedParams, n: int | float | None = None, *,
     ln = resolve_log_n(n, log_n, min_n=3)
     v, lam = params.v, params.lam
     pref = 2.0 ** (1.0 / v) * lam
-    try:
-        # for v < 1 at large log n, ln^(1-1/v) underflows or ln^(1/v) overflows
-        scale = pref / (v * ln ** (1.0 - 1.0 / v))
-        shift = pref * ln ** (1.0 / v) - scale * (
-            (v - 1.0) / v * math.log(ln) + math.log(2.0) + log_gamma(1.0 / v)
-        )
-    except (OverflowError, ZeroDivisionError):
-        scale = shift = math.inf
+    # for v < 1 at large log n, ln^(1-1/v) underflows or ln^(1/v) overflows
+    denom = v * ln ** (1.0 - 1.0 / v)
+    scale = pref / denom if denom else math.inf
+    shift = pref * pow_or_inf(ln, 1.0 / v) - scale * (
+        (v - 1.0) / v * math.log(ln) + math.log(2.0) + log_gamma(1.0 / v)
+    )
     return _finite_norming("gumbel", v, None, scale, shift, ln)
 
 
@@ -110,11 +108,8 @@ def power_constants(params: GedParams, p: float, n: int | float | None = None, *
             f"gumbel shift {base.shift} is not positive at log_n={base.log_n}; "
             "n too small for the powered transform"
         )
-    try:
-        scale = p * base.scale * base.shift ** (p - 1.0)
-        shift = base.shift ** p
-    except OverflowError:
-        scale = shift = math.inf
+    scale = p * base.scale * pow_or_inf(base.shift, p - 1.0)
+    shift = pow_or_inf(base.shift, p)
     return _finite_norming("power", params.v, p, scale, shift, base.log_n)
 
 
@@ -134,20 +129,16 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
     two_lam_v = 2.0 * lam**v
 
     def f(b: float) -> float:
-        try:
-            b_v = b**v
-        except OverflowError:
+        b_v = pow_or_inf(b, v)
+        if b_v == math.inf:
             raise ValueError(f"the b_n bracket overflows a double at b={b:g} "
-                             f"for v={v}, log_n={ln}") from None
+                             f"for v={v}, log_n={ln}")
         return head + (v - 1.0) * math.log(b) + b_v / two_lam_v - ln
 
     def fprime(b: float) -> float:
         return (v - 1.0) / b + v * b ** (v - 1.0) / two_lam_v
 
-    try:
-        b0 = (two_lam_v * ln) ** (1.0 / v)
-    except OverflowError:
-        b0 = math.inf
+    b0 = pow_or_inf(two_lam_v * ln, 1.0 / v)
     if not math.isfinite(b0):
         raise ValueError(f"b_n overflows a double for v={v}, log_n={ln}")
     lo, hi = 0.5 * b0, 2.0 * b0
@@ -218,11 +209,8 @@ def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,
     sol = solve_bn(params, n, log_n=log_n)
     v, lam = params.v, params.lam
     b = sol.b_n
-    try:
-        scale = 2.0 * p / v * lam**v * b ** (p - v)
-        shift = b**p
-    except OverflowError:
-        scale = shift = math.inf
+    scale = 2.0 * p / v * lam**v * pow_or_inf(b, p - v)
+    shift = pow_or_inf(b, p)
     return _finite_norming("hall", v, p, scale, shift, sol.log_n)
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import _X_MIN, _rank_weights, gumbel_r
+from .expansions import _rank_weights, gumbel_r
 from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
+from .specfun import exp_or_inf, pow_or_inf
 
 __all__ = [
     "OrderStatSpec",
@@ -81,8 +82,8 @@ def _upper_sum(n: float, r: int, s: float) -> float:
 
 def _log_lower_tail_bound(r: int, n: float, log_n: float, log_s: float) -> float:
     """log of r n^(r-1) s^(n-r+1), which bounds sum_{j<r} C(n,j) (1-s)^j s^(n-j)
-    for n >= r."""
-    return math.log(r) + (r - 1) * log_n + (n - (r - 1)) * log_s
+    for n >= r; at s = 1 the power is 1 even where n is inf."""
+    return math.log(r) + (r - 1) * log_n + ((n - (r - 1)) * log_s if log_s else 0.0)
 
 
 def lower_tail_mass(n: float, r: int, s: float) -> float:
@@ -103,14 +104,6 @@ def lower_tail_mass(n: float, r: int, s: float) -> float:
     return _binom_head(n, r, math.log1p(-s), log_s)
 
 
-def _root(y: float, p: float) -> float:
-    """y^(1/p) for y >= 0; inf where it overflows a double."""
-    try:
-        return y ** (1.0 / p)
-    except OverflowError:
-        return math.inf
-
-
 def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float:
     """P(|M_{n,r}|^p <= y), exactly two-sided.
 
@@ -119,7 +112,7 @@ def exact_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float) -> float
     """
     if y < 0.0:
         return 0.0
-    t = _root(y, spec.p)
+    t = pow_or_inf(y, 1.0 / spec.p)
     s = survival(params, t)
     n = float(spec.n)
     return max(0.0, _upper_sum(n, spec.r, s) - lower_tail_mass(n, spec.r, s))
@@ -141,7 +134,7 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     log_n = resolve_log_n(None, log_n, min_n=1.0)
     if y < 0.0:
         return 0.0
-    log_mu = log_n + log_survival(params, _root(y, p))
+    log_mu = log_n + log_survival(params, pow_or_inf(y, 1.0 / p))
     return min(gumbel_r(r, -log_mu), 1.0)
 
 
@@ -196,7 +189,7 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
     if n is not None and not r <= n:
         raise ValueError(f"need r <= n, got r={r}, n={n:g}")
     lams = _rank_weights(r, x)
-    emx = math.exp(-x) if not x < _X_MIN else math.inf
+    emx = exp_or_inf(-x)
     s = emx * (1.0 - deficit) / n if n is not None else 0.0
     if not s < 1.0:
         raise ValueError(f"need s = e^(-x)(1 - deficit)/n < 1, got s={s:g}")
@@ -227,17 +220,13 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
 
     Le Cam gives total variation <= 2 n s^2 = 2 e^(-2x)(1-deficit)^2 / n for
     the Binomial(n, s) vs Poisson(ns) substitution; the neglected two-sided
-    mass is bounded by r n^(r-1) s^(n-r+1), included when representable;
-    the bound is inf where either term overflows.
+    mass is bounded by r n^(r-1) s^(n-r+1).  A term past the double range
+    is inf, and one below it 0.0.
     """
     log_le_cam = -2.0 * x + 2.0 * math.log1p(-deficit) - log_n
     log_s = -x + math.log1p(-deficit) - log_n
-    n = math.exp(log_n) if log_n < 700 else math.inf
-    log_two_sided = _log_lower_tail_bound(r, n, log_n, log_s)
-    if max(log_le_cam, log_two_sided) > -_X_MIN:
-        return math.inf
-    two_sided = math.exp(log_two_sided) if log_two_sided > -745.0 else 0.0
-    return 2.0 * math.exp(log_le_cam) + two_sided
+    log_two_sided = _log_lower_tail_bound(r, exp_or_inf(log_n), log_n, log_s)
+    return 2.0 * exp_or_inf(log_le_cam) + exp_or_inf(log_two_sided)
 
 
 def _magnitude_draws(v: float, rng: "np.random.Generator",
@@ -362,7 +351,7 @@ def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]
     reps, width = top.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
-    t = _root(y, p) if y >= 0.0 else -1.0
+    t = pow_or_inf(y, 1.0 / p) if y >= 0.0 else -1.0
     est = int(np.count_nonzero(np.abs(top[:, r - 1]) <= t)) / reps
     stderr = math.sqrt(est * (1.0 - est) / reps)
     return est, stderr

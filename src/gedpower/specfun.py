@@ -23,6 +23,22 @@ REL_TOL = 1e-14
 MAX_ITER = 500
 
 
+def exp_or_inf(y: float) -> float:
+    """e^y; inf where it overflows a double."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
+def pow_or_inf(a: float, b: float) -> float:
+    """a ** b for a >= 0; inf where it overflows a double (or a = 0, b < 0)."""
+    try:
+        return a**b
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if not x > 0.0:
