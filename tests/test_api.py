@@ -114,6 +114,25 @@ def test_only_the_monte_carlo_modules_import_numpy():
     assert users <= {"orderstats", "harness"}
 
 
+def _overflow_catchers(tree: ast.Module):
+    """The top-level function around each handler that names OverflowError."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in caught):
+                    yield getattr(top, "name", "<module>")
+
+
+def test_overflow_is_caught_in_four_places():
+    # every other power or exponential goes through exp_or_inf or pow_or_inf
+    package = Path(gedpower.__file__).resolve().parent
+    found = sorted(f"{path.stem}.{name}" for path in package.glob("*.py")
+                   for name in _overflow_catchers(ast.parse(path.read_text())))
+    assert found == ["norming.solve_bn", "orderstats.cdf_gap_from_deficit",
+                     "specfun.exp_or_inf", "specfun.pow_or_inf"]
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 

@@ -203,6 +203,15 @@ class TestRunSweep:
             assert row.error == ""
             assert math.isfinite(row.target1) and math.isfinite(row.target2)
 
+    def test_n_column_is_finite_up_to_the_double_range(self, tmp_path):
+        # e^(log n) is a finite double up to log n = 709.78
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1,),
+                          log_n_ladder=(705.0, 709.7, 750.0), x_min=0.0, x_max=0.0)
+        path = tmp_path / "rows.csv"
+        emit(run_sweep(cfg), "csv", str(path))
+        ns = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        assert ns == ["1.5052538330631941e+306", "1.6549840276802644e+308", "inf"]
+
     def test_scale_overflow_is_noted_with_case_v_and_log_n(self):
         cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1,),
                           log_n_ladder=(1e160,), x_min=1.0, x_max=1.0)

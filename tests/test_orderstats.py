@@ -291,6 +291,13 @@ class TestGapEngine:
             with pytest.raises(ValueError, match="got s="):
                 cdf_gap_from_deficit(2, x, 0.1, n=1000.0)
 
+    def test_remainder_bound_keeps_the_two_sided_term_at_s_one(self):
+        # both terms are 2 e^700 here, and n = e^700 is a finite double
+        assert poisson_remainder_bound(2, -700.0, 0.0, 700.0) == pytest.approx(
+            4.0 * math.exp(700.0), rel=1e-13)
+        # n = inf: r n^(r-1) s^(n-r+1) is inf, not inf * log 1 = nan
+        assert poisson_remainder_bound(3, -1000.0, 0.0, 1000.0) == math.inf
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             cdf_gap_from_deficit(0, 0.0, 0.0, n=100.0)

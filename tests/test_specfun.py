@@ -10,13 +10,33 @@ from hypothesis import strategies as st
 from gedpower import specfun
 from gedpower.specfun import (
     ConvergenceError,
+    exp_or_inf,
     inv_reg_gamma_upper,
     log_gamma,
     log_reg_gamma_upper,
+    pow_or_inf,
     reg_gamma_lower,
     reg_gamma_upper,
 )
 from oracles import quad_reg_lower
+
+
+class TestOverflowHelpers:
+    """The one overflow rule: a value past the double range is inf."""
+
+    def test_exp_or_inf_at_the_edge_of_the_double_range(self):
+        assert exp_or_inf(709.78) == math.exp(709.78) < math.inf
+        assert exp_or_inf(709.79) == math.inf
+        assert exp_or_inf(math.inf) == math.inf
+        assert exp_or_inf(-math.inf) == 0.0
+        assert exp_or_inf(-800.0) == 0.0
+
+    def test_pow_or_inf_at_the_edge_of_the_double_range(self):
+        assert pow_or_inf(1e200, 2.0) == math.inf
+        assert pow_or_inf(1e150, 2.0) == 1e150**2 < math.inf
+        assert pow_or_inf(1e-200, 2.0) == 0.0
+        assert pow_or_inf(0.0, 0.5) == 0.0
+        assert pow_or_inf(0.0, -1.0) == math.inf
 
 
 class TestLogGamma:
