@@ -66,8 +66,10 @@ def _rank_weights(r: int, x: float) -> list[float]:
 
 
 def gumbel_r(r: int, x: float) -> float:
-    """Limit law of the r-th largest: Lambda(x) sum_{j<r} e^(-jx)/j!; zero for r <= 0."""
-    return math.fsum(_rank_weights(r, x))
+    """Limit law of the r-th largest: Lambda(x) sum_{j<r} e^(-jx)/j!; zero for
+    r <= 0.  At most 1: each weight's exponent carries an error of about
+    |exponent| eps, which at large r can lift the sum past 1."""
+    return min(math.fsum(_rank_weights(r, x)), 1.0)
 
 
 def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
@@ -328,9 +330,11 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     """Leading term, correction terms, and the cell's scale factors at x.
 
     Each term is a polynomial of :func:`_term_polys` times the rank weight,
-    formed as (poly Lambda(x) h)(h/(r-1)!) with h = e^(-rx/2): no factor
-    leaves the double range, and only the last product can round into the
-    subnormal range.  Both terms are 0.0 where Lambda(x) or h is.
+    formed as (poly w)(h/(r-1)!) with h = e^(-rx/2) and w = Lambda(x) h taken
+    as one exponential, e^(-e^(-x) - rx/2), so w stays normal left of where
+    Lambda(x) underflows.  Where w is not 0.0, h is finite (x > -7.3 at
+    r <= 171); no factor leaves the double range, and only the last product
+    can round into the subnormal range.  Both terms are 0.0 where w is.
     """
     if not 1 <= r <= 171:
         raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
@@ -338,12 +342,11 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
         raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales
     leading = gumbel_r(r, x)
-    lam = gumbel(x)
-    half = math.exp(-0.5 * r * x) if lam else 0.0  # e^(-rx/2) overflows left of lam = 0
-    if half == 0.0:
+    w = math.exp(-exp_or_inf(-x) - 0.5 * r * x)
+    if w == 0.0:
         return ExpansionEval(leading, 0.0, 0.0, s1, s2)
     t1, t2 = _term_polys(cell.params, cell.case.tag, cell.case.p, r, x)
-    w, tail = lam * half, half / math.factorial(r - 1)
+    tail = math.exp(-0.5 * r * x) / math.factorial(r - 1)
     return ExpansionEval(leading, t1 * w * tail / s1, t2 * w * tail / s2, s1, s2)
 
 

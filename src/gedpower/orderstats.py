@@ -135,7 +135,7 @@ def poisson_powered_cdf(params: GedParams, r: int, p: float, y: float,
     if y < 0.0:
         return 0.0
     log_mu = log_n + log_survival(params, pow_or_inf(y, 1.0 / p))
-    return min(gumbel_r(r, -log_mu), 1.0)
+    return gumbel_r(r, -log_mu)
 
 
 def _log1p_plus(s: float) -> float:

@@ -66,6 +66,14 @@ class TestGumbelLaw:
         assert gumbel(-709.0) == 0.0 and gumbel_r(3, -709.0) == 0.0
         assert math.isnan(gumbel(math.nan)) and math.isnan(gumbel_r(2, math.nan))
 
+    def test_gumbel_r_is_at_most_one(self):
+        # each of the r weights carries an exponent error of about
+        # |exponent| eps; summed, they passed 1 (1 + 1.09e-14 at r = 171,
+        # x = -4.3)
+        for r in (1, 2, 3, 20, 50, 107, 171):
+            for k in range(-26, 20):  # x = k/4 + 1/3 over [-6.2, 5.3]
+                assert gumbel_r(r, k / 4 + 1 / 3) <= 1.0, (r, k)
+
     def test_gumbel_r_vs_mpmath(self):
         for r in (1, 3, 6):
             for x in (-2.0, 0.4, 3.0):
@@ -542,14 +550,19 @@ class TestTheoremExpansion:
                                              (2, 2.0, 2.0)])
     def test_terms_are_zero_where_gumbel_is_zero(self, theorem, v, p):
         # e^(-(r+1)x) overflows at r = 8, x = -100, though Lambda(x) = 0.0;
-        # Lambda_171(-7) is still a normal double
+        # Lambda_171(-7) is still a normal double, and so are the terms there:
+        # the weight Lambda(-7) e^(-1197)/170! is
         cell = NormedCase(make_params(v), classify_case(v, p, theorem), log_n=10.0)
         for r, x in ((1, -800.0), (8, -100.0), (171, -7.0)):
             ee = expand(cell, r, x)
-            assert (ee.first_order, ee.second_order) == (0.0, 0.0)
+            if r < 171:
+                assert (ee.first_order, ee.second_order) == (0.0, 0.0)
+            else:
+                assert abs(ee.first_order) >= sys.float_info.min
+                assert abs(ee.second_order) >= sys.float_info.min
             assert ee.leading == gumbel_r(r, x)
             assert (ee.scale_first, ee.scale_second) == cell.scales
-        assert gumbel_r(171, -7.0) > 1e-300
+        assert gumbel(-7.0) == 0.0 and gumbel_r(171, -7.0) > 1e-300
 
     def test_eval_is_finite_dataclass(self):
         params = make_params(2.0)
@@ -574,16 +587,16 @@ class TestBitsPinned:
              "t2_i": (2.0, 1.0, 2), "t2_ii": (2.0, 2.0, 2)}
 
     @pytest.mark.parametrize("tag,mode,digest", [
-        ("t1_i", "n", "e07365e9f5c0952c5488b38aa178dd5082fac298f6a92581828c3d2234170f96"),
-        ("t1_i", "log_n", "8b76fb63ec7b2500f0cdedad5055e623f63e7be5aae62e3731a79d1a11ffdc43"),
-        ("t1_ii", "n", "a754e562d26f02eaae81db435f9c2ff25ad2af0b4c33a3897d7ef9b092236dc6"),
-        ("t1_ii", "log_n", "cd2f57a609d52efda0c2326dea8943263ddee52acdf71f2b38942761d20b0dc7"),
-        ("t1_iii", "n", "957795f87d59946d04568219b5bc5f2e86c886690bee0b4df752d92bd826d9a1"),
-        ("t1_iii", "log_n", "fb900dbfb007d874fa8ed1ecddf38579c2cd21b926749218352e7d5921fdc39e"),
-        ("t2_i", "n", "4702f2ab4a6598073bf57390de7103094d56804b460a0b0137735fdbc4f10880"),
-        ("t2_i", "log_n", "e12ef28f56a1f413e4d3457c13022f11d08bcf00545b86497cdb6abfccede5b0"),
-        ("t2_ii", "n", "8e07e3e2e9fe283a337ba3602c8becb582da75cc17206e62257b42921b8a4ef5"),
-        ("t2_ii", "log_n", "26a916b8a4ebe554718166e75ca9735dc7693fa7299a93846df4a5af9398ebff"),
+        ("t1_i", "n", "52b1a67c66d1d27104dc42185c5dd3b834159485b7107aca7b348f847ae87474"),
+        ("t1_i", "log_n", "cd670befe608efdbc9b61521b93980a47e06c81e5a587c3dc295003658d6de7c"),
+        ("t1_ii", "n", "fdffb49b52602a2c98c5af9380d0d7a62a92a0516ac8213b2c1d7e1046b6fcc4"),
+        ("t1_ii", "log_n", "2191b22008f6a038648a2da891137b833f5dd0cd3bc6f77dd52998697e0ccc81"),
+        ("t1_iii", "n", "ea0e481a77b5e8006563baf54377a18680a34af66c991a24876dfd2574344122"),
+        ("t1_iii", "log_n", "58e5edabe2a1bf72d190e5a43cff0d94a008800913684ca9929eb611b52cd008"),
+        ("t2_i", "n", "418e0b2e66f8b6fbbde14dc6f3275bcc41f3c429a532b0429b68d6f856afde9d"),
+        ("t2_i", "log_n", "22547c18855cb747da900082b9671f8e57689d5a392bdacdf62f94417daae6b7"),
+        ("t2_ii", "n", "8d84c92e39859b5134da675b4c12133fc8832b0b684fd22b9fc7fa2eae5011ff"),
+        ("t2_ii", "log_n", "947bc95462b7d97acff4d9a34a987ef9cbcea542134262e22c75d2d9cba9a554"),
         ("gap", "n", "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654"),
         ("gap", "log_n", "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309"),
     ])
@@ -719,6 +732,15 @@ class TestTermsAgainstMpmath:
         for r in self.RANKS:
             for x in self.XS:
                 self._check(cell, r, x)
+
+    @pytest.mark.parametrize("v,p,theorem", SHAPES)
+    def test_left_of_lambda_underflow(self, v, p, theorem):
+        # Lambda(x) underflows left of x = -6.61, yet the rank weight
+        # Lambda(x) e^(-rx)/(r-1)! is still normal at large r
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem), log_n=30.0)
+        for r in (100, 171):
+            for x in np.linspace(-7.5, -6.5, 11):
+                self._check(cell, r, float(x))
 
     @pytest.mark.parametrize("v,p,theorem,mode,r,x", [
         # e^(-rx) = e^855 overflowed before it met Lambda(-5) = e^(-148.4)

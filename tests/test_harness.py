@@ -456,12 +456,12 @@ class TestGoldenBytes:
         theorem="1", **BENCH_X)
 
     @pytest.mark.parametrize("grid,fmt,digest", [
-        ("EXACT_N", "csv", "31dd412a199fec183268933e734f936ae761752f552b55dbb35e43bb4bca3e6b"),
-        ("EXACT_N", "json", "127335cf8e2205fceb6019456518a315467f62f84bbdec0acb8806a06636f743"),
-        ("LOG_N", "csv", "a1cf9261098f8eb7835d5736a42667bb6e8ec2ded2b425d27948cf1cf7222e90"),
-        ("LOG_N", "json", "2e462a43277abfa340a7e255407a40bfddd2e46aba3ba2625524f9b2ea6b5fdc"),
-        ("SWEEP_LOGN", "json", "1bb26c52e3ac7a479f029d0bf8c9407534383a441f6651f1fde03dfaa5c900f0"),
-        ("SWEEP_EXACTN", "csv", "25c75a31f3aa98fb0e8292e9e935807852d12be1586ff6dca4c21aa63abd755a"),
+        ("EXACT_N", "csv", "74b11e8ac410c0c12745015b20b8ae2a08744e29c1597a4fb2d44ae1c3a3f2b4"),
+        ("EXACT_N", "json", "b7aebc0adc2ae0ecc7a731081008dc3c61b0c1af792355a75281ba74ca73f2eb"),
+        ("LOG_N", "csv", "8a4f86ce67d9d56764ae7bf80ad201be2217a0884e6f0f7d2a13310dff539a96"),
+        ("LOG_N", "json", "04eb05d1229f451c6599b6cead989e3e63004b2eeb2842eb963413d60f1c8e8c"),
+        ("SWEEP_LOGN", "json", "857fb867adb34a3d97de9a2aae087f73bed8441fd5139caa212f8cd5897dfaca"),
+        ("SWEEP_EXACTN", "csv", "69acd57f7a4f4ed9d4fd0f8eacc8b8eb11bf734dc39bc3908f471c6a80c8a14a"),
     ])
     def test_sweep_digest(self, tmp_path, grid, fmt, digest):
         rows = run_sweep(SweepConfig(**getattr(self, grid)))
