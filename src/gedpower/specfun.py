@@ -32,10 +32,10 @@ def exp_or_inf(y: float) -> float:
 
 
 def pow_or_inf(a: float, b: float) -> float:
-    """a ** b for a >= 0; inf where it overflows a double (or a = 0, b < 0)."""
+    """a ** b for a >= 0; inf where it overflows a double."""
     try:
         return a**b
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         return math.inf
 
 
