@@ -35,7 +35,6 @@ __all__ = [
     "TheoremCase",
     "NormedCase",
     "ExpansionEval",
-    "gumbel",
     "gumbel_r",
     "gumbel_r_identities",
     "classify_case",
@@ -48,11 +47,6 @@ __all__ = [
     "expand",
     "theorem_expansion",
 ]
-
-
-def gumbel(x: float) -> float:
-    """The Gumbel law Lambda(x) = exp(-exp(-x))."""
-    return math.exp(-exp_or_inf(-x))
 
 
 def _rank_weights(r: int, x: float) -> list[float]:

@@ -38,18 +38,21 @@ __all__ = [
 CSV_HEADER = ("v,p,r,n,x,exact,limit,err,scaled_err1,target1,"
               "scaled_err2,target2,theta_deficit,remainder_bound,error")
 _ROW_KEYS = CSV_HEADER.split(",")
-_JSON_KEYS = [json.dumps(k) + ": " for k in _ROW_KEYS]
 # .17g prints every integral float below 2^53 (so every exact n) as an integer
-_ROW_FORMAT = ",".join("%d" if k == "r" else "%s" if k == "error" else "%.17g"
-                       for k in _ROW_KEYS)
+_CELL_FORMATS = ["%d" if k == "r" else "%.17g" for k in _ROW_KEYS[:-1]]
+_ROW_FORMAT = ",".join(_CELL_FORMATS) + ",%s"
 _row_values = operator.attrgetter(*_ROW_KEYS)
-_NON_FINITE = ("nan", "inf", "-inf")
+# one row's JSON object up to the error's value
+_JSON_FORMAT = "\n  {" + "".join(f"{json.dumps(k)}: {f}, " for k, f in
+                                 zip(_ROW_KEYS, _CELL_FORMATS)) + '"error": '
+_row_numbers = operator.attrgetter(*_ROW_KEYS[:-1])
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
 _MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
 # numerical and domain failures, recorded on their rows; any other
 # exception is a program bug and stops the sweep
 _ROW_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
+_NO_NUMBERS = (math.nan,) * 9  # exact through remainder_bound of a failed row
 
 
 class ConfigError(ValueError):
@@ -155,69 +158,68 @@ def _resolve_theorem(theorem: str | None, v: float, p: float) -> TheoremCase:
     return classify_case(v, p, theorem=branch)
 
 
-def _eval_point(config: SweepConfig, v: float, p: float, r: int,
-                n: int | None, log_n: float | None, x: float,
-                cells: dict, tables: dict, key: tuple[int, int]) -> VerificationRow:
-    n_value = float(n) if n is not None else exp_or_inf(log_n)
+def _note(exc: Exception) -> str:
+    """The row note of a numerical or domain failure; one CSV cell."""
+    return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+
+
+def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
+               log_n: float | None) -> NormedCase | str:
+    """The NormedCase of one (v, p, n) cell, or the note its rows carry when
+    making the params, routing (v, p) or building the cell fails."""
     try:
-        cell = cells.get((p, key[1]))
-        if cell is None:
-            cell = cells[(p, key[1])] = NormedCase(
-                make_params(v), _resolve_theorem(config.theorem, v, p), n, log_n)
+        cell = NormedCase(make_params(v), _resolve_theorem(theorem, v, p), n, log_n)
         if n is None and cell.case.tag == "t1_i":
             raise ValueError("t1_i needs an exact n: its rate is the O(1/n) term "
                              "that the log-n Poisson limit drops")
-        deficit = exact_deficit(cell, x)
-        if n is not None:
-            gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
-            bound = 0.0
-        else:
-            gap = cdf_gap_from_deficit(r, x, deficit, log_n=log_n)
-            bound = poisson_remainder_bound(r, x, deficit, log_n)
-        ee = expand(cell, r, x)
-        limit = ee.leading
-        target1 = ee.first_order * ee.scale_first
-        target2 = ee.second_order * ee.scale_second
-        scaled_err1 = ee.scale_first * gap
-        scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
-        exact = min(1.0, max(0.0, limit + gap))
-        error = ""
-        if config.mc_reps > 0:
-            y = cell.norming.scale * x + cell.norming.shift
-            error = _mc_note(config, tables[key], r, p, y, exact)
-        return VerificationRow(
-            v=v, p=p, r=r, n=n_value, x=x,
-            exact=exact, limit=limit, err=gap,
-            scaled_err1=scaled_err1, target1=target1,
-            scaled_err2=scaled_err2, target2=target2,
-            theta_deficit=deficit, remainder_bound=bound, error=error,
-        )
+        return cell
     except _ROW_ERRORS as exc:
-        msg = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return VerificationRow(v=v, p=p, r=r, n=n_value, x=x, error=msg)
+        return _note(exc)
 
 
-def _draw_tables(config: SweepConfig, ladder) -> dict:
+def _eval_point(config: SweepConfig, cell: NormedCase, r: int, x: float,
+                table) -> tuple:
+    """The cells of one row after its (v, p, r, n, x): exact through
+    remainder_bound, then the Monte Carlo note."""
+    deficit = exact_deficit(cell, x)
+    if cell.n is not None:
+        gap = cdf_gap_from_deficit(r, x, deficit, n=float(cell.n))
+        bound = 0.0
+    else:
+        gap = cdf_gap_from_deficit(r, x, deficit, log_n=cell.log_n)
+        bound = poisson_remainder_bound(r, x, deficit, cell.log_n)
+    ee = expand(cell, r, x)
+    target1 = ee.first_order * ee.scale_first
+    target2 = ee.second_order * ee.scale_second
+    scaled_err1 = ee.scale_first * gap
+    scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
+    exact = min(1.0, max(0.0, ee.leading + gap))
+    error = ""
+    if config.mc_reps > 0:
+        y = cell.norming.scale * x + cell.norming.shift
+        error = _mc_note(config, table, r, cell.case.p, y, exact)
+    return (exact, ee.leading, gap, scaled_err1, target1, scaled_err2, target2,
+            deficit, bound, error)
+
+
+def _draw_tables(config: SweepConfig, plan) -> dict:
     """One Monte Carlo table of top order statistics per (v, n) cell, keyed
     by (v index, n index) and shared by every r, p and x of the cell.
 
     The tables are drawn concurrently in one :func:`mc_tables` call; a cell
-    over the draw budget gets ``None``, and a v with no routed cell (routing
-    does not depend on n) gets no table, as its rows carry that error.
+    over the draw budget gets ``None``.  Each v takes its params from its
+    first planned cell; a v with none gets no table, as its rows carry notes.
     """
     keys, jobs = [], []
-    for vi, v in enumerate(sorted(config.v_list)):
-        for p in config.p_list:  # v's tables, once some p routes
-            try:
-                params = NormedCase(make_params(v), _resolve_theorem(config.theorem, v, p),
-                                    *ladder[0]).params
-            except _ROW_ERRORS:
-                continue
-            for ni, (n, _) in enumerate(ladder):
-                seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
-                keys.append((vi, ni))
-                jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
-            break
+    for vi, (_, by_p) in enumerate(plan):
+        params = next((cell.params for _, cells in by_p for cell in cells
+                       if not isinstance(cell, str)), None)
+        if params is None:
+            continue
+        for ni, n in enumerate(map(int, config.n_ladder)):
+            seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
+            keys.append((vi, ni))
+            jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
     return dict(zip(keys, mc_tables(jobs)))
 
 
@@ -239,23 +241,31 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     """Evaluate every grid point in (v, p, r, n, x)-lexicographic order."""
     rows: list[VerificationRow] = []
     xs = config.x_grid()
-    ladder: list[tuple[int | None, float | None]]
     if config.n_ladder:
         ladder = [(int(n), None) for n in config.n_ladder]
     else:
         ladder = [(None, float(ln)) for ln in config.log_n_ladder]
+    n_column = [float(n) if n is not None else exp_or_inf(log_n) for n, log_n in ladder]
     total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
              * len(ladder) * len(xs))
     done = 0
-    tables = _draw_tables(config, ladder) if config.mc_reps > 0 else {}
-    for vi, v in enumerate(sorted(config.v_list)):
-        cells: dict = {}  # this v's NormedCase per (p, n)
-        for p in sorted(config.p_list):
+    # per v, its p and their cells, one per ladder entry, all in sweep order
+    plan = [(v, [(p, [_plan_cell(config.theorem, v, p, *rung) for rung in ladder])
+                 for p in sorted(config.p_list)])
+            for v in sorted(config.v_list)]
+    tables = _draw_tables(config, plan) if config.mc_reps > 0 else {}
+    for vi, (v, by_p) in enumerate(plan):
+        for p, cells in by_p:
             for r in sorted(config.r_list):
-                for ni, (n, log_n) in enumerate(ladder):
+                for ni, (n, cell) in enumerate(zip(n_column, cells)):
+                    table = tables.get((vi, ni))
                     for x in xs:
-                        rows.append(_eval_point(config, v, p, r, n, log_n, x,
-                                                cells, tables, (vi, ni)))
+                        try:
+                            values = ((*_NO_NUMBERS, cell) if isinstance(cell, str)
+                                      else _eval_point(config, cell, r, x, table))
+                        except _ROW_ERRORS as exc:
+                            values = (*_NO_NUMBERS, _note(exc))
+                        rows.append(VerificationRow(v, p, r, n, x, *values))
                         done += 1
                         if progress is not None and done % 50 == 0:
                             print(f"{done}/{total} points", file=progress)
@@ -264,22 +274,15 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     return rows
 
 
-def _json_text(rows: list[VerificationRow]) -> str:
-    objects = []
-    for row in rows:
-        cells = (_ROW_FORMAT % _row_values(row)).split(",", len(_ROW_KEYS) - 1)
-        cells[-1] = json.dumps(row.error)
-        objects.append("\n  {" + ", ".join(k + ("null" if c in _NON_FINITE else c)
-                                           for k, c in zip(_JSON_KEYS, cells)) + "}")
-    return "[" + ",".join(objects) + "\n]\n"
-
-
 def emit(rows: list[VerificationRow], fmt: str, path: str) -> str:
     """Write rows to ``path`` as csv or json; bytes are deterministic."""
     if fmt == "csv":
         text = "\n".join([CSV_HEADER, *(_ROW_FORMAT % _row_values(r) for r in rows)]) + "\n"
-    elif fmt == "json":
-        text = _json_text(rows)
+    elif fmt == "json":  # null replaces nan and inf before the free-text error
+        text = "[" + ",".join(
+            (_JSON_FORMAT % _row_numbers(r)).replace(": nan,", ": null,")
+            .replace(": inf,", ": null,").replace(": -inf,", ": null,")
+            + json.dumps(r.error) + "}" for r in rows) + "\n]\n"
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     try:

@@ -51,7 +51,7 @@ def test_all_is_the_union_of_the_submodules():
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
     "rows_from_json", "normed_threshold", "mc_top_order_stats", "theta_deficit",
-    "sample_stream",
+    "sample_stream", "gumbel",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):

@@ -18,7 +18,6 @@ from gedpower.expansions import (
     correction_s,
     exact_deficit,
     expand,
-    gumbel,
     gumbel_r,
     gumbel_r_identities,
     theorem_expansion,
@@ -39,13 +38,13 @@ mp.mp.dps = 50
 
 class TestGumbelLaw:
     def test_values(self):
-        assert gumbel(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert gumbel(40.0) == pytest.approx(1.0, rel=1e-15)
+        assert gumbel_r(1, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert gumbel_r(1, 40.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_round_trip_with_inverse(self):
         for q in (0.01, 0.3, 0.9):
             x = -math.log(-math.log(q))
-            assert gumbel(x) == pytest.approx(q, rel=1e-14)
+            assert gumbel_r(1, x) == pytest.approx(q, rel=1e-14)
 
     def test_gumbel_r_basics(self):
         assert gumbel_r(0, 1.3) == 0.0
@@ -60,11 +59,10 @@ class TestGumbelLaw:
     def test_far_left_tail_is_zero(self):
         # e^(-x) overflows below x = -709.78; Lambda_r is 0.0 there and at -inf
         for x in (-709.79, -710.0, -1000.0, -sys.float_info.max, -math.inf):
-            assert gumbel(x) == 0.0
             for r in (1, 3, 171):
                 assert gumbel_r(r, x) == 0.0
-        assert gumbel(-709.0) == 0.0 and gumbel_r(3, -709.0) == 0.0
-        assert math.isnan(gumbel(math.nan)) and math.isnan(gumbel_r(2, math.nan))
+        assert gumbel_r(1, -709.0) == 0.0 and gumbel_r(3, -709.0) == 0.0
+        assert math.isnan(gumbel_r(1, math.nan)) and math.isnan(gumbel_r(2, math.nan))
 
     def test_gumbel_r_is_at_most_one(self):
         # each of the r weights carries an exponent error of about
@@ -466,7 +464,7 @@ class TestTheoremExpansion:
         ln = math.log(float(n))
         assert ee.scale_first == pytest.approx(ln - math.log(2.0), rel=1e-15)
         assert ee.scale_second == pytest.approx(ln * (ln - math.log(2.0)), rel=1e-15)
-        target1 = (1.0 - 3.0) * x * x * math.exp(-x) * gumbel(x) / 2.0
+        target1 = (1.0 - 3.0) * x * x * math.exp(-x) * gumbel_r(1, x) / 2.0
         assert ee.first_order * ee.scale_first == pytest.approx(target1, rel=1e-13)
 
     def test_t1_iii_scales_literal(self):
@@ -477,11 +475,11 @@ class TestTheoremExpansion:
         ll = math.log(ln)
         assert ee.scale_first == pytest.approx(ln / ll**2, rel=1e-15)
         assert ee.scale_second == pytest.approx(ln / ll, rel=1e-15)
-        t1 = (1.0 - 0.25) ** 3 * math.exp(-2.0 * 0.5) * gumbel(0.5) / 2.0
+        t1 = (1.0 - 0.25) ** 3 * math.exp(-2.0 * 0.5) * gumbel_r(1, 0.5) / 2.0
         assert ee.first_order * ee.scale_first == pytest.approx(t1, rel=1e-13)
         t2 = (-(1.0 - 0.25) ** 2
               * (1.0 - math.log(2.0 * math.gamma(0.25)) + 0.5)
-              * math.exp(-2.0 * 0.5) * gumbel(0.5))
+              * math.exp(-2.0 * 0.5) * gumbel_r(1, 0.5))
         assert ee.second_order * ee.scale_second == pytest.approx(t2, rel=1e-13)
 
     def test_t2_scales_are_bn_powers(self):
@@ -513,7 +511,7 @@ class TestTheoremExpansion:
         case = classify_case(4.0, 1.0, theorem=2)
         r, x = 2, 0.5
         ee = theorem_expansion(params, case, r, 10**10, x)
-        lam = gumbel(x)
+        lam = gumbel_r(1, x)
         pref = math.exp(-(r - 1.0) * x) / math.factorial(r - 1) * lam
         h = correction_h(params, 1.0, x)
         t1 = h * pref
@@ -527,7 +525,7 @@ class TestTheoremExpansion:
         case = classify_case(0.5, 0.5, theorem=2)
         r, x = 1, 0.25
         ee = theorem_expansion(params, case, r, 10**10, x)
-        lam = gumbel(x)
+        lam = gumbel_r(1, x)
         assert ee.first_order * ee.scale_first == pytest.approx(
             correction_s(params, x) * lam, rel=1e-12
         )
@@ -562,7 +560,7 @@ class TestTheoremExpansion:
                 assert abs(ee.second_order) >= sys.float_info.min
             assert ee.leading == gumbel_r(r, x)
             assert (ee.scale_first, ee.scale_second) == cell.scales
-        assert gumbel(-7.0) == 0.0 and gumbel_r(171, -7.0) > 1e-300
+        assert gumbel_r(1, -7.0) == 0.0 and gumbel_r(171, -7.0) > 1e-300
 
     def test_eval_is_finite_dataclass(self):
         params = make_params(2.0)
@@ -586,21 +584,24 @@ class TestBitsPinned:
     CASES = {"t1_i": (1.0, 1.0, 1), "t1_ii": (1.0, 2.0, 1), "t1_iii": (2.0, 1.5, 1),
              "t2_i": (2.0, 1.0, 2), "t2_ii": (2.0, 2.0, 2)}
 
-    @pytest.mark.parametrize("tag,mode,digest", [
-        ("t1_i", "n", "52b1a67c66d1d27104dc42185c5dd3b834159485b7107aca7b348f847ae87474"),
-        ("t1_i", "log_n", "cd670befe608efdbc9b61521b93980a47e06c81e5a587c3dc295003658d6de7c"),
-        ("t1_ii", "n", "fdffb49b52602a2c98c5af9380d0d7a62a92a0516ac8213b2c1d7e1046b6fcc4"),
-        ("t1_ii", "log_n", "2191b22008f6a038648a2da891137b833f5dd0cd3bc6f77dd52998697e0ccc81"),
-        ("t1_iii", "n", "ea0e481a77b5e8006563baf54377a18680a34af66c991a24876dfd2574344122"),
-        ("t1_iii", "log_n", "58e5edabe2a1bf72d190e5a43cff0d94a008800913684ca9929eb611b52cd008"),
-        ("t2_i", "n", "418e0b2e66f8b6fbbde14dc6f3275bcc41f3c429a532b0429b68d6f856afde9d"),
-        ("t2_i", "log_n", "22547c18855cb747da900082b9671f8e57689d5a392bdacdf62f94417daae6b7"),
-        ("t2_ii", "n", "8d84c92e39859b5134da675b4c12133fc8832b0b684fd22b9fc7fa2eae5011ff"),
-        ("t2_ii", "log_n", "947bc95462b7d97acff4d9a34a987ef9cbcea542134262e22c75d2d9cba9a554"),
-        ("gap", "n", "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654"),
-        ("gap", "log_n", "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309"),
-    ])
-    def test_hex_digest(self, tag, mode, digest):
+    # ids are the case (or gap) and mode, so a re-pin renames no test
+    DIGESTS = {
+        ("t1_i", "n"): "52b1a67c66d1d27104dc42185c5dd3b834159485b7107aca7b348f847ae87474",
+        ("t1_i", "log_n"): "cd670befe608efdbc9b61521b93980a47e06c81e5a587c3dc295003658d6de7c",
+        ("t1_ii", "n"): "fdffb49b52602a2c98c5af9380d0d7a62a92a0516ac8213b2c1d7e1046b6fcc4",
+        ("t1_ii", "log_n"): "2191b22008f6a038648a2da891137b833f5dd0cd3bc6f77dd52998697e0ccc81",
+        ("t1_iii", "n"): "ea0e481a77b5e8006563baf54377a18680a34af66c991a24876dfd2574344122",
+        ("t1_iii", "log_n"): "58e5edabe2a1bf72d190e5a43cff0d94a008800913684ca9929eb611b52cd008",
+        ("t2_i", "n"): "418e0b2e66f8b6fbbde14dc6f3275bcc41f3c429a532b0429b68d6f856afde9d",
+        ("t2_i", "log_n"): "22547c18855cb747da900082b9671f8e57689d5a392bdacdf62f94417daae6b7",
+        ("t2_ii", "n"): "8d84c92e39859b5134da675b4c12133fc8832b0b684fd22b9fc7fa2eae5011ff",
+        ("t2_ii", "log_n"): "947bc95462b7d97acff4d9a34a987ef9cbcea542134262e22c75d2d9cba9a554",
+        ("gap", "n"): "4ce15e54531004c021993abb8212f1ed00ebff47014eee260766a4d061ba3654",
+        ("gap", "log_n"): "f7fa5b3d0014071924efece2418b4348dcdc93fb03ab35d373bd0e925127e309",
+    }
+
+    @pytest.mark.parametrize("tag,mode", DIGESTS)
+    def test_hex_digest(self, tag, mode):
         from gedpower.orderstats import cdf_gap_from_deficit
 
         size = self.MODES[mode]
@@ -619,7 +620,7 @@ class TestBitsPinned:
                                ee.scale_first, ee.scale_second]
         assert all(map(math.isfinite, values))
         text = " ".join(map(float.hex, values))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[tag, mode]
 
 
 class TestTransferConsistency:

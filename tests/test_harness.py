@@ -86,6 +86,7 @@ class TestConfig:
         dict(v_list=("a",)), dict(seed=True), dict(x_min="0"),
         dict(n_ladder=(0,)), dict(n_ladder=(2**63,)),
         dict(n_ladder=(), log_n_ladder=("10",)),
+        dict(r_list=(0,)),
     ])
     def test_non_finite_and_negative_inputs(self, overrides):
         with pytest.raises(ConfigError):
@@ -256,6 +257,37 @@ class TestRunSweep:
                                              for ln in (10.0, 30.0)])
         assert len(shapes) == 8
 
+    def test_a_failing_cell_is_planned_once(self, monkeypatch):
+        # theorem branch 2 excludes v = 1: each of its cells routes once and
+        # fails once, and all its rows carry that note
+        import gedpower.expansions as expansions
+        import gedpower.harness as harness
+
+        shapes, routes = [], []
+
+        def counting_params(v, real=harness.make_params):
+            shapes.append(v)
+            return real(v)
+
+        def counting_route(v, p, theorem, real=expansions.classify_case):
+            routes.append(v)
+            return real(v, p, theorem)
+
+        monkeypatch.setattr(harness, "make_params", counting_params)
+        monkeypatch.setattr(harness, "classify_case", counting_route)
+        monkeypatch.setattr(expansions, "classify_case", counting_route)
+        cfg = SweepConfig(v_list=(1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
+                          log_n_ladder=(10.0, 30.0), x_min=0.0, x_max=1.0,
+                          x_step=0.5, theorem="2")
+        rows = run_sweep(cfg)
+        assert len(rows) == 72
+        assert all("branch 2 excludes v = 1" in row.error for row in rows[:36])
+        assert all(row.error == "" for row in rows[36:])
+        # one plan per (v, p, log n) cell; the v = 2 cells route once more
+        # when NormedCase checks their case
+        assert sorted(shapes) == 4 * [1.0] + 4 * [2.0]
+        assert sorted(routes) == 4 * [1.0] + 8 * [2.0]
+
     def test_program_bug_stops_the_sweep(self, monkeypatch):
         # only numerical and domain failures become row notes
         def broken(*args, **kwargs):
@@ -266,16 +298,23 @@ class TestRunSweep:
             run_sweep(t1i_config())
 
     def test_mc_draws_once_per_v_n_cell(self, monkeypatch):
+        # the tables take their params from the planned cells, so the sweep
+        # builds one NormedCase per (v, p, n) cell and no other
         import gedpower.harness as harness
 
-        calls = []
+        calls, built = [], []
         real = harness.mc_tables
 
         def counting(jobs):
             calls.extend((params.v, n, r_max, reps) for params, n, r_max, reps, _ in jobs)
             return real(jobs)
 
+        def counting_case(params, case, n=None, log_n=None, real=harness.NormedCase):
+            built.append((params.v, case.p, n))
+            return real(params, case, n, log_n)
+
         monkeypatch.setattr(harness, "mc_tables", counting)
+        monkeypatch.setattr(harness, "NormedCase", counting_case)
         n_ladder, reps = (30, 200), 50
         cfg = SweepConfig(
             v_list=(1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 3),
@@ -287,6 +326,8 @@ class TestRunSweep:
         assert not any(r.error and not r.error.startswith("mc_") for r in rows)
         assert sorted(calls) == [(v, n, min(3, n), reps)
                                  for v in (1.0, 2.0) for n in n_ladder]
+        assert sorted(built) == [(v, p, n) for v in (1.0, 2.0) for p in (1.0, 2.0)
+                                 for n in n_ladder]
 
     def test_mc_draws_no_table_for_a_v_no_p_routes(self, monkeypatch):
         # p = 1 routes to t1_iii at v = 2, so no v = 2 row can use a table
@@ -420,6 +461,10 @@ class TestEmit:
         emit(run_sweep(SweepConfig(**cfg)), "csv", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unknown_format_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="format must be csv or json"):
+            emit([], "xml", str(tmp_path / "rows.xml"))
+
     def test_io_error_has_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit([], "csv", str(tmp_path / "no" / "such" / "file.csv"))
@@ -455,19 +500,22 @@ class TestGoldenBytes:
         n_ladder=(10**3, 10**4, 10**6, 10**8, 10**10, 10**12, 10**15),
         theorem="1", **BENCH_X)
 
-    @pytest.mark.parametrize("grid,fmt,digest", [
-        ("EXACT_N", "csv", "74b11e8ac410c0c12745015b20b8ae2a08744e29c1597a4fb2d44ae1c3a3f2b4"),
-        ("EXACT_N", "json", "b7aebc0adc2ae0ecc7a731081008dc3c61b0c1af792355a75281ba74ca73f2eb"),
-        ("LOG_N", "csv", "8a4f86ce67d9d56764ae7bf80ad201be2217a0884e6f0f7d2a13310dff539a96"),
-        ("LOG_N", "json", "04eb05d1229f451c6599b6cead989e3e63004b2eeb2842eb963413d60f1c8e8c"),
-        ("SWEEP_LOGN", "json", "857fb867adb34a3d97de9a2aae087f73bed8441fd5139caa212f8cd5897dfaca"),
-        ("SWEEP_EXACTN", "csv", "69acd57f7a4f4ed9d4fd0f8eacc8b8eb11bf734dc39bc3908f471c6a80c8a14a"),
-    ])
-    def test_sweep_digest(self, tmp_path, grid, fmt, digest):
+    # ids are the grid and format, so a re-pin renames no test
+    DIGESTS = {
+        ("EXACT_N", "csv"): "74b11e8ac410c0c12745015b20b8ae2a08744e29c1597a4fb2d44ae1c3a3f2b4",
+        ("EXACT_N", "json"): "b7aebc0adc2ae0ecc7a731081008dc3c61b0c1af792355a75281ba74ca73f2eb",
+        ("LOG_N", "csv"): "8a4f86ce67d9d56764ae7bf80ad201be2217a0884e6f0f7d2a13310dff539a96",
+        ("LOG_N", "json"): "04eb05d1229f451c6599b6cead989e3e63004b2eeb2842eb963413d60f1c8e8c",
+        ("SWEEP_LOGN", "json"): "857fb867adb34a3d97de9a2aae087f73bed8441fd5139caa212f8cd5897dfaca",
+        ("SWEEP_EXACTN", "csv"): "69acd57f7a4f4ed9d4fd0f8eacc8b8eb11bf734dc39bc3908f471c6a80c8a14a",
+    }
+
+    @pytest.mark.parametrize("grid,fmt", DIGESTS)
+    def test_sweep_digest(self, tmp_path, grid, fmt):
         rows = run_sweep(SweepConfig(**getattr(self, grid)))
         path = tmp_path / f"rows.{fmt}"
         emit(rows, fmt, str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[grid, fmt]
 
 
 class TestCli:
