@@ -278,7 +278,3 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -48,6 +48,8 @@ __all__ = [
     "theorem_expansion",
 ]
 
+_MAX_RANK = 171  # the largest r whose (r-1)! is a finite double
+
 
 def _rank_weights(r: int, x: float) -> list[float]:
     """The addends Lambda(x) e^(-jx)/j!, j < r, of Lambda_r(x); 1, 0, ... at
@@ -330,8 +332,9 @@ def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
     r <= 171); no factor leaves the double range, and only the last product
     can round into the subnormal range.  Both terms are 0.0 where w is.
     """
-    if not 1 <= r <= 171:
-        raise ValueError(f"need 1 <= r <= 171, where (r-1)! is a finite double; got r={r}")
+    if not 1 <= r <= _MAX_RANK:
+        raise ValueError(f"need 1 <= r <= {_MAX_RANK}, where (r-1)! is a finite "
+                         f"double; got r={r}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales

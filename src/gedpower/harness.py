@@ -6,11 +6,13 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expansions import (
+    _MAX_RANK,
     NormedCase,
     TheoremCase,
     classify_case,
@@ -91,18 +93,21 @@ class SweepConfig:
         if not all(_is_a(numbers.Integral, k)
                    for k in (*self.r_list, self.seed, self.mc_reps)):
             raise ConfigError("r, seed and mc_reps must be integers")
+        if any(abs(a) > sys.float_info.max for a in reals if not isinstance(a, float)):
+            raise ConfigError("a v, p, log n or x value is too large for a double")
         if not all(_is_a(numbers.Real, n) and 1 <= n < 2**63 and float(n).is_integer()
                    for n in self.n_ladder):
             raise ConfigError("n values must be whole numbers in [1, 2^63)")
         if not all(math.isfinite(a) and a > 0 for a in (*self.v_list, *self.p_list)):
             raise ConfigError("v and p values must be finite and positive")
-        if any(r < 1 for r in self.r_list):
-            raise ConfigError("ranks must be >= 1")
+        if not all(1 <= r <= _MAX_RANK for r in self.r_list):
+            raise ConfigError(f"ranks must lie in [1, {_MAX_RANK}], where (r-1)! is finite")
         if bool(self.n_ladder) == bool(self.log_n_ladder):
             raise ConfigError("exactly one of n_ladder and log_n_ladder is required")
-        ladder = self.n_ladder or self.log_n_ladder
-        if any(b <= a for a, b in zip(ladder, ladder[1:])) :
-            raise ConfigError("the n ladder must be strictly increasing")
+        for name, grid in (("v", self.v_list), ("p", self.p_list), ("r", self.r_list),
+                           ("n", self.n_ladder or self.log_n_ladder)):
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"the {name} grid must be strictly increasing")
         if not all(map(math.isfinite, (*self.log_n_ladder, self.x_min,
                                        self.x_max, self.x_step))):
             raise ConfigError("log n, x_min, x_max and x_step must be finite")
@@ -110,7 +115,7 @@ class SweepConfig:
             raise ConfigError(f"x_step must be positive, got {self.x_step}")
         if self.x_max < self.x_min:
             raise ConfigError("empty x grid: x_max < x_min")
-        if not (self.x_max - self.x_min) / self.x_step + 1e-9 < _MAX_X_POINTS:
+        if not (float(self.x_max) - float(self.x_min)) / self.x_step + 1e-9 < _MAX_X_POINTS:
             raise ConfigError(f"the x grid has more than {_MAX_X_POINTS} points")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
@@ -166,12 +171,13 @@ def _note(exc: Exception) -> str:
 def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
                log_n: float | None) -> NormedCase | str:
     """The NormedCase of one (v, p, n) cell, or the note its rows carry when
-    making the params, routing (v, p) or building the cell fails."""
+    making the params, routing (v, p), the cell or its norming fails."""
     try:
         cell = NormedCase(make_params(v), _resolve_theorem(theorem, v, p), n, log_n)
         if n is None and cell.case.tag == "t1_i":
             raise ValueError("t1_i needs an exact n: its rate is the O(1/n) term "
                              "that the log-n Poisson limit drops")
+        cell.norming  # every row reads it first, so a failure is the cell's note
         return cell
     except _ROW_ERRORS as exc:
         return _note(exc)
@@ -219,7 +225,7 @@ def _draw_tables(config: SweepConfig, plan) -> dict:
         for ni, n in enumerate(map(int, config.n_ladder)):
             seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
             keys.append((vi, ni))
-            jobs.append((params, n, min(max(config.r_list), n), config.mc_reps, seed))
+            jobs.append((params, n, min(config.r_list[-1], n), config.mc_reps, seed))
     return dict(zip(keys, mc_tables(jobs)))
 
 
@@ -241,22 +247,19 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     """Evaluate every grid point in (v, p, r, n, x)-lexicographic order."""
     rows: list[VerificationRow] = []
     xs = config.x_grid()
-    if config.n_ladder:
-        ladder = [(int(n), None) for n in config.n_ladder]
-    else:
-        ladder = [(None, float(ln)) for ln in config.log_n_ladder]
+    ladder = ([(int(n), None) for n in config.n_ladder] if config.n_ladder
+              else [(None, float(ln)) for ln in config.log_n_ladder])
     n_column = [float(n) if n is not None else exp_or_inf(log_n) for n, log_n in ladder]
-    total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
-             * len(ladder) * len(xs))
+    total = math.prod(map(len, (config.v_list, config.p_list, config.r_list, ladder, xs)))
     done = 0
     # per v, its p and their cells, one per ladder entry, all in sweep order
     plan = [(v, [(p, [_plan_cell(config.theorem, v, p, *rung) for rung in ladder])
-                 for p in sorted(config.p_list)])
-            for v in sorted(config.v_list)]
+                 for p in config.p_list])
+            for v in config.v_list]
     tables = _draw_tables(config, plan) if config.mc_reps > 0 else {}
     for vi, (v, by_p) in enumerate(plan):
         for p, cells in by_p:
-            for r in sorted(config.r_list):
+            for r in config.r_list:
                 for ni, (n, cell) in enumerate(zip(n_column, cells)):
                     table = tables.get((vi, ni))
                     for x in xs:

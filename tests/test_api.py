@@ -133,6 +133,20 @@ def test_overflow_is_caught_in_four_places():
                      "specfun.exp_or_inf", "specfun.pow_or_inf"]
 
 
+def test_rank_bound_is_written_once():
+    # expand and SweepConfig both read expansions._MAX_RANK
+    package = Path(gedpower.__file__).resolve().parent
+    found = [path.stem for path in package.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value == 171
+             and type(node.value) is int]
+    assert found == ["expansions"]
+    readers = {path.stem for path in package.glob("*.py")
+               if "_MAX_RANK" in {node.id for node in ast.walk(ast.parse(path.read_text()))
+                                  if isinstance(node, ast.Name)}}
+    assert readers == {"expansions", "harness"}
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 

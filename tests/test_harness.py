@@ -4,6 +4,7 @@ import json
 import math
 import re
 import threading
+import time
 
 import pytest
 
@@ -87,10 +88,30 @@ class TestConfig:
         dict(n_ladder=(0,)), dict(n_ladder=(2**63,)),
         dict(n_ladder=(), log_n_ladder=("10",)),
         dict(r_list=(0,)),
+        # integers past the double range
+        dict(v_list=(10**400,)), dict(x_min=10**400),
+        dict(n_ladder=(), log_n_ladder=(10**400,)),
+        dict(x_min=-10**308, x_max=10**308),
     ])
     def test_non_finite_and_negative_inputs(self, overrides):
         with pytest.raises(ConfigError):
             t1i_config(**overrides)
+
+    @pytest.mark.parametrize("grid", ["v_list", "p_list", "r_list"])
+    @pytest.mark.parametrize("values", [(2, 2), (3, 1), (1, 2, 2)])
+    def test_grids_must_be_strictly_increasing(self, grid, values):
+        # a repeated value would repeat rows, and the copies would be scored
+        # against different Monte Carlo tables
+        with pytest.raises(ConfigError, match=f"the {grid[0]} grid must be "
+                                              "strictly increasing"):
+            t1i_config(**{grid: values})
+
+    @pytest.mark.parametrize("r", [172, 10**400], ids=["172", "1e400"])
+    def test_rank_outside_the_bound_is_config_error(self, r):
+        # (r-1)! must be a finite double, so no row of such a rank can hold
+        # numbers; the sweep refuses it before any row
+        with pytest.raises(ConfigError, match=r"\[1, 171\]"):
+            t1i_config(r_list=(1, r))
 
     def test_any_sequence_is_a_grid(self):
         # lists work as grids, and a whole-number float as n
@@ -177,6 +198,26 @@ class TestRunSweep:
             "ValueError: normed point scale*x+shift = -7.07")
         assert "is not positive at x=-5.0" in first.error
         assert second.error == "ValueError: sample size must be >= 3; got 2"
+
+    def test_a_failing_norming_is_built_once_per_cell(self, monkeypatch):
+        # the plan builds the norming, so its overflow is one note for all
+        # 51 rows of the cell
+        import gedpower.norming as norming
+
+        calls = []
+
+        def counting(params, n=None, *, log_n=None, real=norming.gumbel_constants):
+            calls.append(log_n)
+            return real(params, n, log_n=log_n)
+
+        monkeypatch.setattr(norming, "gumbel_constants", counting)
+        cfg = SweepConfig(v_list=(0.1,), p_list=(1.0,), r_list=(1, 2, 3),
+                          log_n_ladder=(1e40,), x_min=-1.0, x_max=3.0,
+                          x_step=0.25, theorem="1")
+        rows = run_sweep(cfg)
+        assert len(rows) == 51 and calls == [1e40]
+        assert {row.error for row in rows} == {
+            "ValueError: gumbel norming overflows a double for v=0.1; log_n=1e+40"}
 
     def test_gumbel_overflow_is_noted_with_v_and_log_n(self):
         cfg = SweepConfig(v_list=(0.1,), p_list=(1.0,), r_list=(1,),
@@ -390,11 +431,6 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="broken table"):
             run_sweep(cfg)
         assert threading.active_count() == threads
-
-    def test_rank_above_171_names_the_bound(self):
-        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(172,),
-                          n_ladder=(1000,), x_min=0.0, x_max=0.0, theorem="1")
-        assert "r <= 171" in run_sweep(cfg)[0].error
 
     def test_mc_over_budget_is_noted_before_any_draw(self):
         # n * reps = 2.01e8 exceeds the 2e8 draw budget
@@ -827,6 +863,23 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rows.csv")]) == 2
         assert "too large" in capsys.readouterr().err
+
+    def test_verify_decreasing_grid_names_the_grid(self, tmp_path, capsys):
+        assert main(["verify", "--v", "2,0.5", "--p", "1", "--r", "1",
+                     "--n", "100", "--out", str(tmp_path / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the v grid must be strictly increasing\n"
+
+    def test_verify_rank_past_the_bound_exits_at_once(self, tmp_path, capsys):
+        # no row is evaluated: at r = 10^6 each would cost the gap engine
+        # about half a second
+        start = time.perf_counter()
+        assert main(["verify", "--v", "2", "--p", "1", "--r", "1000000",
+                     "--ln-n", "10", "--x-min", "-1", "--x-max", "3",
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "[1, 171]" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_verify_infinite_x_max_is_config_error(self, tmp_path, capsys):
         assert main(["verify", "--v", "1", "--p", "1", "--r", "1", "--n", "100",
