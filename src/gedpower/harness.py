@@ -247,10 +247,13 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     """Evaluate every grid point in (v, p, r, n, x)-lexicographic order."""
     rows: list[VerificationRow] = []
     xs = config.x_grid()
-    ladder = ([(int(n), None) for n in config.n_ladder] if config.n_ladder
-              else [(None, float(ln)) for ln in config.log_n_ladder])
+    if config.n_ladder:
+        ladder = [(int(n), None) for n in config.n_ladder]
+    else:
+        ladder = [(None, float(ln)) for ln in config.log_n_ladder]
     n_column = [float(n) if n is not None else exp_or_inf(log_n) for n, log_n in ladder]
-    total = math.prod(map(len, (config.v_list, config.p_list, config.r_list, ladder, xs)))
+    total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
+             * len(ladder) * len(xs))
     done = 0
     # per v, its p and their cells, one per ladder entry, all in sweep order
     plan = [(v, [(p, [_plan_cell(config.theorem, v, p, *rung) for rung in ladder])

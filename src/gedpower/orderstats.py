@@ -61,26 +61,15 @@ class OrderStatSpec:
 def _binom_head(n: float, r: int, log_a: float, log_b: float) -> float:
     """sum_{j<r} C(n,j) a^j b^(n-j), each addend built in log space.
 
-    log C(n, j) is the correctly rounded sum of log((n - i) / (i + 1)) over
-    i < j.  Each of those logs is taken once and added to an exact running
-    sum, kept as Shewchuk's nonoverlapping partials, so a step costs O(1).
+    log C(n, j) is the compensated sum of log((n - i) / (i + 1)) over i < j;
+    each of those logs is taken once.
     """
     total = 0.0
-    partials: list[float] = []
+    log_ratios: list[float] = []
     for j in range(r):
-        total += math.exp(math.fsum(partials) + j * log_a + (n - j) * log_b)
+        total += math.exp(math.fsum(log_ratios) + j * log_a + (n - j) * log_b)
         if j + 1 < r:
-            t, i = math.log((n - j) / (j + 1.0)), 0
-            for y in partials:
-                if abs(t) < abs(y):
-                    t, y = y, t
-                hi = t + y
-                lo = y - (hi - t)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                t = hi
-            partials[i:] = [t]
+            log_ratios.append(math.log((n - j) / (j + 1.0)))
     return total
 
 
