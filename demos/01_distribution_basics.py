@@ -53,8 +53,8 @@ def main():
 
     print("=== the Monte Carlo sampler agrees with the analytic law ===")
     # one replication of a width-n table of the top order statistics is the
-    # whole sample, sorted; v=0.5 draws exponential pairs, v=2 normals and
-    # the other shapes gammas
+    # whole sample, sorted; a table that wide draws every value as a
+    # Gamma(1/v) variate, since a threshold would save nothing
     n = 200_000
     for v in shapes:
         params = make_params(v)

@@ -224,7 +224,11 @@ def _read_config(path: str) -> dict:
         field, check, _, _ = _VERIFY_KEYS[key]
         if _is_grid(field) and not isinstance(value, list):
             raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-        if not all(map(check, value if _is_grid(field) else [value])):
+        items = value if _is_grid(field) else [value]
+        if any(isinstance(item, int) and abs(item) > sys.float_info.max for item in items):
+            raise ConfigError(f"config key {key!r} has an integer too large for a "
+                              f"double (magnitude above {sys.float_info.max:.6g})")
+        if not all(map(check, items)):
             raise ConfigError(f"config key {key!r} has a value of the wrong "
                               f"type: {value!r}")
     return cfg

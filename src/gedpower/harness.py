@@ -9,8 +9,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expansions import (
     _MAX_RANK,
     NormedCase,
@@ -213,9 +211,11 @@ def _draw_tables(config: SweepConfig, plan) -> dict:
     by (v index, n index) and shared by every r, p and x of the cell.
 
     The tables are drawn concurrently in one :func:`mc_tables` call; a cell
-    over the draw budget gets ``None``.  Each v takes its params from its
+    over the budget gets ``None``.  Each v takes its params from its
     first planned cell; a v with none gets no table, as its rows carry notes.
     """
+    import numpy as np
+
     keys, jobs = [], []
     for vi, (_, by_p) in enumerate(plan):
         params = next((cell.params for _, cells in by_p for cell in cells

@@ -12,12 +12,10 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expansions import _rank_weights, gumbel_r
 from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
-from .specfun import exp_or_inf, pow_or_inf
+from .specfun import exp_or_inf, inv_reg_gamma_upper, pow_or_inf
 
 __all__ = [
     "OrderStatSpec",
@@ -34,11 +32,10 @@ __all__ = [
 
 _MC_DEFAULT_BUDGET = 200_000_000
 _MC_CHUNK_DRAWS = 1 << 22
-_MC_BLOCK_DRAWS = 1 << 16  # 512 KB of draws: a block stays in cache
 
 
 class BudgetError(RuntimeError):
-    """A Monte Carlo request needs more n * reps draws than the budget allows."""
+    """A Monte Carlo request has n * reps above the budget."""
 
 
 @dataclass(frozen=True)
@@ -229,86 +226,125 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     return 2.0 * exp_or_inf(log_le_cam) + exp_or_inf(log_two_sided)
 
 
-def _magnitude_draws(v: float, rng: "np.random.Generator",
-                     shape: tuple[int, int]) -> np.ndarray:
-    """I.i.d. draws that grow with |X| under GED(v), from the cheapest exact
-    generator of their law.
+def _tail_threshold(a: float, n: int, r_max: int) -> tuple[float, float]:
+    """The threshold c on Y ~ Gamma(a) above which a table of width r_max
+    draws each sample's positive values, and q = Q(a, c), the chance that
+    one lies above it; (0, 1) where every positive value is drawn.
 
-    GED(2) is N(0, 1), so at v = 2 they are |Z| = |X| / lambda.  Elsewhere
-    they are Y ~ Gamma(1/v) with |X| = lambda (2 Y)^(1/v); at v = 1/2,
-    Gamma(2) is E1 + E2, the two halves of a row of 2 * width standard
-    exponentials, so a block of rows draws what the same rows of one
-    larger draw would.
+    c leaves r_max + 3 sqrt(r_max) + 8 positive values above it on average,
+    so few rows hold fewer than r_max (about 1e-5 of them at r_max = 3).
+    It is kept only where q < 1/2 and the proposals of :func:`_gamma_above`
+    are accepted more often than q, that is where they cost fewer draws
+    than the K values of the whole law.
     """
-    if v == 2.0:
-        z = rng.standard_normal(shape)
-        return np.abs(z, out=z)
-    if v == 0.5:
-        rows, width = shape
-        return rng.standard_exponential((rows, 2, width)).sum(axis=1)
-    return rng.standard_gamma(1.0 / v, shape)
+    q = 2.0 * (r_max + 3.0 * math.sqrt(r_max) + 8.0) / n
+    if q < 0.5:
+        c = inv_reg_gamma_upper(a, q)
+        rho = 1.0 - max(a - 1.0, 0.0) / c
+        # log of the acceptance rate rho Gamma(a) q e^c c^(1-a), less log q
+        if rho > 0.0 and math.log(rho) + math.lgamma(a) + c + (1.0 - a) * math.log(c) > 0.0:
+            return c, q
+    return 0.0, 1.0
 
 
-def _abs_from_draws(params: GedParams, draws: np.ndarray) -> None:
-    """Map draws of :func:`_magnitude_draws` to |X|, in place: lambda |Z| at
-    v = 2, lambda (2 Y)^(1/v) elsewhere."""
-    if params.v != 2.0:
-        draws *= 2.0
-        draws **= 1.0 / params.v
-    draws *= params.lam
+def _gamma_above(rng: "np.random.Generator", a: float, c: float,
+                 count: int) -> "np.ndarray":
+    """``count`` draws of Y ~ Gamma(a) given Y > c > 0, by rejection from
+    c + W with W ~ Exp(rho), rho = 1 - max(a - 1, 0) / c.
 
-
-def _top_table(params: GedParams, n: int, r_max: int, reps: int,
-               seed: int) -> np.ndarray:
-    """One table of :func:`mc_tables`, for a checked job.
-
-    A chunk draws its K column first; its positive magnitudes then come
-    from the same generator in blocks of about _MC_BLOCK_DRAWS, which is
-    the call sequence of one chunk-sized draw, so the values are the same.
+    A proposal is kept with log-probability (a - 1) log1p(W/c) - (1 - rho) W,
+    the log of the target over the proposal relative to its value at W = 0,
+    which is <= 0 for every a > 0 and is 0 at a = 1.  Each round proposes
+    as many values as are still missing.
     """
+    import numpy as np
+
+    rho = 1.0 - max(a - 1.0, 0.0) / c
+    ys = np.empty(0)
+    while ys.size < count:
+        w = rng.standard_exponential(count - ys.size)
+        w /= rho
+        if a != 1.0:
+            log_keep = np.log1p(w / c)
+            log_keep *= a - 1.0
+            log_keep -= (1.0 - rho) * w
+            w = w[rng.standard_exponential(w.size) >= -log_keep]
+        ys = np.concatenate((ys, w))
+    ys += c
+    return ys
+
+
+def _top_table(params: GedParams, n: int, r_max: int, reps: int, seed: int,
+               threshold: tuple[float, float]) -> "np.ndarray":
+    """One table of :func:`mc_tables`, for a checked job and the
+    :func:`_tail_threshold` (c, q) of its shape, n and r_max.
+
+    Draws are Y ~ Gamma(1/v), which grow with |X| = lambda (2Y)^(1/v); the
+    r_max largest of a row are selected among them and only those are
+    mapped to |X|.
+    """
+    import numpy as np
+
+    a = 1.0 / params.v
+    c, q = threshold
     per_chunk = max(1, _MC_CHUNK_DRAWS // n)
     top = np.empty((reps, r_max))
     for idx, start in enumerate(range(0, reps, per_chunk)):
         size = min(per_chunk, reps - start)
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        k = rng.binomial(n, 0.5, size)[:, None]
-        width = max(k.max(), r_max)
-        cols = np.arange(width)
+        # (N, K - N, n - K) is multinomial with chances (q/2, (1 - q)/2, 1/2)
+        above = rng.binomial(n, q / 2.0, size)
+        total = int(above.sum())
+        ys = _gamma_above(rng, a, c, total) if c > 0.0 else rng.standard_gamma(a, total)
+        # row i holds its N values first; the -1 after them sorts below every draw
+        width = max(int(above.max()), r_max)
+        padded = np.full((size, width), -1.0)
+        padded[np.arange(width) < above[:, None]] = ys
+        # only rows with N < r_max need K, and their largest values below c
+        k = above.copy()
+        if c > 0.0:
+            short = np.flatnonzero(above < r_max)
+            k[short] += rng.binomial(n - above[short], (1.0 - q) / (2.0 - q))
+            for i in short[k[short] > above[short]]:
+                below = rng.standard_gamma(a, k[i] - above[i])
+                high = np.flatnonzero(below > c)
+                while high.size:  # Y given Y <= c: a draw above c is drawn again
+                    below[high] = rng.standard_gamma(a, high.size)
+                    high = high[below[high] > c]
+                fill = min(r_max - above[i], below.size)
+                below.partition(below.size - fill)
+                padded[i, above[i]:above[i] + fill] = below[below.size - fill:]
+        padded.partition(width - r_max, axis=1)
         mags = top[start:start + size]
-        # a v = 1/2 value takes two exponentials, so its blocks are half as tall
-        block = max(1, _MC_BLOCK_DRAWS // (width * (2 if params.v == 0.5 else 1)))
-        for b in range(0, size, block):
-            ys = _magnitude_draws(params.v, rng, (min(block, size - b), width))
-            # entries past a row's K positives sort below every draw >= 0
-            np.copyto(ys, -1.0, where=cols >= k[b:b + block])
-            ys.partition(width - r_max, axis=1)
-            mags[b:b + block] = np.sort(ys[:, width - r_max:], axis=1)[:, ::-1]
+        mags[:] = np.sort(padded[:, width - r_max:], axis=1)[:, ::-1]
         # rows with K < r_max: the smallest negative magnitudes, ascending
-        negative = np.arange(r_max) >= k
-        short_k = k[negative[:, -1]]
-        neg = _magnitude_draws(params.v, rng, (short_k.size, n))
+        negative = np.arange(r_max) >= k[:, None]
+        short_k = k[negative[:, -1], None]
+        neg = rng.standard_gamma(a, (short_k.size, n))
         np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
         neg.sort(axis=1)
         mags[negative] = neg[np.arange(n) < r_max - short_k]
-        _abs_from_draws(params, mags)
+        mags *= 2.0
+        mags **= 1.0 / params.v
+        mags *= params.lam
         np.negative(mags, out=mags, where=negative)
     return top
 
 
-def mc_tables(jobs: list) -> list[np.ndarray | None]:
+def mc_tables(jobs: list) -> "list[np.ndarray | None]":
     """For each ``(params, n, r_max, reps, seed)`` job, the signed r_max
     largest of each of ``reps`` GED(v) samples of size n; a job over the
-    draw budget gets ``None``.
+    budget (n * reps above 2e8) gets ``None``.
 
     A table is a (reps, r_max) array, largest first: column r - 1 holds
-    M_{n,r}.  A variate is +-|X| with a fair sign, so a row draws its count
-    of positives K ~ Binomial(n, 1/2), then only what can reach its top: K
-    positive magnitudes and, if K < r_max, n - K negative ones.  Selection
-    runs on raw draws that grow with |X|, and only the selected values are
-    transformed: |Z| from normals at v = 2, Y ~ Gamma(1/v, 1) elsewhere,
-    with Gamma(2) drawn as the sum of two exponentials at v = 1/2.  Each
-    chunk of about 2^22 / n rows has its own generator seeded by (seed,
-    chunk index).
+    M_{n,r}.  A variate is +-|X| with a fair sign and |X| = lambda (2Y)^(1/v)
+    with Y ~ Gamma(1/v).  Each table has a threshold c, and q = Q(1/v, c) is
+    the chance that Y > c.  A row draws its count N ~ Binomial(n, q/2) of
+    positive values with Y > c, then those N values of Y given Y > c.  A row
+    with N < r_max also draws its count of positives K, and its K - N values
+    below c; a row with K < r_max then draws its n - K negative magnitudes.
+    Where a threshold would not save draws, c = 0 and N = K.  Each chunk of
+    about 2^22 / n rows has its own generator seeded by (seed, chunk index).
 
     Every job is checked before any is drawn.  The tables come from one
     worker thread per available core (a one-worker pool for one job),
@@ -329,21 +365,25 @@ def mc_tables(jobs: list) -> list[np.ndarray | None]:
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    # largest n * reps first; among equals the larger v, since Gamma(1/v)
-    # draws take numpy's slowest path at 1/v < 1 (v = 2 draws normals)
-    live.sort(key=lambda i: (jobs[i][1] * jobs[i][3], jobs[i][0].v), reverse=True)
+    live.sort(key=lambda i: jobs[i][1] * jobs[i][3], reverse=True)
     with ThreadPoolExecutor(max(1, min(len(live), cores))) as pool:
-        futures = {i: pool.submit(_top_table, *jobs[i]) for i in live}
+        futures = {}
+        for i in live:  # each threshold here, so workers call no public function
+            params, n, r_max, _, _ = jobs[i]
+            threshold = _tail_threshold(1.0 / params.v, n, r_max)
+            futures[i] = pool.submit(_top_table, *jobs[i], threshold)
         return [futures[i].result() if i in futures else None for i in range(len(jobs))]
 
 
-def mc_score(top: np.ndarray, r: int, p: float, y: float) -> tuple[float, float]:
+def mc_score(top: "np.ndarray", r: int, p: float, y: float) -> tuple[float, float]:
     """Estimate of P(|M_{n,r}|^p <= y) from a table of :func:`mc_tables`,
     with its binomial stderr.
 
     |M|^p <= y holds exactly when |M| <= y^(1/p), so one table serves every
     rank up to its width, every power and every threshold.
     """
+    import numpy as np
+
     if math.isnan(y):
         raise ValueError("threshold y must not be nan")
     if not 0.0 < p < math.inf:

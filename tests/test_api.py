@@ -78,11 +78,10 @@ def test_stored_fields():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # the Monte Carlo path loads numpy.random and concurrent.futures when it
-    # first runs; importing them with the package costs every other caller
-    # about 6 MB and 5 ms
-    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-            "import gedpower; print(before or 'numpy.random' not in sys.modules, "
+    # the Monte Carlo path loads numpy and concurrent.futures when it first
+    # runs; importing numpy with the package costs every other caller about
+    # half of its cold start
+    code = ("import sys, gedpower; print('numpy' not in sys.modules, "
             "'concurrent.futures' not in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=60)
@@ -104,14 +103,27 @@ def _load_time_imports(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _imports(tree: ast.Module):
+    """Every module a source file imports, in a function body or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
 def test_only_the_monte_carlo_modules_import_numpy():
-    # the scalar modules stay free of numpy, so their callers never load it
+    # only the Monte Carlo functions import numpy, inside their bodies, so
+    # importing the package never loads it
     package = Path(gedpower.__file__).resolve().parent
-    users = {path.stem for path in package.glob("*.py")
-             if any(name.split(".")[0] == "numpy"
-                    for name in _load_time_imports(ast.parse(path.read_text())))}
-    assert "orderstats" in users  # the sampler's import is seen
-    assert users <= {"orderstats", "harness"}
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+    def users(imports):
+        return {stem for stem, tree in trees.items()
+                if any(name.split(".")[0] == "numpy" for name in imports(tree))}
+
+    assert users(_imports) == {"orderstats", "harness"}  # the sampler's import is seen
+    assert users(_load_time_imports) == set()
 
 
 def _overflow_catchers(tree: ast.Module):

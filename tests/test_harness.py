@@ -219,6 +219,29 @@ class TestRunSweep:
         assert {row.error for row in rows} == {
             "ValueError: gumbel norming overflows a double for v=0.1; log_n=1e+40"}
 
+    def test_failing_scales_are_built_once_per_cell(self, monkeypatch):
+        # the t2_i scales overflow at log n = 1e160; the cell keeps that
+        # failure, so b_n is solved once for the norming and once for the
+        # scales, not once per row
+        import gedpower.expansions as expansions
+        import gedpower.norming as norming
+
+        calls = []
+
+        def counting(params, n=None, *, log_n=None, real=norming.solve_bn):
+            calls.append(log_n)
+            return real(params, n, log_n=log_n)
+
+        monkeypatch.setattr(expansions, "solve_bn", counting)
+        monkeypatch.setattr(norming, "solve_bn", counting)
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 2, 3),
+                          log_n_ladder=(1e160,), x_min=-1.0, x_max=3.0,
+                          x_step=0.25)
+        rows = run_sweep(cfg)
+        assert len(rows) == 51 and len(calls) <= 2
+        assert {row.error for row in rows} == {
+            "ValueError: t2_i scales overflow a double for v=2.0; log_n=1e+160"}
+
     def test_gumbel_overflow_is_noted_with_v_and_log_n(self):
         cfg = SweepConfig(v_list=(0.1,), p_list=(1.0,), r_list=(1,),
                           log_n_ladder=(1e40,), theorem="1")
@@ -388,7 +411,11 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert calls == [(1.0, 1000)]
         alone = run_sweep(dataclasses.replace(cfg, v_list=(1.0,)))
-        assert rows[:len(alone)] == alone and all(row.error == "" for row in alone)
+        # the v = 1 rows hold numbers; a Monte Carlo note is the table's chance
+        assert rows[:len(alone)] == alone
+        for row in alone:
+            assert not math.isnan(row.exact)
+            assert row.error == "" or row.error.startswith("mc_3sigma_violation")
         assert all("belongs to case 't1_iii'" in row.error for row in rows[len(alone):])
 
     def test_log_n_t1_i_rows_are_errors(self):
@@ -511,8 +538,10 @@ class TestGoldenBytes:
     binomial sums as they were before those paths were merged, and from
     expand's terms on the one rank weight."""
 
-    # With one Monte Carlo table per (v, n) cell, seed 4 puts no 3-sigma
-    # note on this grid; n = 8 gives error rows.
+    # One Monte Carlo table per (v, n) cell; since tables draw only the
+    # values above their threshold, seed 4 puts two 3-sigma notes on this
+    # grid (v = 2: p = 1, r = 1, n = 1000 and p = 2, r = 3, n = 8, both at
+    # x = 1.5); n = 8 gives error rows.
     EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                    n_ladder=(8, 100, 1000), x_min=-3.0, x_max=1.5, x_step=1.5,
                    mc_reps=200, seed=4)
@@ -538,8 +567,8 @@ class TestGoldenBytes:
 
     # ids are the grid and format, so a re-pin renames no test
     DIGESTS = {
-        ("EXACT_N", "csv"): "74b11e8ac410c0c12745015b20b8ae2a08744e29c1597a4fb2d44ae1c3a3f2b4",
-        ("EXACT_N", "json"): "b7aebc0adc2ae0ecc7a731081008dc3c61b0c1af792355a75281ba74ca73f2eb",
+        ("EXACT_N", "csv"): "e19900b7fef2ba55a98fe88dcce35c1042f7b3a5caf9b2efdfe5a7463c5144eb",
+        ("EXACT_N", "json"): "83ca46d560f2261bab115467c0aa9f79d75e1d910dbb750e73d1e7525bd40ebe",
         ("LOG_N", "csv"): "8a4f86ce67d9d56764ae7bf80ad201be2217a0884e6f0f7d2a13310dff539a96",
         ("LOG_N", "json"): "04eb05d1229f451c6599b6cead989e3e63004b2eeb2842eb963413d60f1c8e8c",
         ("SWEEP_LOGN", "json"): "857fb867adb34a3d97de9a2aae087f73bed8441fd5139caa212f8cd5897dfaca",
@@ -863,6 +892,19 @@ class TestCli:
         assert main(["verify", "--config", str(cfg_path),
                      "--out", str(tmp_path / "rows.csv")]) == 2
         assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("r", [10**400]), ("x_min", -10**400)])
+    def test_verify_config_integer_past_doubles_names_its_key(self, tmp_path, capsys,
+                                                              key, value):
+        cfg = {"v": [1.0], "p": [1.0], "r": [1], "n": [100], key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "rows.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} has an integer too large for a double "
+            f"(magnitude above 1.79769e+308)\n")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_verify_decreasing_grid_names_the_grid(self, tmp_path, capsys):
         assert main(["verify", "--v", "2,0.5", "--p", "1", "--r", "1",

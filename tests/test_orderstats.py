@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc, gammaincc
+from scipy.stats import kstwo
 
 from gedpower import orderstats
 from gedpower.expansions import gumbel_r
@@ -22,6 +24,7 @@ from gedpower.orderstats import (
     poisson_powered_cdf,
     poisson_remainder_bound,
 )
+from gedpower.specfun import inv_reg_gamma_upper
 from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf, mp_gumbel_r
 
 mp.mp.dps = 50
@@ -307,16 +310,21 @@ class TestGapEngine:
             cdf_gap_from_deficit(1, 0.0, 0.0)
 
 
-def _exact_median(params, spec):
-    """The y with exact P(|M_{n,r}|^p <= y) = 1/2, by bisection."""
+def _exact_quantile(params, spec, u):
+    """The y with exact P(|M_{n,r}|^p <= y) = u, by bisection."""
     lo, hi = 0.0, 50.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if exact_powered_cdf(params, spec, mid) < 0.5:
+        if exact_powered_cdf(params, spec, mid) < u:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _exact_median(params, spec):
+    """The y with exact P(|M_{n,r}|^p <= y) = 1/2."""
+    return _exact_quantile(params, spec, 0.5)
 
 
 def _table(params, n, r_max, reps, seed):
@@ -393,13 +401,13 @@ class TestMonteCarlo:
             mc_powered_cdf(params, spec, 1.0, reps=10**6, seed=0)
         assert mc_tables([(params, 10**6, 3, 10**6, 0)]) == [None]
 
-    # (v, n, r, p, y, reps, seed) -> (est, se), computed when each row drew
-    # only its positive magnitudes, and at v = 1/2 and v = 2 re-pinned when
-    # those shapes got their own generators; the last case spans two chunks
+    # (v, n, r, p, y, reps, seed) -> (est, se), pinned since each row
+    # draws only its values above the table's threshold (exact values
+    # 0.504, 0.846 and 0.537); the last case spans two chunks
     @pytest.mark.parametrize("case,expected", [
-        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.512, 0.011177119485806708)),
-        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.84, 0.009465727652959386)),
-        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.55, 0.06422616289332565)),
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.4935, 0.01117939510885987)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.85, 0.009219544457292887)),
+        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.5666666666666667, 0.06397337409104348)),
     ])
     def test_pinned_estimates(self, case, expected):
         v, n, r, p, y, reps, seed = case
@@ -429,60 +437,127 @@ class TestMonteCarlo:
             assert mc_score(top, r, p, y)[0] == est
 
     @staticmethod
-    def _white_box_table(params, n, r_max, reps, seed):
-        """Rebuild a one-chunk table from the generator calls it makes.
+    def _white_box_table(params, n, r_max, reps, seed, threshold=None):
+        """Rebuild a table from the generator calls it makes.
 
-        K ~ Binomial(n, 1/2) per row; then one block of draws whose row i
-        starts with its K_i positive magnitudes; then, for the rows with
-        K_i < r_max in order, one block of width n whose row starts with
-        the n - K_i negative magnitudes.  A draw is |Z| at v = 2, the sum
-        of a row's two halves of exponentials at v = 1/2, and Gamma(1/v)
-        elsewhere.  Each signed sample is sorted in full, so the reference
-        makes no selection of its own.
+        Each chunk of 2^22 // n rows has its own generator.  With (c, q)
+        the table's threshold: N ~ Binomial(n, q/2) per row; then sum(N)
+        values of Y ~ Gamma(1/v) given Y > c, each c + W, W = E1 / rho,
+        kept where a second exponential E2 >= -log_keep, in rounds that
+        propose what is still missing (or plain Gamma(1/v) draws at c = 0);
+        then, at c > 0, K - N ~ Binomial(n - N, (1 - q)/(2 - q)) for the
+        rows with N < r_max, and for each of those rows with K > N in order
+        its K - N values given Y <= c, where values above c are drawn again;
+        then, for the rows with K < r_max in order, one block of width n
+        whose row starts with the n - K negative magnitudes.  Each signed
+        sample is sorted in full, so the reference makes no selection of
+        its own.
         """
-        v, lam = params.v, params.lam
-
-        def draws(rows, width):
-            if v == 2.0:
-                return np.abs(rng.standard_normal((rows, width)))
-            if v == 0.5:
-                e = rng.standard_exponential((rows, 2 * width))
-                return e[:, :width] + e[:, width:]
-            return rng.standard_gamma(1.0 / v, size=(rows, width))
+        v, lam, a = params.v, params.lam, 1.0 / params.v
+        c, q = threshold or orderstats._tail_threshold(a, n, r_max)
 
         def mag(y):
-            return lam * y if v == 2.0 else lam * (2.0 * y) ** (1.0 / v)
-
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        k = rng.binomial(n, 0.5, reps)
-        pos = draws(reps, max(k.max(), r_max))
-        short = np.flatnonzero(k < r_max)
-        neg = draws(short.size, n)
+            return lam * (2.0 * y) ** (1.0 / v)
 
         rows = []
-        for i in range(reps):
-            sample = mag(pos[i, :k[i]])
-            if k[i] < r_max:
-                j = int(np.searchsorted(short, i))
-                sample = np.concatenate([sample, -mag(neg[j, :n - k[i]])])
-            rows.append(np.sort(sample)[::-1][:r_max])
+        per_chunk = max(1, orderstats._MC_CHUNK_DRAWS // n)
+        for idx, start in enumerate(range(0, reps, per_chunk)):
+            size = min(per_chunk, reps - start)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+            above = rng.binomial(n, q / 2.0, size)
+            total = above.sum()
+            if c > 0.0:
+                rho = 1.0 - max(a - 1.0, 0.0) / c
+                tail = np.empty(0)
+                while tail.size < total:
+                    w = rng.standard_exponential(total - tail.size) / rho
+                    if a != 1.0:
+                        log_keep = (a - 1.0) * np.log1p(w / c) - (1.0 - rho) * w
+                        w = w[rng.standard_exponential(w.size) >= -log_keep]
+                    tail = np.concatenate((tail, c + w))
+            else:
+                tail = rng.standard_gamma(a, total)
+            k, below = above.copy(), {}
+            if c > 0.0:
+                short = np.flatnonzero(above < r_max)
+                k[short] += rng.binomial(n - above[short], (1.0 - q) / (2.0 - q))
+                for i in short[k[short] > above[short]]:
+                    ys = rng.standard_gamma(a, k[i] - above[i])
+                    high = np.flatnonzero(ys > c)
+                    while high.size:
+                        ys[high] = rng.standard_gamma(a, high.size)
+                        high = high[ys[high] > c]
+                    below[i] = ys
+            neg = rng.standard_gamma(a, (np.count_nonzero(k < r_max), n))
+            negs = iter(neg)
+            for i, row in enumerate(np.split(tail, np.cumsum(above)[:-1])):
+                sample = mag(np.concatenate([row, below.get(i, [])]))
+                if k[i] < r_max:
+                    sample = np.concatenate([sample, -mag(next(negs)[:n - k[i]])])
+                rows.append(np.sort(sample)[::-1][:r_max])
         return np.array(rows)
 
+    @staticmethod
+    def _forced(v, n, mean_above):
+        """A threshold (c, q) with mean_above of a row's positive values
+        above c on average, far below the table's own choice."""
+        q = 2.0 * mean_above / n
+        return inv_reg_gamma_upper(1.0 / v, q), q
+
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
-    def test_row_blocks_match_one_draw_per_chunk(self, monkeypatch, v):
-        # an n = 1000 block holds about 120 rows, an n = 40 block 1638, so
-        # these tables take several blocks and the last one is short
+    def test_chunks_match_the_white_box_rebuild(self, v):
+        # an n = 10^5 chunk holds 41 rows, so that table takes three chunks
+        # and the last one is short; n = 40 draws the whole law (c = 0)
         params = make_params(v)
-        for n, r_max, reps in ((1000, 3, 300), (40, 40, 5000)):
+        for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500)):
             top = _table(params, n, r_max, reps, seed=11)
             assert np.array_equal(top, self._white_box_table(params, n, r_max, reps, 11))
-        monkeypatch.setattr(orderstats, "_MC_BLOCK_DRAWS", 1)  # a row per block
-        top = _table(params, 1000, 3, 50, seed=12)
-        assert np.array_equal(top, self._white_box_table(params, 1000, 3, 50, 12))
+        # forced thresholds: rows short of r_max values above c, and rows
+        # with K < r_max
+        for n, mean_above in ((1000, 1.5), (6, 1.0)):
+            threshold = self._forced(v, n, mean_above)
+            top = orderstats._top_table(params, n, 3, 300, 12, threshold)
+            assert np.array_equal(
+                top, self._white_box_table(params, n, 3, 300, 12, threshold))
+
+    @pytest.mark.parametrize("a", (0.25, 0.5, 1.0, 2.0, 4.0))
+    @pytest.mark.parametrize("q", (0.3, 1e-3))
+    def test_tail_sampler_follows_the_truncated_gamma(self, a, q):
+        # exact Kolmogorov-Smirnov tail against P(Y <= y | Y > c) =
+        # 1 - Q(a, y) / Q(a, c), with c in a near and a far tail
+        c = inv_reg_gamma_upper(a, q)
+        rng = np.random.default_rng(np.random.SeedSequence((int(a * 4), int(q * 1e4))))
+        ys = np.sort(orderstats._gamma_above(rng, a, c, 20000))
+        assert ys[0] > c
+        cdf_y = 1.0 - gammaincc(a, ys) / q
+        steps = np.arange(1, ys.size + 1) / ys.size
+        stat = max(np.max(steps - cdf_y), np.max(cdf_y - steps + 1.0 / ys.size))
+        assert kstwo.sf(stat, ys.size) > 1e-4
+
+    @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
+    @pytest.mark.parametrize("path,n,mean_above", [
+        ("threshold", 1000, None), ("whole_law", 8, None),
+        ("short_above", 1000, 1.5), ("short_k", 6, 1.0)])
+    def test_table_columns_follow_the_exact_law(self, v, path, n, mean_above):
+        # every column at thresholds where the exact CDF is 0.1 to 0.9,
+        # scored by exact binomial tails as criterion 8c scores its cells;
+        # fewer reps where most rows take the slow short-row path
+        params, reps, r_max = make_params(v), 5000 if mean_above else 20000, 3
+        threshold = (self._forced(v, n, mean_above) if mean_above
+                     else orderstats._tail_threshold(1.0 / v, n, r_max))
+        assert (threshold[0] > 0.0) == (path != "whole_law")
+        top = orderstats._top_table(params, n, r_max, reps, 31, threshold)
+        for r in range(1, r_max + 1):
+            spec = OrderStatSpec(n=n, r=r, p=1.0)
+            for u in (0.1, 0.3, 0.5, 0.7, 0.9):
+                y = _exact_quantile(params, spec, u)
+                exact = exact_powered_cdf(params, spec, y)
+                k = round(mc_score(top, r, 1.0, y)[0] * reps)
+                assert min(bdtr(k, reps, exact), bdtrc(k - 1, reps, exact)) > 1e-4
 
     def test_mc_tables_equal_lone_calls(self):
-        # the last job spans two chunks; 1500 and 777 rows are no multiple
-        # of a block
+        # the last job spans two chunks; n = 3 draws the whole law, the
+        # others take a threshold
         jobs = [(make_params(0.5), 100, 1, 2000, 3),
                 (make_params(2.0), 1000, 3, 1500, 17),
                 (make_params(1.0), 3, 3, 777, 8),
@@ -497,9 +572,9 @@ class TestMonteCarlo:
         drawn = []
         real = orderstats._top_table
 
-        def recording(params, n, r_max, reps, seed):
+        def recording(params, n, r_max, reps, seed, threshold):
             drawn.append((n, reps))
-            return real(params, n, r_max, reps, seed)
+            return real(params, n, r_max, reps, seed, threshold)
 
         monkeypatch.setattr(orderstats, "_top_table", recording)
         params = make_params(2.0)
@@ -524,18 +599,19 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 _table(params, n, n + 1, reps, seed)
 
-    # sha256 of tables drawn before v = 1/2 and v = 2 got their own
-    # generators; every other shape still draws Gamma(1/v) as it did
+    # sha256 of tables drawn since each row draws only its values above the
+    # table's threshold: n = 1000 takes the threshold, n = 3 the whole law;
+    # ids name the job, so a re-pin renames no test
     @pytest.mark.parametrize("job,digest", [
         ((1.0, 1000, 3, 300, 11),
-         "405a56aab8ec2ba960af3b38fa87281aa5f229a398216b6521b947decea830eb"),
+         "a1e4083b5fc12ac4ca881e2d5b0379de15f1b595799501edd463544d2d355c29"),
         ((1.0, 3, 3, 64, 1),
-         "661e0ffbdd0fa05f2624f34710df53ae73a2981716bd93b92dd8a4878f19bc38"),
+         "9912afaa0274a547ea027f8a72d649327a8886cc8111e1b6b5747919e19c7d2d"),
         ((4.0, 1000, 3, 300, 11),
-         "5556fe22dabbfd1911e6bd8b4c6420a77024c5824f1f799283d87186568d54cb"),
+         "70bb7c51b49942c48484f746887917ced6a63274806cfe53f0903155db10565e"),
         ((4.0, 3, 3, 64, 1),
-         "900499ce72e47f499440b491fecb3b05dfe8fea5e6eb3e40c0f2c482d9c264d0"),
-    ])
+         "90d78920795686da0862d7d507d5713285825bce2e5cee869b1ec36279e8a51b"),
+    ], ids=["v1-n1000", "v1-n3", "v4-n1000", "v4-n3"])
     def test_gamma_tables_are_unchanged(self, job, digest):
         v, n, r_max, reps, seed = job
         top = _table(make_params(v), n, r_max, reps, seed)
