@@ -29,7 +29,7 @@ from .norming import (
     resolve_log_n,
     solve_bn,
 )
-from .specfun import ConvergenceError, exp_or_inf, log_gamma, pow_or_inf
+from .specfun import exp_or_inf, log_gamma, pow_or_inf
 
 __all__ = [
     "TheoremCase",
@@ -148,7 +148,7 @@ class NormedCase:
         family = power_constants if self.case.tag.startswith("t1") else hall_constants
         return family(self.params, self.case.p, self.n, log_n=self.log_n)
 
-    @property
+    @cached_property
     def scales(self) -> tuple[float, float]:
         """The divergent multipliers attached to the first and second order.
 
@@ -157,22 +157,8 @@ class NormedCase:
         multiplier follows the statement literally, i.e. loglog n applied to
         the residual; (b^v, b^2v) for t2_i and (b^2v, b^3v) for t2_ii.
         A scale that overflows a double is a ValueError naming the case,
-        v and log n.  A failure is kept like the scales, so every later
-        read raises it again without redoing the work.
+        v and log n.
         """
-        scales = self._scales_or_error
-        if isinstance(scales, Exception):
-            raise scales.with_traceback(None)
-        return scales
-
-    @cached_property
-    def _scales_or_error(self) -> "tuple[float, float] | Exception":
-        try:
-            return self._build_scales()
-        except (ValueError, ArithmeticError, ConvergenceError) as exc:
-            return exc
-
-    def _build_scales(self) -> tuple[float, float]:
         ln = resolve_log_n(self.n, self.log_n, min_n=3)
         tag, v = self.case.tag, self.params.v
         b = solve_bn(self.params, log_n=ln).b_n if tag.startswith("t2") else 0.0

@@ -169,13 +169,14 @@ def _note(exc: Exception) -> str:
 def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
                log_n: float | None) -> NormedCase | str:
     """The NormedCase of one (v, p, n) cell, or the note its rows carry when
-    making the params, routing (v, p), the cell or its norming fails."""
+    making the params, routing (v, p), the cell, its norming or its scales
+    fails."""
     try:
         cell = NormedCase(make_params(v), _resolve_theorem(theorem, v, p), n, log_n)
         if n is None and cell.case.tag == "t1_i":
             raise ValueError("t1_i needs an exact n: its rate is the O(1/n) term "
                              "that the log-n Poisson limit drops")
-        cell.norming  # every row reads it first, so a failure is the cell's note
+        cell.norming, cell.scales  # x-free, so a failure is every row's note
         return cell
     except _ROW_ERRORS as exc:
         return _note(exc)
@@ -211,18 +212,19 @@ def _draw_tables(config: SweepConfig, plan) -> dict:
     by (v index, n index) and shared by every r, p and x of the cell.
 
     The tables are drawn concurrently in one :func:`mc_tables` call; a cell
-    over the budget gets ``None``.  Each v takes its params from its
-    first planned cell; a v with none gets no table, as its rows carry notes.
+    over the budget gets ``None``.  A (v, n) cell takes its params from
+    its first live planned cell; one with none gets no table, as all its
+    rows carry notes.
     """
     import numpy as np
 
     keys, jobs = [], []
     for vi, (_, by_p) in enumerate(plan):
-        params = next((cell.params for _, cells in by_p for cell in cells
-                       if not isinstance(cell, str)), None)
-        if params is None:
-            continue
         for ni, n in enumerate(map(int, config.n_ladder)):
+            params = next((cells[ni].params for _, cells in by_p
+                           if not isinstance(cells[ni], str)), None)
+            if params is None:
+                continue
             seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
             keys.append((vi, ni))
             jobs.append((params, n, min(config.r_list[-1], n), config.mc_reps, seed))

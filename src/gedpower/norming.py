@@ -147,7 +147,6 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
         # calibration root we want lies on the increasing branch
         b_stat = (two_lam_v * (1.0 - v) / v) ** (1.0 / v)
         lo = max(lo, b_stat * (1.0 + 1e-9))
-    trace: list[tuple[float, float]] = []
     for _ in range(MAX_ITER):
         if f(hi) >= 0.0:
             if hi > lo:
@@ -162,14 +161,14 @@ def solve_bn(params: GedParams, n: int | float | None = None, *,
         if v < 1.0 and lo <= b_stat * (1.0 + 1e-8):
             raise ConvergenceError(
                 f"no calibration root on the increasing branch for v={v}, "
-                f"log_n={ln}; trace={trace}"
-            )
+                f"log_n={ln}")
         lo = 0.5 * lo if v >= 1.0 else 0.5 * (lo + b_stat)
 
     # the log LHS is ~log n near the root, so its double-precision
     # evaluation noise scales with log n; the residual target does too
     f_tol = max(1e-13, abs(ln) * 5e-15)
     b, b_prev = min(max(b0, lo), hi), math.nan
+    trace: list[tuple[float, float]] = []
     for _ in range(MAX_ITER):
         fb = f(b)
         trace.append((b, fb))

@@ -159,6 +159,18 @@ def test_rank_bound_is_written_once():
     assert readers == {"expansions", "harness"}
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: expansions.gumbel_r_identities(0, 1.0), "r must be >= 1, got 0"),
+    (lambda: orderstats.poisson_powered_cdf(ged.make_params(2.0), 0, 1.0, 1.0, 10.0),
+     "r must be >= 1, got 0"),
+    (lambda: ged.log_survival(ged.make_params(2.0), -1.0),
+     "log_survival is defined for x >= 0"),
+], ids=["gumbel_r_identities", "poisson_powered_cdf", "log_survival"])
+def test_argument_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 

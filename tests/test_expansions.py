@@ -6,6 +6,8 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gedpower.expansions import (
     ExpansionEval,
@@ -71,6 +73,18 @@ class TestGumbelLaw:
         for r in (1, 2, 3, 20, 50, 107, 171):
             for k in range(-26, 20):  # x = k/4 + 1/3 over [-6.2, 5.3]
                 assert gumbel_r(r, k / 4 + 1 / 3) <= 1.0, (r, k)
+
+    @given(r=st.integers(min_value=1, max_value=171),
+           x=st.one_of(st.floats(min_value=-8.0, max_value=40.0),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+           dx=st.floats(min_value=0.0, max_value=4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_gumbel_r_is_a_distribution_function(self, r, x, dx):
+        # a value in [0, 1] that never falls as x grows, but for rounding:
+        # the weights' exponent errors make it dip by up to ~3.4e-14 relative
+        lo, hi = gumbel_r(r, x), gumbel_r(r, x + dx)
+        assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+        assert hi >= lo * (1.0 - 1e-13)
 
     def test_gumbel_r_vs_mpmath(self):
         for r in (1, 3, 6):

@@ -189,15 +189,22 @@ class TestRunSweep:
         assert rows[0].error != ""
 
     def test_error_rows_keep_their_order_of_checks(self):
-        # at n = 2 the normed point fails first at x = -5, the scales'
-        # n >= 3 check at x = 0; each row keeps its own message
-        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1,),
-                          n_ladder=(2,), x_min=-5.0, x_max=0.0, x_step=5.0)
-        first, second = run_sweep(cfg)
-        assert first.error.startswith(
-            "ValueError: normed point scale*x+shift = -7.07")
-        assert "is not positive at x=-5.0" in first.error
-        assert second.error == "ValueError: sample size must be >= 3; got 2"
+        # a cell-level failure comes first and is every row's note: at n = 2
+        # the scales' n >= 3 check fails in the plan, before any row's own
+        # check.  Rows of a live cell keep theirs: at n = 3 the normed point
+        # fails at x = -5 before r <= n does, and r <= n fails at x = 0
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 5),
+                          n_ladder=(2, 3), x_min=-5.0, x_max=0.0, x_step=5.0)
+        rows = run_sweep(cfg)
+        cell_note = "ValueError: sample size must be >= 3; got 2"
+        assert [row.error for row in rows if row.n == 2] == 4 * [cell_note]
+        first, second, third, fourth = (row for row in rows if row.n == 3)
+        for row in (first, third):
+            assert row.error.startswith(
+                "ValueError: normed point scale*x+shift = -5.10")
+            assert "is not positive at x=-5.0" in row.error
+        assert second.error == "" and math.isfinite(second.exact)
+        assert fourth.error == "ValueError: need r <= n; got r=5; n=3"
 
     def test_a_failing_norming_is_built_once_per_cell(self, monkeypatch):
         # the plan builds the norming, so its overflow is one note for all
@@ -417,6 +424,28 @@ class TestRunSweep:
             assert not math.isnan(row.exact)
             assert row.error == "" or row.error.startswith("mc_3sigma_violation")
         assert all("belongs to case 't1_iii'" in row.error for row in rows[len(alone):])
+
+    def test_mc_draws_no_table_for_an_n_whose_cells_fail(self, monkeypatch):
+        # every n = 2 cell fails its scales' n >= 3 check in the plan, so no
+        # row of that n can use a table
+        import gedpower.harness as harness
+
+        calls = []
+        real = harness.mc_tables
+
+        def counting(jobs):
+            calls.extend((params.v, n) for params, n, _, _, _ in jobs)
+            return real(jobs)
+
+        monkeypatch.setattr(harness, "mc_tables", counting)
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 2),
+                          n_ladder=(2, 100), x_min=0.0, x_max=1.0, x_step=0.5,
+                          mc_reps=200, seed=3)
+        rows = run_sweep(cfg)
+        assert calls == [(2.0, 100)]
+        assert {row.error for row in rows if row.n == 2} == {
+            "ValueError: sample size must be >= 3; got 2"}
+        assert all(math.isfinite(row.exact) for row in rows if row.n == 100)
 
     def test_log_n_t1_i_rows_are_errors(self):
         # the t1_i rate is the O(1/n) term that the Poisson limit drops
@@ -777,8 +806,12 @@ class TestCli:
         assert "nan" in capsys.readouterr().err
 
     def test_exit_code_convergence(self, capsys):
-        # v < 1 with tiny n has no calibration root: exit 3
+        # v < 1 with tiny n has no calibration root: exit 3, naming v and
+        # log n and no solver trace, as no Newton step has run
         assert main(["solve-bn", "--v", "0.5", "--n", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "no calibration root on the increasing branch for v=0.5" in err
+        assert "log_n=0.69314718" in err and "trace=" not in err
 
     def test_exit_code_config(self, capsys):
         assert main(["norming", "--family", "optimal", "--v", "1", "--n",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from gedpower import norming, specfun
@@ -12,6 +13,7 @@ from gedpower.norming import (
     solve_bn,
 )
 from gedpower.specfun import ConvergenceError
+from oracles import mp_lambda
 
 
 class TestGumbelConstants:
@@ -182,6 +184,25 @@ class TestSolveBn:
             monkeypatch.setattr(module, "log_gamma", counting)
         solve_bn(params, log_n=log_n)
         assert len(calls) == 1 + (1.0 / v < 0.5)
+
+    @pytest.mark.parametrize("v,n", [(1.5, 2), (1.0, 3)])
+    def test_root_below_the_lower_bracket(self, v, n):
+        # log LHS(b_0/2) > log n here, so the lower end of the bracket is
+        # halved before Newton starts; the root is checked against a
+        # 40-digit root of the log equation
+        with mp.workdps(40):
+            lam, vv, ln = mp_lambda(v), mp.mpf(v), mp.log(n)
+            head = mp.log(2) / vv + (1 - vv) * mp.log(lam) + mp.loggamma(1 / vv)
+
+            def f(b):
+                return head + (vv - 1) * mp.log(b) + b**vv / (2 * lam**vv) - ln
+
+            b0 = (2 * lam**vv * ln) ** (1 / vv)
+            assert f(b0 / 2) > 0
+            root = mp.findroot(f, (b0 / 10**6, b0 / 2), solver="anderson")
+        sol = solve_bn(make_params(v), n)
+        assert abs(sol.b_n / float(root) - 1.0) <= 1e-14
+        assert abs(sol.residual) <= max(1e-13, math.log(n) * 5e-15)
 
     def test_no_root_reported(self):
         # for v < 1 and tiny n the increasing branch never reaches n
