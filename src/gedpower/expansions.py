@@ -36,7 +36,6 @@ __all__ = [
     "NormedCase",
     "ExpansionEval",
     "gumbel_r",
-    "gumbel_r_identities",
     "classify_case",
     "case_norming",
     "exact_deficit",
@@ -66,27 +65,6 @@ def gumbel_r(r: int, x: float) -> float:
     r <= 0.  At most 1: each weight's exponent carries an error of about
     |exponent| eps, which at large r can lift the sum past 1."""
     return min(math.fsum(_rank_weights(r, x)), 1.0)
-
-
-def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
-    """Both sides of the first- and second-moment reduction identities.
-
-    lhs1 = Lambda(x) sum_{j<r} j e^(-jx)/j!            rhs1 = e^(-x) Lambda_{r-1}(x)
-    lhs2 = Lambda(x) sum_{j<r} j^2 e^(-jx)/j!          rhs2 = e^(-2x) Lambda_{r-2}(x) + rhs1
-
-    Test fixture for the moment bookkeeping inside the transfer lemma.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    e2mx = exp_or_inf(-2.0 * x)
-    if e2mx == math.inf:  # Lambda(x) is 0.0
-        return 0.0, 0.0, 0.0, 0.0
-    weights = _rank_weights(r, x)
-    lhs1 = math.fsum(j * w for j, w in enumerate(weights))
-    lhs2 = math.fsum(j * j * w for j, w in enumerate(weights))
-    rhs1 = math.exp(-x) * gumbel_r(r - 1, x)
-    rhs2 = e2mx * gumbel_r(r - 2, x) + math.exp(-x) * gumbel_r(r - 1, x)
-    return lhs1, rhs1, lhs2, rhs2
 
 
 @dataclass(frozen=True)

@@ -200,43 +200,39 @@ def _eval_point(config: SweepConfig, cell: NormedCase, r: int, x: float,
     scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
     exact = min(1.0, max(0.0, ee.leading + gap))
     error = ""
-    if config.mc_reps > 0:
-        y = cell.norming.scale * x + cell.norming.shift
-        error = _mc_note(config, table, r, cell.case.p, y, exact)
+    if config.mc_reps > 0:  # the gap engine's s = survival(z) at the normed point
+        s = exp_or_inf(-x) * (1.0 - deficit) / float(cell.n)
+        error = _mc_note(config, table, r, s, exact)
     return (exact, ee.leading, gap, scaled_err1, target1, scaled_err2, target2,
             deficit, bound, error)
 
 
 def _draw_tables(config: SweepConfig, plan) -> dict:
-    """One Monte Carlo table of top order statistics per (v, n) cell, keyed
-    by (v index, n index) and shared by every r, p and x of the cell.
+    """One Monte Carlo table of uniform order statistics per (v, n) cell,
+    keyed by (v index, n index) and shared by every r, p and x of the cell.
 
-    The tables are drawn concurrently in one :func:`mc_tables` call; a cell
-    over the budget gets ``None``.  A (v, n) cell takes its params from
-    its first live planned cell; one with none gets no table, as all its
-    rows carry notes.
+    A cell over the budget gets ``None``; a (v, n) cell with no live planned
+    cell gets no table, as all its rows carry notes.
     """
     import numpy as np
 
     keys, jobs = [], []
     for vi, (_, by_p) in enumerate(plan):
         for ni, n in enumerate(map(int, config.n_ladder)):
-            params = next((cells[ni].params for _, cells in by_p
-                           if not isinstance(cells[ni], str)), None)
-            if params is None:
+            if all(isinstance(cells[ni], str) for _, cells in by_p):
                 continue
             seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
             keys.append((vi, ni))
-            jobs.append((params, n, min(config.r_list[-1], n), config.mc_reps, seed))
+            jobs.append((n, min(config.r_list[-1], n), config.mc_reps, seed))
     return dict(zip(keys, mc_tables(jobs)))
 
 
-def _mc_note(config, table, r, p, y, exact) -> str:
-    """Cross-check the exact value against the cell's Monte Carlo table;
-    note 3-sigma misses."""
+def _mc_note(config, table, r, s, exact) -> str:
+    """Cross-check the exact value against the cell's Monte Carlo table at
+    the tail probability s of the row's threshold; note 3-sigma misses."""
     if table is None:
         return "mc_skipped_budget"
-    est, se = mc_score(table, r, p, y)
+    est, se = mc_score(table, r, s)
     if se == 0.0:
         se = math.sqrt(0.25 / config.mc_reps)
     z = (est - exact) / se

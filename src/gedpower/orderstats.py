@@ -9,13 +9,12 @@ floor of the two probabilities.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 from .expansions import _rank_weights, gumbel_r
 from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
-from .specfun import exp_or_inf, inv_reg_gamma_upper, pow_or_inf
+from .specfun import exp_or_inf, pow_or_inf
 
 __all__ = [
     "OrderStatSpec",
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 _MC_DEFAULT_BUDGET = 200_000_000
-_MC_CHUNK_DRAWS = 1 << 22
 
 
 class BudgetError(RuntimeError):
@@ -226,175 +224,55 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     return 2.0 * exp_or_inf(log_le_cam) + exp_or_inf(log_two_sided)
 
 
-def _tail_threshold(a: float, n: int, r_max: int) -> tuple[float, float]:
-    """The threshold c on Y ~ Gamma(a) above which a table of width r_max
-    draws each sample's positive values, and q = Q(a, c), the chance that
-    one lies above it; (0, 1) where every positive value is drawn.
-
-    c leaves r_max + 3 sqrt(r_max) + 8 positive values above it on average,
-    so few rows hold fewer than r_max (about 1e-5 of them at r_max = 3).
-    It is kept only where q < 1/2 and the proposals of :func:`_gamma_above`
-    are accepted more often than q, that is where they cost fewer draws
-    than the K values of the whole law.
-    """
-    q = 2.0 * (r_max + 3.0 * math.sqrt(r_max) + 8.0) / n
-    if q < 0.5:
-        c = inv_reg_gamma_upper(a, q)
-        rho = 1.0 - max(a - 1.0, 0.0) / c
-        # log of the acceptance rate rho Gamma(a) q e^c c^(1-a), less log q
-        if rho > 0.0 and math.log(rho) + math.lgamma(a) + c + (1.0 - a) * math.log(c) > 0.0:
-            return c, q
-    return 0.0, 1.0
-
-
-def _gamma_above(rng: "np.random.Generator", a: float, c: float,
-                 count: int) -> "np.ndarray":
-    """``count`` draws of Y ~ Gamma(a) given Y > c > 0, by rejection from
-    c + W with W ~ Exp(rho), rho = 1 - max(a - 1, 0) / c.
-
-    A proposal is kept with log-probability (a - 1) log1p(W/c) - (1 - rho) W,
-    the log of the target over the proposal relative to its value at W = 0,
-    which is <= 0 for every a > 0 and is 0 at a = 1.  Each round proposes
-    as many values as are still missing.
-    """
-    import numpy as np
-
-    rho = 1.0 - max(a - 1.0, 0.0) / c
-    ys = np.empty(0)
-    while ys.size < count:
-        w = rng.standard_exponential(count - ys.size)
-        w /= rho
-        if a != 1.0:
-            log_keep = np.log1p(w / c)
-            log_keep *= a - 1.0
-            log_keep -= (1.0 - rho) * w
-            w = w[rng.standard_exponential(w.size) >= -log_keep]
-        ys = np.concatenate((ys, w))
-    ys += c
-    return ys
-
-
-def _top_table(params: GedParams, n: int, r_max: int, reps: int, seed: int,
-               threshold: tuple[float, float]) -> "np.ndarray":
-    """One table of :func:`mc_tables`, for a checked job and the
-    :func:`_tail_threshold` (c, q) of its shape, n and r_max.
-
-    Draws are Y ~ Gamma(1/v), which grow with |X| = lambda (2Y)^(1/v); the
-    r_max largest of a row are selected among them and only those are
-    mapped to |X|.
-    """
-    import numpy as np
-
-    a = 1.0 / params.v
-    c, q = threshold
-    per_chunk = max(1, _MC_CHUNK_DRAWS // n)
-    top = np.empty((reps, r_max))
-    for idx, start in enumerate(range(0, reps, per_chunk)):
-        size = min(per_chunk, reps - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        # (N, K - N, n - K) is multinomial with chances (q/2, (1 - q)/2, 1/2)
-        above = rng.binomial(n, q / 2.0, size)
-        total = int(above.sum())
-        ys = _gamma_above(rng, a, c, total) if c > 0.0 else rng.standard_gamma(a, total)
-        # row i holds its N values first; the -1 after them sorts below every draw
-        width = max(int(above.max()), r_max)
-        padded = np.full((size, width), -1.0)
-        padded[np.arange(width) < above[:, None]] = ys
-        # only rows with N < r_max need K, and their largest values below c
-        k = above.copy()
-        if c > 0.0:
-            short = np.flatnonzero(above < r_max)
-            k[short] += rng.binomial(n - above[short], (1.0 - q) / (2.0 - q))
-            for i in short[k[short] > above[short]]:
-                below = rng.standard_gamma(a, k[i] - above[i])
-                high = np.flatnonzero(below > c)
-                while high.size:  # Y given Y <= c: a draw above c is drawn again
-                    below[high] = rng.standard_gamma(a, high.size)
-                    high = high[below[high] > c]
-                fill = min(r_max - above[i], below.size)
-                below.partition(below.size - fill)
-                padded[i, above[i]:above[i] + fill] = below[below.size - fill:]
-        padded.partition(width - r_max, axis=1)
-        mags = top[start:start + size]
-        mags[:] = np.sort(padded[:, width - r_max:], axis=1)[:, ::-1]
-        # rows with K < r_max: the smallest negative magnitudes, ascending
-        negative = np.arange(r_max) >= k[:, None]
-        short_k = k[negative[:, -1], None]
-        neg = rng.standard_gamma(a, (short_k.size, n))
-        np.copyto(neg, np.inf, where=np.arange(n) >= n - short_k)
-        neg.sort(axis=1)
-        mags[negative] = neg[np.arange(n) < r_max - short_k]
-        mags *= 2.0
-        mags **= 1.0 / params.v
-        mags *= params.lam
-        np.negative(mags, out=mags, where=negative)
-    return top
-
-
 def mc_tables(jobs: list) -> "list[np.ndarray | None]":
-    """For each ``(params, n, r_max, reps, seed)`` job, the signed r_max
-    largest of each of ``reps`` GED(v) samples of size n; a job over the
-    budget (n * reps above 2e8) gets ``None``.
+    """For each ``(n, r_max, reps, seed)`` job, the r_max smallest of n
+    uniforms in each of ``reps`` replications; a job over the budget
+    (n * reps above 2e8) gets ``None``.
 
-    A table is a (reps, r_max) array, largest first: column r - 1 holds
-    M_{n,r}.  A variate is +-|X| with a fair sign and |X| = lambda (2Y)^(1/v)
-    with Y ~ Gamma(1/v).  Each table has a threshold c, and q = Q(1/v, c) is
-    the chance that Y > c.  A row draws its count N ~ Binomial(n, q/2) of
-    positive values with Y > c, then those N values of Y given Y > c.  A row
-    with N < r_max also draws its count of positives K, and its K - N values
-    below c; a row with K < r_max then draws its n - K negative magnitudes.
-    Where a threshold would not save draws, c = 0 and N = K.  Each chunk of
-    about 2^22 / n rows has its own generator seeded by (seed, chunk index).
-
-    Every job is checked before any is drawn.  The tables come from one
-    worker thread per available core (a one-worker pool for one job),
-    largest job first, and are returned in job order.  An exception in a
-    worker is raised here, and no worker outlives the call.
+    A table is a (reps, r_max) array, ascending along each row.  It holds
+    tail probabilities U = survival(X), so it does not depend on the law:
+    the r-th largest X of a sample has the r-th smallest U, and column r - 1
+    stands for M_{n,r}.  A row is S_1, ..., S_r_max divided by
+    S_r_max + G, where S_k is the sum of the first k of r_max Exp(1) draws
+    and G ~ Gamma(n + 1 - r_max) (Renyi's representation of uniform order
+    statistics).  Each table has one generator, seeded by
+    ``SeedSequence(seed)``.  Every job is checked before any is drawn.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    import numpy as np
 
-    live = []
-    for i, (_, n, r_max, reps, _) in enumerate(jobs):
+    for n, r_max, reps, _ in jobs:
         if reps < 1:
             raise ValueError(f"reps must be >= 1, got {reps}")
         if not 1 <= r_max <= n:
             raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
-        if n * reps <= _MC_DEFAULT_BUDGET:
-            live.append(i)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    live.sort(key=lambda i: jobs[i][1] * jobs[i][3], reverse=True)
-    # the pool pays: on 2 cores the six mc-check tables take a median 12-13 ms
-    # through it and 14-16 ms drawn serially, and rows_per_s 6,347 -> 5,065
-    with ThreadPoolExecutor(max(1, min(len(live), cores))) as pool:
-        futures = {}
-        for i in live:  # each threshold here, so workers call no public function
-            params, n, r_max, _, _ = jobs[i]
-            threshold = _tail_threshold(1.0 / params.v, n, r_max)
-            futures[i] = pool.submit(_top_table, *jobs[i], threshold)
-        return [futures[i].result() if i in futures else None for i in range(len(jobs))]
+    tables = []
+    for n, r_max, reps, seed in jobs:
+        if n * reps > _MC_DEFAULT_BUDGET:
+            tables.append(None)
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        sums = np.cumsum(rng.standard_exponential((reps, r_max)), axis=1)
+        sums /= (sums[:, -1] + rng.standard_gamma(n + 1 - r_max, reps))[:, None]
+        tables.append(sums)
+    return tables
 
 
-def mc_score(top: "np.ndarray", r: int, p: float, y: float) -> tuple[float, float]:
-    """Estimate of P(|M_{n,r}|^p <= y) from a table of :func:`mc_tables`,
-    with its binomial stderr.
+def mc_score(table: "np.ndarray", r: int, s: float) -> tuple[float, float]:
+    """Estimate of P(|M_{n,r}| <= t) from a table of :func:`mc_tables`, with
+    its binomial stderr, where s = survival(t) for a t >= 0.
 
-    |M|^p <= y holds exactly when |M| <= y^(1/p), so one table serves every
-    rank up to its width, every power and every threshold.
+    |M_{n,r}| <= t holds exactly when s <= U_(r) <= 1 - s, so one table
+    serves every rank up to its width, every shape, power and threshold.
     """
     import numpy as np
 
-    if math.isnan(y):
-        raise ValueError("threshold y must not be nan")
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"p must be positive and finite, got {p}")
-    reps, width = top.shape
+    reps, width = table.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
-    t = pow_or_inf(y, 1.0 / p) if y >= 0.0 else -1.0
-    est = int(np.count_nonzero(np.abs(top[:, r - 1]) <= t)) / reps
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    column = table[:, r - 1]
+    est = int(np.count_nonzero((column >= s) & (column <= 1.0 - s))) / reps
     stderr = math.sqrt(est * (1.0 - est) / reps)
     return est, stderr
 
@@ -402,9 +280,13 @@ def mc_score(top: "np.ndarray", r: int, p: float, y: float) -> tuple[float, floa
 def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
                    reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr,
-    drawn from a table of the top r order statistics."""
-    [top] = mc_tables([(params, spec.n, spec.r, reps, seed)])
-    if top is None:
+    drawn from a table of the r smallest tail probabilities."""
+    if math.isnan(y):
+        raise ValueError("threshold y must not be nan")
+    [table] = mc_tables([(spec.n, spec.r, reps, seed)])
+    if table is None:
         raise BudgetError(f"n * reps = {spec.n * reps} exceeds the draw "
                           f"budget {_MC_DEFAULT_BUDGET}")
-    return mc_score(top, spec.r, spec.p, y)
+    if y < 0.0:
+        return 0.0, 0.0
+    return mc_score(table, spec.r, survival(params, pow_or_inf(y, 1.0 / spec.p)))

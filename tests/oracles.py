@@ -13,12 +13,15 @@ from scipy import integrate
 
 from gedpower.expansions import (
     NormedCase,
+    _rank_weights,
     correction_b,
     correction_h,
     correction_q,
     correction_s,
     exact_deficit,
+    gumbel_r,
 )
+from gedpower.specfun import exp_or_inf
 
 
 def quad_gamma_integral(a: float, x: float | None = None) -> float:
@@ -82,6 +85,28 @@ def mp_gumbel_r(r: int, x) -> mp.mpf:
     x = mp.mpf(x)
     lam = mp.e ** (-mp.e ** (-x))
     return lam * mp.fsum(mp.e ** (-j * x) / mp.factorial(j) for j in range(r))
+
+
+def gumbel_r_identities(r: int, x: float) -> tuple[float, float, float, float]:
+    """Both sides of the first- and second-moment reduction identities.
+
+    lhs1 = Lambda(x) sum_{j<r} j e^(-jx)/j!            rhs1 = e^(-x) Lambda_{r-1}(x)
+    lhs2 = Lambda(x) sum_{j<r} j^2 e^(-jx)/j!          rhs2 = e^(-2x) Lambda_{r-2}(x) + rhs1
+
+    The moment bookkeeping inside the transfer lemma, from the package's
+    own rank weights and limit law.
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    e2mx = exp_or_inf(-2.0 * x)
+    if e2mx == math.inf:  # Lambda(x) is 0.0
+        return 0.0, 0.0, 0.0, 0.0
+    weights = _rank_weights(r, x)
+    lhs1 = math.fsum(j * w for j, w in enumerate(weights))
+    lhs2 = math.fsum(j * j * w for j, w in enumerate(weights))
+    rhs1 = math.exp(-x) * gumbel_r(r - 1, x)
+    rhs2 = e2mx * gumbel_r(r - 2, x) + math.exp(-x) * gumbel_r(r - 1, x)
+    return lhs1, rhs1, lhs2, rhs2
 
 
 def mp_expansion_terms(params, tag: str, p, r: int, x) -> tuple[mp.mpf, mp.mpf]:

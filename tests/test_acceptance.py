@@ -16,7 +16,6 @@ from gedpower.expansions import (
     classify_case,
     exact_deficit,
     expand,
-    gumbel_r_identities,
 )
 from gedpower.ged import cdf, make_params, pdf, quantile, survival
 from gedpower.harness import SweepConfig, emit, run_sweep
@@ -32,6 +31,7 @@ from gedpower.specfun import reg_gamma_lower
 from oracles import (
     brute_lower_orderstat_mass,
     brute_upper_orderstat_cdf,
+    gumbel_r_identities,
     quad_reg_lower,
 )
 
@@ -303,13 +303,13 @@ def test_criterion_8c_monte_carlo_grid():
                 spec = OrderStatSpec(n=n, r=r, p=1.0)
                 for wi, w in enumerate((0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
                     t = quantile(params, 1.0 - min(0.45, r / (w * n)))
-                    points.append((r, t, exact_powered_cdf(params, spec, t)))
+                    points.append((r, survival(params, t), exact_powered_cdf(params, spec, t)))
                     seed = 1000 * vi + 100 * ni + 10 * r + wi
-                    jobs.append((params, n, r, reps, seed))
+                    jobs.append((n, r, reps, seed))
     misses = 0
     total = len(jobs)
-    for (r, t, exact), table in zip(points, mc_tables(jobs)):
-        k = round(mc_score(table, r, 1.0, t)[0] * reps)
+    for (r, s, exact), table in zip(points, mc_tables(jobs)):
+        k = round(mc_score(table, r, s)[0] * reps)
         lower = bdtr(k, reps, exact)  # P(K <= k)
         upper = bdtrc(k - 1, reps, exact) if k > 0 else 1.0  # P(K >= k)
         if min(lower, upper) < 0.00135:

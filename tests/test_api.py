@@ -17,6 +17,7 @@ import pytest
 import gedpower
 from gedpower import expansions, ged, harness, norming, orderstats, specfun
 from gedpower.cli import main
+from oracles import gumbel_r_identities
 
 SUBMODULES = (specfun, ged, norming, orderstats, expansions, harness)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -51,7 +52,7 @@ def test_all_is_the_union_of_the_submodules():
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
     "rows_from_json", "normed_threshold", "mc_top_order_stats", "theta_deficit",
-    "sample_stream", "gumbel",
+    "sample_stream", "gumbel", "gumbel_r_identities",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
@@ -78,9 +79,9 @@ def test_stored_fields():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # the Monte Carlo path loads numpy and concurrent.futures when it first
-    # runs; importing numpy with the package costs every other caller about
-    # half of its cold start
+    # the Monte Carlo path loads numpy when it first runs and starts no
+    # thread pool; importing numpy with the package costs every other caller
+    # about half of its cold start
     code = ("import sys, gedpower; print('numpy' not in sys.modules, "
             "'concurrent.futures' not in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_env(),
@@ -160,7 +161,7 @@ def test_rank_bound_is_written_once():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: expansions.gumbel_r_identities(0, 1.0), "r must be >= 1, got 0"),
+    (lambda: gumbel_r_identities(0, 1.0), "r must be >= 1, got 0"),
     (lambda: orderstats.poisson_powered_cdf(ged.make_params(2.0), 0, 1.0, 1.0, 10.0),
      "r must be >= 1, got 0"),
     (lambda: ged.log_survival(ged.make_params(2.0), -1.0),

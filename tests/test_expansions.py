@@ -21,13 +21,13 @@ from gedpower.expansions import (
     exact_deficit,
     expand,
     gumbel_r,
-    gumbel_r_identities,
     theorem_expansion,
 )
 from gedpower.ged import make_params
 from gedpower.norming import solve_bn
 from oracles import (
     brute_upper_orderstat_cdf,
+    gumbel_r_identities,
     lemma3_transfer,
     mp_expansion_terms,
     mp_gumbel_r,

@@ -6,6 +6,7 @@ import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from gedpower.cli import _VERIFY_KEYS, _sweep_config, build_parser, main
@@ -46,6 +47,12 @@ def t1i_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def _table_seed(seed: int, vi: int, ni: int) -> int:
+    """The generator seed of the Monte Carlo table of a sweep's
+    (v index, n index) cell."""
+    return int(np.random.SeedSequence((seed, vi, ni)).generate_state(1)[0])
 
 
 class TestConfig:
@@ -377,7 +384,7 @@ class TestRunSweep:
         real = harness.mc_tables
 
         def counting(jobs):
-            calls.extend((params.v, n, r_max, reps) for params, n, r_max, reps, _ in jobs)
+            calls.extend(jobs)
             return real(jobs)
 
         def counting_case(params, case, n=None, log_n=None, real=harness.NormedCase):
@@ -395,8 +402,8 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert len(rows) == 2 * 2 * 3 * 2 * 4
         assert not any(r.error and not r.error.startswith("mc_") for r in rows)
-        assert sorted(calls) == [(v, n, min(3, n), reps)
-                                 for v in (1.0, 2.0) for n in n_ladder]
+        assert sorted(calls) == sorted((n, min(3, n), reps, _table_seed(3, vi, ni))
+                                       for vi in range(2) for ni, n in enumerate(n_ladder))
         assert sorted(built) == [(v, p, n) for v in (1.0, 2.0) for p in (1.0, 2.0)
                                  for n in n_ladder]
 
@@ -408,7 +415,7 @@ class TestRunSweep:
         real = harness.mc_tables
 
         def counting(jobs):
-            calls.extend((params.v, n) for params, n, _, _, _ in jobs)
+            calls.extend((n, seed) for n, _, _, seed in jobs)
             return real(jobs)
 
         monkeypatch.setattr(harness, "mc_tables", counting)
@@ -416,7 +423,7 @@ class TestRunSweep:
                           n_ladder=(1000,), x_min=0.0, x_max=1.0, x_step=0.5,
                           theorem="t1_i", mc_reps=500, seed=7)
         rows = run_sweep(cfg)
-        assert calls == [(1.0, 1000)]
+        assert calls == [(1000, _table_seed(7, 0, 0))]
         alone = run_sweep(dataclasses.replace(cfg, v_list=(1.0,)))
         # the v = 1 rows hold numbers; a Monte Carlo note is the table's chance
         assert rows[:len(alone)] == alone
@@ -434,7 +441,7 @@ class TestRunSweep:
         real = harness.mc_tables
 
         def counting(jobs):
-            calls.extend((params.v, n) for params, n, _, _, _ in jobs)
+            calls.extend((n, seed) for n, _, _, seed in jobs)
             return real(jobs)
 
         monkeypatch.setattr(harness, "mc_tables", counting)
@@ -442,7 +449,7 @@ class TestRunSweep:
                           n_ladder=(2, 100), x_min=0.0, x_max=1.0, x_step=0.5,
                           mc_reps=200, seed=3)
         rows = run_sweep(cfg)
-        assert calls == [(2.0, 100)]
+        assert calls == [(100, _table_seed(3, 0, 1))]
         assert {row.error for row in rows if row.n == 2} == {
             "ValueError: sample size must be >= 3; got 2"}
         assert all(math.isfinite(row.exact) for row in rows if row.n == 100)
@@ -476,17 +483,19 @@ class TestRunSweep:
                 expected = exact_powered_cdf(params, OrderStatSpec(n=n, r=row.r, p=1.0), y)
             assert abs(row.exact - expected) <= 1e-12
 
-    def test_mc_worker_error_stops_the_sweep_and_no_thread_is_left(self, monkeypatch):
+    def test_mc_draw_error_stops_the_sweep_and_no_thread_is_started(self, monkeypatch):
+        def no_thread(*args):
+            raise AssertionError("the sweep started a thread")
+
         def broken(*args):
             raise TypeError("broken table")
 
         cfg = t1i_config(n_ladder=(100, 200), mc_reps=50)
-        threads = threading.active_count()
-        assert run_sweep(cfg) and threading.active_count() == threads
-        monkeypatch.setattr("gedpower.orderstats._top_table", broken)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_sweep(cfg)
+        monkeypatch.setattr(np.random, "default_rng", broken)
         with pytest.raises(TypeError, match="broken table"):
             run_sweep(cfg)
-        assert threading.active_count() == threads
 
     def test_mc_over_budget_is_noted_before_any_draw(self):
         # n * reps = 2.01e8 exceeds the 2e8 draw budget
@@ -567,10 +576,9 @@ class TestGoldenBytes:
     binomial sums as they were before those paths were merged, and from
     expand's terms on the one rank weight."""
 
-    # One Monte Carlo table per (v, n) cell; since tables draw only the
-    # values above their threshold, seed 4 puts two 3-sigma notes on this
-    # grid (v = 2: p = 1, r = 1, n = 1000 and p = 2, r = 3, n = 8, both at
-    # x = 1.5); n = 8 gives error rows.
+    # One Monte Carlo table per (v, n) cell; since tables hold uniform
+    # order statistics, seed 4 puts no 3-sigma note on this grid; n = 8
+    # gives error rows.
     EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),
                    n_ladder=(8, 100, 1000), x_min=-3.0, x_max=1.5, x_step=1.5,
                    mc_reps=200, seed=4)
@@ -596,8 +604,8 @@ class TestGoldenBytes:
 
     # ids are the grid and format, so a re-pin renames no test
     DIGESTS = {
-        ("EXACT_N", "csv"): "e19900b7fef2ba55a98fe88dcce35c1042f7b3a5caf9b2efdfe5a7463c5144eb",
-        ("EXACT_N", "json"): "83ca46d560f2261bab115467c0aa9f79d75e1d910dbb750e73d1e7525bd40ebe",
+        ("EXACT_N", "csv"): "74b11e8ac410c0c12745015b20b8ae2a08744e29c1597a4fb2d44ae1c3a3f2b4",
+        ("EXACT_N", "json"): "b7aebc0adc2ae0ecc7a731081008dc3c61b0c1af792355a75281ba74ca73f2eb",
         ("LOG_N", "csv"): "8a4f86ce67d9d56764ae7bf80ad201be2217a0884e6f0f7d2a13310dff539a96",
         ("LOG_N", "json"): "04eb05d1229f451c6599b6cead989e3e63004b2eeb2842eb963413d60f1c8e8c",
         ("SWEEP_LOGN", "json"): "857fb867adb34a3d97de9a2aae087f73bed8441fd5139caa212f8cd5897dfaca",

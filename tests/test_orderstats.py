@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import bdtr, bdtrc, gammaincc
-from scipy.stats import kstwo
+from scipy.special import bdtr, bdtrc
+from scipy.stats import beta, kstwo
 
 from gedpower import orderstats
 from gedpower.expansions import gumbel_r
@@ -24,7 +25,6 @@ from gedpower.orderstats import (
     poisson_powered_cdf,
     poisson_remainder_bound,
 )
-from gedpower.specfun import inv_reg_gamma_upper
 from oracles import brute_lower_orderstat_mass, brute_upper_orderstat_cdf, mp_gumbel_r
 
 mp.mp.dps = 50
@@ -327,10 +327,20 @@ def _exact_median(params, spec):
     return _exact_quantile(params, spec, 0.5)
 
 
-def _table(params, n, r_max, reps, seed):
+def _table(n, r_max, reps, seed):
     """The table of a one-job :func:`mc_tables` call."""
-    [top] = mc_tables([(params, n, r_max, reps, seed)])
+    [top] = mc_tables([(n, r_max, reps, seed)])
     return top
+
+
+def _ks_pvalue(sample, law_cdf) -> float:
+    """Exact two-sided Kolmogorov-Smirnov p-value of a sample against a
+    continuous law given by its CDF."""
+    cdf_at = law_cdf(np.sort(sample))
+    m = cdf_at.size
+    steps = np.arange(1, m + 1) / m
+    stat = max(np.max(steps - cdf_at), np.max(cdf_at - steps + 1.0 / m))
+    return kstwo.sf(stat, m)
 
 
 class TestMonteCarlo:
@@ -347,31 +357,42 @@ class TestMonteCarlo:
         a = mc_powered_cdf(params, spec, 2.0, reps=2000, seed=9)
         b = mc_powered_cdf(params, spec, 2.0, reps=2000, seed=9)
         assert a == b
-        assert not np.array_equal(_table(params, 50, 2, 2000, 9),
-                                  _table(params, 50, 2, 2000, 10))
+        assert not np.array_equal(_table(50, 2, 2000, 9), _table(50, 2, 2000, 10))
 
     def test_full_sample_deterministic(self):
-        params = make_params(0.7)
-        [a] = _table(params, 1000, 1000, 1, seed=42)
-        [b] = _table(params, 1000, 1000, 1, seed=42)
+        [a] = _table(1000, 1000, 1, seed=42)
+        [b] = _table(1000, 1000, 1, seed=42)
         assert np.array_equal(a, b)
-        [c] = _table(params, 1000, 1000, 1, seed=43)
+        [c] = _table(1000, 1000, 1, seed=43)
         assert not np.array_equal(a, c)
 
-    # one replication of a width-n table is a whole sorted sample
-    @pytest.mark.parametrize("v,var_rel", [(0.5, 2e-2), (1.0, 2e-2), (2.0, 1e-2),
-                                           (4.0, 2e-2)])
-    def test_full_sample_moments(self, v, var_rel):
-        [xs] = _table(make_params(v), 10**6, 10**6, 1, seed=11)
-        assert abs(xs.mean()) < 4e-3
-        assert xs.var() == pytest.approx(1.0, rel=var_rel)
+    @pytest.mark.parametrize("n", (1000, 10**6))
+    def test_full_width_row_is_a_sorted_uniform_sample(self, n):
+        # one replication of a width-n table is a whole sample of U = S(X)
+        [us] = _table(n, n, 1, seed=n % 97)
+        assert 0.0 < us[0] and us[-1] < 1.0
+        assert np.all(np.diff(us) > 0.0)
+        assert _ks_pvalue(us, lambda u: u) > 1e-4
 
     def test_full_sample_laplace_tail_frequency(self):
+        # X > 1 exactly when U = S(X) < S(1)
         n = 10**6
-        [xs] = _table(make_params(1.0), n, n, 1, seed=3)
+        [us] = _table(n, n, 1, seed=3)
         p_true = 0.5 * math.exp(-math.sqrt(2.0))
         se = math.sqrt(p_true * (1.0 - p_true) / n)
-        assert abs((xs > 1.0).mean() - p_true) < 3.0 * se
+        assert abs((us < survival(make_params(1.0), 1.0)).mean() - p_true) < 3.0 * se
+
+    @pytest.mark.parametrize("n,widths,reps", [
+        (1, (1,), 5000), (3, (1, 2, 3), 5000), (1000, (1, 3, 1000), 2000),
+        (10**6, (1, 3), 200)], ids=["n1", "n3", "n1000", "n1000000"])
+    def test_columns_follow_the_beta_laws(self, n, widths, reps):
+        # column k of a table is U_(k), the k-th smallest of n uniforms,
+        # whose law is Beta(k, n + 1 - k), at every width; n = 10^6 takes
+        # the 200 reps of the draw budget
+        for r_max in widths:
+            top = _table(n, r_max, reps, seed=n + r_max)
+            for k in {1, 2, 3, r_max // 2, r_max - 1, r_max} & set(range(1, r_max + 1)):
+                assert _ks_pvalue(top[:, k - 1], beta(k, n + 1 - k).cdf) > 1e-4
 
     def test_median_point_three_sigma(self):
         # pick y with exact probability 1/2 by bisection, then simulate
@@ -392,22 +413,22 @@ class TestMonteCarlo:
 
     def test_reps_below_one_rejected(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            _table(make_params(2.0), 10, 1, reps=0, seed=0)
+            _table(10, 1, reps=0, seed=0)
 
     def test_budget(self):
         params = make_params(2.0)
         spec = OrderStatSpec(n=10**6, r=1, p=1.0)
         with pytest.raises(BudgetError):
             mc_powered_cdf(params, spec, 1.0, reps=10**6, seed=0)
-        assert mc_tables([(params, 10**6, 3, 10**6, 0)]) == [None]
+        assert mc_tables([(10**6, 3, 10**6, 0)]) == [None]
 
-    # (v, n, r, p, y, reps, seed) -> (est, se), pinned since each row
-    # draws only its values above the table's threshold (exact values
-    # 0.504, 0.846 and 0.537); the last case spans two chunks
+    # (v, n, r, p, y, reps, seed) -> (est, se), pinned since tables hold
+    # uniform order statistics, one generator per table (exact values
+    # 0.504, 0.846 and 0.537)
     @pytest.mark.parametrize("case,expected", [
-        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.4935, 0.01117939510885987)),
-        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.85, 0.009219544457292887)),
-        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.5666666666666667, 0.06397337409104348)),
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.5, 0.011180339887498949)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.864, 0.008850762679001173)),
+        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.5833333333333334, 0.06364688465216445)),
     ])
     def test_pinned_estimates(self, case, expected):
         v, n, r, p, y, reps, seed = case
@@ -420,148 +441,74 @@ class TestMonteCarlo:
         params = make_params(v)
         spec = OrderStatSpec(n=n, r=r, p=p)
         assert mc_powered_cdf(params, spec, y, reps, seed) == mc_score(
-            _table(params, n, r, reps, seed), r, p, y)
+            _table(n, r, reps, seed), r, survival(params, y ** (1.0 / p)))
+
+    def test_negative_threshold_scores_zero(self):
+        spec = OrderStatSpec(n=10, r=2, p=1.5)
+        assert mc_powered_cdf(make_params(1.0), spec, -1.0, reps=50, seed=0) == (0.0, 0.0)
 
     def test_table_columns_score_like_mc_powered_cdf(self):
+        # column r - 1 of a wide table scores as mc_powered_cdf scores its
+        # own width-r table: the rows with |X| = |quantile(U)| <= t
         params = make_params(1.5)
-        n, r_max, reps, seed, p = 40, 6, 3000, 21, 1.5
-        top = _table(params, n, r_max, reps, seed)
+        n, r_max, reps, seed, p, t = 40, 6, 3000, 21, 1.5, 1.6
+        top = _table(n, r_max, reps, seed)
         assert top.shape == (reps, r_max)
-        assert np.all(top[:, :-1] >= top[:, 1:])  # largest first
+        assert np.all(top[:, :-1] < top[:, 1:])  # smallest U, largest X, first
         for r in range(1, r_max + 1):
-            y = 1.6 ** p
-            est = np.count_nonzero(np.abs(top[:, r - 1]) <= 1.6) / reps
-            spec = OrderStatSpec(n=n, r=r, p=p)
-            assert mc_powered_cdf(params, spec, y, reps, seed) == (
+            est = sum(abs(quantile(params, u)) <= t for u in top[:, r - 1]) / reps
+            assert mc_score(top, r, survival(params, t)) == (
                 est, math.sqrt(est * (1.0 - est) / reps))
-            assert mc_score(top, r, p, y)[0] == est
+            own = sum(abs(quantile(params, u)) <= t for u in _table(n, r, reps, seed)[:, -1])
+            spec = OrderStatSpec(n=n, r=r, p=p)
+            assert mc_powered_cdf(params, spec, t ** p, reps, seed)[0] == own / reps
 
     @staticmethod
-    def _white_box_table(params, n, r_max, reps, seed, threshold=None):
-        """Rebuild a table from the generator calls it makes.
-
-        Each chunk of 2^22 // n rows has its own generator.  With (c, q)
-        the table's threshold: N ~ Binomial(n, q/2) per row; then sum(N)
-        values of Y ~ Gamma(1/v) given Y > c, each c + W, W = E1 / rho,
-        kept where a second exponential E2 >= -log_keep, in rounds that
-        propose what is still missing (or plain Gamma(1/v) draws at c = 0);
-        then, at c > 0, K - N ~ Binomial(n - N, (1 - q)/(2 - q)) for the
-        rows with N < r_max, and for each of those rows with K > N in order
-        its K - N values given Y <= c, where values above c are drawn again;
-        then, for the rows with K < r_max in order, one block of width n
-        whose row starts with the n - K negative magnitudes.  Each signed
-        sample is sorted in full, so the reference makes no selection of
-        its own.
-        """
-        v, lam, a = params.v, params.lam, 1.0 / params.v
-        c, q = threshold or orderstats._tail_threshold(a, n, r_max)
-
-        def mag(y):
-            return lam * (2.0 * y) ** (1.0 / v)
-
+    def _white_box_table(n, r_max, reps, seed):
+        """Rebuild a table from its two generator calls: a (reps, r_max)
+        block of Exp(1) draws, then reps draws of Gamma(n + 1 - r_max).  A
+        row is its running sums over its last running sum plus its gamma
+        draw, each formed in Python floats."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        exps = rng.standard_exponential((reps, r_max))
+        gammas = rng.standard_gamma(n + 1 - r_max, reps)
         rows = []
-        per_chunk = max(1, orderstats._MC_CHUNK_DRAWS // n)
-        for idx, start in enumerate(range(0, reps, per_chunk)):
-            size = min(per_chunk, reps - start)
-            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-            above = rng.binomial(n, q / 2.0, size)
-            total = above.sum()
-            if c > 0.0:
-                rho = 1.0 - max(a - 1.0, 0.0) / c
-                tail = np.empty(0)
-                while tail.size < total:
-                    w = rng.standard_exponential(total - tail.size) / rho
-                    if a != 1.0:
-                        log_keep = (a - 1.0) * np.log1p(w / c) - (1.0 - rho) * w
-                        w = w[rng.standard_exponential(w.size) >= -log_keep]
-                    tail = np.concatenate((tail, c + w))
-            else:
-                tail = rng.standard_gamma(a, total)
-            k, below = above.copy(), {}
-            if c > 0.0:
-                short = np.flatnonzero(above < r_max)
-                k[short] += rng.binomial(n - above[short], (1.0 - q) / (2.0 - q))
-                for i in short[k[short] > above[short]]:
-                    ys = rng.standard_gamma(a, k[i] - above[i])
-                    high = np.flatnonzero(ys > c)
-                    while high.size:
-                        ys[high] = rng.standard_gamma(a, high.size)
-                        high = high[ys[high] > c]
-                    below[i] = ys
-            neg = rng.standard_gamma(a, (np.count_nonzero(k < r_max), n))
-            negs = iter(neg)
-            for i, row in enumerate(np.split(tail, np.cumsum(above)[:-1])):
-                sample = mag(np.concatenate([row, below.get(i, [])]))
-                if k[i] < r_max:
-                    sample = np.concatenate([sample, -mag(next(negs)[:n - k[i]])])
-                rows.append(np.sort(sample)[::-1][:r_max])
+        for row, g in zip(exps.tolist(), gammas.tolist()):
+            sums = list(itertools.accumulate(row))
+            rows.append([x / (sums[-1] + g) for x in sums])
         return np.array(rows)
 
-    @staticmethod
-    def _forced(v, n, mean_above):
-        """A threshold (c, q) with mean_above of a row's positive values
-        above c on average, far below the table's own choice."""
-        q = 2.0 * mean_above / n
-        return inv_reg_gamma_upper(1.0 / v, q), q
+    @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
+    def test_table_matches_the_white_box_rebuild(self, v):
+        # and mc_powered_cdf counts the rows whose |X| = |quantile(U)| is at
+        # most t = y^(1/p), at widths 1 to n
+        params, p = make_params(v), 1.5
+        for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500), (1, 1, 50)):
+            top = _table(n, r_max, reps, seed=11)
+            assert np.array_equal(top, self._white_box_table(n, r_max, reps, 11))
+            t = quantile(params, 1.0 - min(0.45, r_max / n))
+            est = sum(abs(quantile(params, u)) <= t for u in top[:, -1]) / reps
+            spec = OrderStatSpec(n=n, r=r_max, p=p)
+            assert mc_powered_cdf(params, spec, t ** p, reps, 11)[0] == est
 
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
-    def test_chunks_match_the_white_box_rebuild(self, v):
-        # an n = 10^5 chunk holds 41 rows, so that table takes three chunks
-        # and the last one is short; n = 40 draws the whole law (c = 0)
-        params = make_params(v)
-        for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500)):
-            top = _table(params, n, r_max, reps, seed=11)
-            assert np.array_equal(top, self._white_box_table(params, n, r_max, reps, 11))
-        # forced thresholds: rows short of r_max values above c, and rows
-        # with K < r_max
-        for n, mean_above in ((1000, 1.5), (6, 1.0)):
-            threshold = self._forced(v, n, mean_above)
-            top = orderstats._top_table(params, n, 3, 300, 12, threshold)
-            assert np.array_equal(
-                top, self._white_box_table(params, n, 3, 300, 12, threshold))
-
-    @pytest.mark.parametrize("a", (0.25, 0.5, 1.0, 2.0, 4.0))
-    @pytest.mark.parametrize("q", (0.3, 1e-3))
-    def test_tail_sampler_follows_the_truncated_gamma(self, a, q):
-        # exact Kolmogorov-Smirnov tail against P(Y <= y | Y > c) =
-        # 1 - Q(a, y) / Q(a, c), with c in a near and a far tail
-        c = inv_reg_gamma_upper(a, q)
-        rng = np.random.default_rng(np.random.SeedSequence((int(a * 4), int(q * 1e4))))
-        ys = np.sort(orderstats._gamma_above(rng, a, c, 20000))
-        assert ys[0] > c
-        cdf_y = 1.0 - gammaincc(a, ys) / q
-        steps = np.arange(1, ys.size + 1) / ys.size
-        stat = max(np.max(steps - cdf_y), np.max(cdf_y - steps + 1.0 / ys.size))
-        assert kstwo.sf(stat, ys.size) > 1e-4
-
-    @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
-    @pytest.mark.parametrize("path,n,mean_above", [
-        ("threshold", 1000, None), ("whole_law", 8, None),
-        ("short_above", 1000, 1.5), ("short_k", 6, 1.0)])
-    def test_table_columns_follow_the_exact_law(self, v, path, n, mean_above):
+    @pytest.mark.parametrize("n", (1000, 8, 6))
+    def test_table_columns_follow_the_exact_law(self, v, n):
         # every column at thresholds where the exact CDF is 0.1 to 0.9,
-        # scored by exact binomial tails as criterion 8c scores its cells;
-        # fewer reps where most rows take the slow short-row path
-        params, reps, r_max = make_params(v), 5000 if mean_above else 20000, 3
-        threshold = (self._forced(v, n, mean_above) if mean_above
-                     else orderstats._tail_threshold(1.0 / v, n, r_max))
-        assert (threshold[0] > 0.0) == (path != "whole_law")
-        top = orderstats._top_table(params, n, r_max, reps, 31, threshold)
+        # scored by exact binomial tails as criterion 8c scores its cells
+        params, reps, r_max = make_params(v), 20000, 3
+        top = _table(n, r_max, reps, 31)
         for r in range(1, r_max + 1):
             spec = OrderStatSpec(n=n, r=r, p=1.0)
             for u in (0.1, 0.3, 0.5, 0.7, 0.9):
                 y = _exact_quantile(params, spec, u)
                 exact = exact_powered_cdf(params, spec, y)
-                k = round(mc_score(top, r, 1.0, y)[0] * reps)
+                k = round(mc_score(top, r, survival(params, y))[0] * reps)
                 assert min(bdtr(k, reps, exact), bdtrc(k - 1, reps, exact)) > 1e-4
 
     def test_mc_tables_equal_lone_calls(self):
-        # the last job spans two chunks; n = 3 draws the whole law, the
-        # others take a threshold
-        jobs = [(make_params(0.5), 100, 1, 2000, 3),
-                (make_params(2.0), 1000, 3, 1500, 17),
-                (make_params(1.0), 3, 3, 777, 8),
-                (make_params(4.0), 100000, 2, 60, 5)]
+        jobs = [(100, 1, 2000, 3), (1000, 3, 1500, 17), (3, 3, 777, 8),
+                (100000, 2, 60, 5)]
         tables = mc_tables(jobs)
         assert len(tables) == len(jobs)
         for job, table in zip(jobs, tables):
@@ -570,98 +517,110 @@ class TestMonteCarlo:
 
     def test_mc_tables_budget_job_is_none_and_not_drawn(self, monkeypatch):
         drawn = []
-        real = orderstats._top_table
+        real = np.random.default_rng
 
-        def recording(params, n, r_max, reps, seed, threshold):
-            drawn.append((n, reps))
-            return real(params, n, r_max, reps, seed, threshold)
+        def recording(seed_seq):
+            drawn.append(seed_seq.entropy)
+            return real(seed_seq)
 
-        monkeypatch.setattr(orderstats, "_top_table", recording)
-        params = make_params(2.0)
-        over, fits = (params, 10**6, 3, 201, 0), (params, 100, 2, 50, 1)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        over, fits = (10**6, 3, 201, 0), (100, 2, 50, 1)
         first, second = mc_tables([over, fits])
         assert first is None and second.shape == (50, 2)
-        assert drawn == [(100, 50)]
+        assert drawn == [1]
         # a job that fails its checks stops the call before any draw
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            mc_tables([fits, (params, 10, 1, 0, 2)])
-        assert drawn == [(100, 50)]
+            mc_tables([fits, (10, 1, 0, 2)])
+        assert drawn == [1]
 
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
     def test_table_width_can_be_n(self, v):
-        # the table equals a full sort of the same draws at widths 1, 3, n
+        # at widths 1, 3 and n each row holds the smallest U in (0, 1),
+        # ascending, and X = -quantile(U) lists the largest X first
         params, seed = make_params(v), 1
         for n, widths, reps in ((1000, (1, 3, 1000), 7), (3, (1, 2, 3), 64)):
             for r_max in widths:
-                top = _table(params, n, r_max, reps, seed)
-                expected = self._white_box_table(params, n, r_max, reps, seed)
-                assert np.array_equal(top, expected)
+                top = _table(n, r_max, reps, seed)
+                assert top.shape == (reps, r_max)
+                assert np.all((0.0 < top) & (top < 1.0))
+                assert np.all(np.diff(top, axis=1) > 0.0)
+                xs = np.array([[-quantile(params, u) for u in row] for row in top])
+                assert np.all(np.diff(xs, axis=1) <= 0.0)
             with pytest.raises(ValueError):
-                _table(params, n, n + 1, reps, seed)
+                _table(n, n + 1, reps, seed)
 
-    # sha256 of tables drawn since each row draws only its values above the
-    # table's threshold: n = 1000 takes the threshold, n = 3 the whole law;
-    # ids name the job, so a re-pin renames no test
+    # sha256 of tables since they hold uniform order statistics, one
+    # generator per table; ids name the job, so a re-pin renames no test
     @pytest.mark.parametrize("job,digest", [
-        ((1.0, 1000, 3, 300, 11),
-         "a1e4083b5fc12ac4ca881e2d5b0379de15f1b595799501edd463544d2d355c29"),
-        ((1.0, 3, 3, 64, 1),
-         "9912afaa0274a547ea027f8a72d649327a8886cc8111e1b6b5747919e19c7d2d"),
-        ((4.0, 1000, 3, 300, 11),
-         "70bb7c51b49942c48484f746887917ced6a63274806cfe53f0903155db10565e"),
-        ((4.0, 3, 3, 64, 1),
-         "90d78920795686da0862d7d507d5713285825bce2e5cee869b1ec36279e8a51b"),
-    ], ids=["v1-n1000", "v1-n3", "v4-n1000", "v4-n3"])
-    def test_gamma_tables_are_unchanged(self, job, digest):
-        v, n, r_max, reps, seed = job
-        top = _table(make_params(v), n, r_max, reps, seed)
+        ((1000, 3, 300, 11), 
+         "e14e29af796c5552bfbe454c9d61d6817a97bf37ed4c7dcd6f97e497d687cf92"),
+        ((3, 3, 64, 1), 
+         "b944a5e38e56ef55ba55baea229082fd5639cb749885c3d05e6def4a4108f5d7"),
+        ((1, 1, 64, 2), 
+         "1b4f33b6956d4a6b5250c82b6c492ed3b0ce8ffbe24c435afdc85d608d898623"),
+        ((1000, 1000, 2, 5), 
+         "5b054ed105bf3459165286eeb236f266b65e47f4bb7b827c02ffd6ba9f789090"),
+    ], ids=["n1000-w3", "n3-w3", "n1-w1", "n1000-w1000"])
+    def test_tables_are_unchanged(self, job, digest):
+        top = _table(*job)
         assert hashlib.sha256(top.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("v", (0.5, 2.0))
     def test_own_generator_law_three_sigma(self, v):
         # thresholds where P(|M_{1000,r}| <= t) spans about 0.06 to 0.96
         params, n, reps = make_params(v), 1000, 20000
-        top = _table(params, n, 3, reps, seed=77)
+        top = _table(n, 3, reps, seed=77)
         for r in (1, 2, 3):
             spec = OrderStatSpec(n=n, r=r, p=1.0)
             for w in (0.5, 1.0, 2.0, 4.0):
                 t = quantile(params, 1.0 - r / (w * n))
                 exact = exact_powered_cdf(params, spec, t)
-                est, _ = mc_score(top, r, 1.0, t)
+                est, _ = mc_score(top, r, survival(params, t))
                 assert abs(est - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / reps)
 
     @pytest.mark.parametrize("v", (0.5, 2.0))
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_tiny_n_every_column_three_sigma(self, v, n):
-        # at r_max = n most rows hold fewer than r_max positive values, so
-        # the negative magnitudes fill the lower columns
+        # at r_max = n the lower columns hold the negative X
         params, reps = make_params(v), 20000
-        top = _table(params, n, n, reps, seed=40 + n)
+        top = _table(n, n, reps, seed=40 + n)
         for r in range(1, n + 1):
             y_half = _exact_median(params, OrderStatSpec(n=n, r=r, p=1.0))
-            est, se = mc_score(top, r, 1.0, y_half)
+            est, se = mc_score(top, r, survival(params, y_half))
             assert abs(est - 0.5) <= 3.0 * se
 
     def test_three_draws_smallest_is_negative_seven_eighths(self):
-        # the smallest of three is negative unless all three signs are +
+        # the smallest of three X is negative, that is U_(3) > 1/2, unless
+        # all three are positive
         reps = 20000
-        top = _table(make_params(1.0), 3, 3, reps, seed=8)
-        share = np.count_nonzero(top[:, 2] < 0.0) / reps
+        top = _table(3, 3, reps, seed=8)
+        share = np.count_nonzero(top[:, 2] > 0.5) / reps
         assert abs(share - 7.0 / 8.0) <= 3.0 * math.sqrt(7.0 / 64.0 / reps)
 
     def test_score_rank_within_table_width(self):
-        top = _table(make_params(1.0), 10, 2, 100, seed=0)
+        top = _table(10, 2, 100, seed=0)
         for r in (1, 2):
-            mc_score(top, r, 1.0, 1.0)
+            mc_score(top, r, 0.1)
         for r in (0, 3):
             with pytest.raises(ValueError, match="table width"):
-                mc_score(top, r, 1.0, 1.0)
+                mc_score(top, r, 0.1)
 
     @pytest.mark.parametrize("p", (0.0, math.inf))
     def test_score_power_positive_and_finite(self, p):
-        top = _table(make_params(1.0), 10, 2, 100, seed=0)
+        # mc_score takes s = S(y^(1/p)), so the power is checked where the
+        # spec that mc_powered_cdf scores is made
         with pytest.raises(ValueError, match="p must be positive and finite"):
-            mc_score(top, 1, p, 1.0)
+            mc_powered_cdf(make_params(1.0), OrderStatSpec(n=10, r=1, p=p), 1.0,
+                           reps=100, seed=0)
+
+    def test_score_s_lies_in_the_unit_interval(self):
+        # s = 0 is t = inf and counts every row; s = 1 counts none
+        top = _table(10, 2, 100, seed=0)
+        assert mc_score(top, 2, 0.0) == (1.0, 0.0)
+        assert mc_score(top, 2, 1.0) == (0.0, 0.0)
+        for s in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"s must lie in \[0, 1\]"):
+                mc_score(top, 1, s)
 
     def test_nan_threshold_rejected(self):
         params = make_params(1.0)
