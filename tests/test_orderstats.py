@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import bdtr, bdtrc
+from scipy.special import bdtr, bdtrc, gammainccinv
 from scipy.stats import beta, kstwo
 
 from gedpower import orderstats
@@ -374,6 +374,21 @@ class TestMonteCarlo:
         assert np.all(np.diff(us) > 0.0)
         assert _ks_pvalue(us, lambda u: u) > 1e-4
 
+    # one replication of a width-n table is a whole sorted sample, mapped to
+    # X through |X| = lambda (2 Q^-1(1/v, 2 min(U, 1 - U)))^(1/v), with X > 0
+    # where U < 1/2
+    @pytest.mark.parametrize("v,var_rel", [(0.5, 2e-2), (1.0, 2e-2), (2.0, 1e-2),
+                                           (4.0, 2e-2)])
+    def test_full_sample_moments(self, v, var_rel):
+        params = make_params(v)
+        [us] = _table(10**6, 10**6, 1, seed=11)
+        magnitude = (2.0 * gammainccinv(1.0 / v, 2.0 * np.minimum(us, 1.0 - us))) ** (1.0 / v)
+        xs = np.where(us < 0.5, 1.0, -1.0) * params.lam * magnitude
+        for i in (0, 1, 999, 500000, 999999):
+            assert xs[i] == pytest.approx(-quantile(params, us[i]), rel=1e-12, abs=1e-12)
+        assert abs(xs.mean()) < 4e-3
+        assert xs.var() == pytest.approx(1.0, rel=var_rel)
+
     def test_full_sample_laplace_tail_frequency(self):
         # X > 1 exactly when U = S(X) < S(1)
         n = 10**6
@@ -491,19 +506,26 @@ class TestMonteCarlo:
             spec = OrderStatSpec(n=n, r=r_max, p=p)
             assert mc_powered_cdf(params, spec, t ** p, reps, 11)[0] == est
 
+    # the ids are the names these cases carried when tables were drawn by
+    # rejection above a threshold, kept so that the test names stay stable
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
-    @pytest.mark.parametrize("n", (1000, 8, 6))
-    def test_table_columns_follow_the_exact_law(self, v, n):
+    @pytest.mark.parametrize("n,r_max,p,seed", [
+        pytest.param(1000, 3, 1.0, 31, id="threshold-1000-None"),
+        pytest.param(8, 8, 1.0, 31, id="whole_law-8-None"),
+        pytest.param(1000, 3, 1.5, 32, id="short_above-1000-1.5"),
+        pytest.param(6, 3, 1.0, 31, id="short_k-6-1.0")])
+    def test_table_columns_follow_the_exact_law(self, v, n, r_max, p, seed):
         # every column at thresholds where the exact CDF is 0.1 to 0.9,
-        # scored by exact binomial tails as criterion 8c scores its cells
-        params, reps, r_max = make_params(v), 20000, 3
-        top = _table(n, r_max, reps, 31)
+        # scored by exact binomial tails as criterion 8c scores its cells;
+        # at n = 8 the table is the whole sample, negative X included
+        params, reps = make_params(v), 20000
+        top = _table(n, r_max, reps, seed)
         for r in range(1, r_max + 1):
-            spec = OrderStatSpec(n=n, r=r, p=1.0)
+            spec = OrderStatSpec(n=n, r=r, p=p)
             for u in (0.1, 0.3, 0.5, 0.7, 0.9):
                 y = _exact_quantile(params, spec, u)
                 exact = exact_powered_cdf(params, spec, y)
-                k = round(mc_score(top, r, survival(params, y))[0] * reps)
+                k = round(mc_score(top, r, survival(params, y ** (1.0 / p)))[0] * reps)
                 assert min(bdtr(k, reps, exact), bdtrc(k - 1, reps, exact)) > 1e-4
 
     def test_mc_tables_equal_lone_calls(self):
