@@ -44,6 +44,7 @@ __all__ = [
     "correction_s",
     "correction_b",
     "expand",
+    "expand_ranks",
     "theorem_expansion",
 ]
 
@@ -277,52 +278,61 @@ class ExpansionEval:
     scale_second: float
 
 
-def _term_polys(params: GedParams, tag: str, p: float, r: int,
-                x: float) -> tuple[float, float]:
-    """The first- and second-order terms of :func:`expand` divided by the
-    rank weight Lambda(x) e^(-rx)/(r-1)!: polynomials in x and e^(-x)."""
-    emx = math.exp(-x)
+def _term_polys(params: GedParams, tag: str, p: float, ranks, x: float, emx: float) -> list:
+    """The first- and second-order terms of :func:`expand_ranks` over the rank
+    weight Lambda(x) e^(-rx)/(r-1)!, at each rank: polynomials in x and emx = e^(-x)."""
     if tag == "t1_i":
-        t2 = ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0)
-              + emx * ((9.0 * r**2 - 11.0 * r + 2.0) + emx * (1.0 - 9.0 * r + 3.0 * emx)))
-        return (r - 1.0 - emx) / 2.0, t2 / 24.0
+        return [((r - 1.0 - emx) / 2.0, ((-3.0 * r**3 + 10.0 * r**2 - 9.0 * r + 2.0)
+                 + emx * ((9.0 * r**2 - 11.0 * r + 2.0) + emx * (1.0 - 9.0 * r + 3.0 * emx)))
+                 / 24.0) for r in ranks]
     if tag == "t1_ii":
-        bracket = (4.0 * (1.0 - 2.0 * p) - 3.0 * (1.0 - p) * r * x
-                   + 3.0 * (1.0 - p) * x * emx)
-        return (1.0 - p) * x * x / 2.0, (1.0 - p) * x**3 * bracket / 24.0
+        c, a = 3.0 * (1.0 - p), 4.0 * (1.0 - 2.0 * p)
+        t1, head, e = (1.0 - p) * x * x / 2.0, (1.0 - p) * x**3, c * x * emx
+        return [(t1, head * (a - c * r * x + e) / 24.0) for r in ranks]
     if tag == "t1_iii":
         vi = 1.0 / params.v
-        return ((1.0 - vi) ** 3 / 2.0,
-                -(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x))
+        return [((1.0 - vi) ** 3 / 2.0,
+                 -(1.0 - vi) ** 2 * (1.0 - math.log(2.0) - log_gamma(vi) + x))] * len(ranks)
     if tag == "t2_i":
-        h = _poly_h(params, p, x)
-        return h, _poly_q(params, p, x) + (emx - (r - 1.0)) * h * h / 2.0
-    return _poly_s(params, x), _poly_b(params, x)
+        h, q = _poly_h(params, p, x), _poly_q(params, p, x)
+        return [(h, q + (emx - (r - 1.0)) * h * h / 2.0) for r in ranks]
+    return [(_poly_s(params, x), _poly_b(params, x))] * len(ranks)
 
 
-def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
-    """Leading term, correction terms, and the cell's scale factors at x.
+def expand_ranks(cell: NormedCase, ranks, x: float) -> list[ExpansionEval]:
+    """Leading term, correction terms, and the cell's scale factors at x and
+    each of the ascending ``ranks``.
 
     Each term is a polynomial of :func:`_term_polys` times the rank weight,
     formed as (poly w)(h/(r-1)!) with h = e^(-rx/2) and w = Lambda(x) h taken
     as one exponential, e^(-e^(-x) - rx/2), so w stays normal left of where
     Lambda(x) underflows.  Where w is not 0.0, h is finite (x > -7.3 at
     r <= 171); no factor leaves the double range, and only the last product
-    can round into the subnormal range.  Both terms are 0.0 where w is.
+    can round into the subnormal range.  Both terms are 0.0 where w is; the
+    ranks share the polynomials, formed only where some rank's w is not.
     """
-    if not 1 <= r <= _MAX_RANK:
+    if not 1 <= ranks[0] <= ranks[-1] <= _MAX_RANK:
         raise ValueError(f"need 1 <= r <= {_MAX_RANK}, where (r-1)! is a finite "
-                         f"double; got r={r}")
+                         f"double; got r={ranks[0] if ranks[0] < 1 else ranks[-1]}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales
-    leading = gumbel_r(r, x)
-    w = math.exp(-exp_or_inf(-x) - 0.5 * r * x)
-    if w == 0.0:
-        return ExpansionEval(leading, 0.0, 0.0, s1, s2)
-    t1, t2 = _term_polys(cell.params, cell.case.tag, cell.case.p, r, x)
-    tail = math.exp(-0.5 * r * x) / math.factorial(r - 1)
-    return ExpansionEval(leading, t1 * w * tail / s1, t2 * w * tail / s2, s1, s2)
+    emx = exp_or_inf(-x)
+    ws = [math.exp(-emx - 0.5 * r * x) for r in ranks]
+    polys = _term_polys(cell.params, cell.case.tag, cell.case.p, ranks, x, emx) if any(ws) else ws
+    out = []
+    for r, w, poly in zip(ranks, ws, polys):
+        t1 = t2 = 0.0
+        if w:
+            tail = math.exp(-0.5 * r * x) / math.factorial(r - 1)
+            t1, t2 = poly[0] * w * tail / s1, poly[1] * w * tail / s2
+        out.append(ExpansionEval(gumbel_r(r, x), t1, t2, s1, s2))
+    return out
+
+
+def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
+    """:func:`expand_ranks` at one rank."""
+    return expand_ranks(cell, (r,), x)[0]
 
 
 def theorem_expansion(params: GedParams, case: TheoremCase, r: int,

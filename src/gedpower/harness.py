@@ -15,11 +15,11 @@ from .expansions import (
     TheoremCase,
     classify_case,
     exact_deficit,
-    expand,
+    expand_ranks,
 )
 from .ged import EQ_TOL, make_params
 from .orderstats import (
-    cdf_gap_from_deficit,
+    cdf_gaps_from_deficit,
     mc_score,
     mc_tables,
     poisson_remainder_bound,
@@ -182,29 +182,44 @@ def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
         return _note(exc)
 
 
-def _eval_point(config: SweepConfig, cell: NormedCase, r: int, x: float,
-                table) -> tuple:
-    """The cells of one row after its (v, p, r, n, x): exact through
-    remainder_bound, then the Monte Carlo note."""
-    deficit = exact_deficit(cell, x)
-    if cell.n is not None:
-        gap = cdf_gap_from_deficit(r, x, deficit, n=float(cell.n))
-        bound = 0.0
-    else:
-        gap = cdf_gap_from_deficit(r, x, deficit, log_n=cell.log_n)
-        bound = poisson_remainder_bound(r, x, deficit, cell.log_n)
-    ee = expand(cell, r, x)
-    target1 = ee.first_order * ee.scale_first
-    target2 = ee.second_order * ee.scale_second
-    scaled_err1 = ee.scale_first * gap
-    scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
-    exact = min(1.0, max(0.0, ee.leading + gap))
-    error = ""
-    if config.mc_reps > 0:  # the gap engine's s = survival(z) at the normed point
-        s = exp_or_inf(-x) * (1.0 - deficit) / float(cell.n)
-        error = _mc_note(config, table, r, s, exact)
-    return (exact, ee.leading, gap, scaled_err1, target1, scaled_err2, target2,
-            deficit, bound, error)
+def _eval_x(cell: NormedCase, ranks, x: float, deficit: float | None = None) -> list:
+    """The cells, exact through the note, of the rows of ``ranks`` at one x, which
+    share all rank-free work; past the deficit, a failing rank list goes rank by rank."""
+    try:
+        deficit = exact_deficit(cell, x) if deficit is None else deficit
+        mode = {"n": float(cell.n)} if cell.n is not None else {"log_n": cell.log_n}
+        gaps = cdf_gaps_from_deficit(ranks, x, deficit, **mode)
+        rows = []
+        for r, gap, ee in zip(ranks, gaps, expand_ranks(cell, ranks, x)):
+            target1 = ee.first_order * ee.scale_first
+            target2 = ee.second_order * ee.scale_second
+            scaled_err1 = ee.scale_first * gap
+            scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
+            exact = min(1.0, max(0.0, ee.leading + gap))
+            bound = 0.0 if cell.n else poisson_remainder_bound(r, x, deficit, cell.log_n)
+            rows.append((exact, ee.leading, gap, scaled_err1, target1, scaled_err2,
+                         target2, deficit, bound, ""))
+        return rows
+    except _ROW_ERRORS as exc:
+        if deficit is None or len(ranks) == 1:
+            return [(*_NO_NUMBERS, _note(exc))] * len(ranks)
+        return [row for r in ranks for row in _eval_x(cell, (r,), x, deficit)]
+
+
+def _eval_cell(config: SweepConfig, cell: NormedCase | str, xs, table) -> list:
+    """The rows of one (v, p, n) cell, per rank and then per x; each rank
+    scores its rows that hold numbers in one Monte Carlo call."""
+    if isinstance(cell, str):
+        return [[(*_NO_NUMBERS, cell)] * len(xs)] * len(config.r_list)
+    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, config.r_list, x) for x in xs))]
+    for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
+        live = [i for i, row in enumerate(rows) if not row[-1]]
+        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
+        ss = [exp_or_inf(-xs[i]) * (1.0 - rows[i][7]) / float(cell.n) for i in live]
+        scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
+        for i, score in zip(live, scores):
+            rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
+    return by_rank
 
 
 def _draw_tables(config: SweepConfig, plan) -> dict:
@@ -227,18 +242,12 @@ def _draw_tables(config: SweepConfig, plan) -> dict:
     return dict(zip(keys, mc_tables(jobs)))
 
 
-def _mc_note(config, table, r, s, exact) -> str:
-    """Cross-check the exact value against the cell's Monte Carlo table at
-    the tail probability s of the row's threshold; note 3-sigma misses."""
-    if table is None:
+def _mc_note(config, score, exact) -> str:
+    """The note of a Monte Carlo score that misses by 3 sigma, or of none."""
+    if score is None:
         return "mc_skipped_budget"
-    est, se = mc_score(table, r, s)
-    if se == 0.0:
-        se = math.sqrt(0.25 / config.mc_reps)
-    z = (est - exact) / se
-    if abs(z) > 3.0:
-        return f"mc_3sigma_violation(z={z:.2f})"
-    return ""
+    z = (score[0] - exact) / (score[1] or math.sqrt(0.25 / config.mc_reps))  # est, stderr
+    return f"mc_3sigma_violation(z={z:.2f})" if abs(z) > 3.0 else ""
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
@@ -260,15 +269,11 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     tables = _draw_tables(config, plan) if config.mc_reps > 0 else {}
     for vi, (v, by_p) in enumerate(plan):
         for p, cells in by_p:
-            for r in config.r_list:
-                for ni, (n, cell) in enumerate(zip(n_column, cells)):
-                    table = tables.get((vi, ni))
-                    for x in xs:
-                        try:
-                            values = ((*_NO_NUMBERS, cell) if isinstance(cell, str)
-                                      else _eval_point(config, cell, r, x, table))
-                        except _ROW_ERRORS as exc:
-                            values = (*_NO_NUMBERS, _note(exc))
+            by_cell = [_eval_cell(config, cell, xs, tables.get((vi, ni)))
+                       for ni, cell in enumerate(cells)]
+            for ri, r in enumerate(config.r_list):
+                for n, by_rank in zip(n_column, by_cell):
+                    for x, values in zip(xs, by_rank[ri]):
                         rows.append(VerificationRow(v, p, r, n, x, *values))
                         done += 1
                         if progress is not None and done % 50 == 0:

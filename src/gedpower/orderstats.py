@@ -23,6 +23,7 @@ __all__ = [
     "poisson_powered_cdf",
     "lower_tail_mass",
     "cdf_gap_from_deficit",
+    "cdf_gaps_from_deficit",
     "poisson_remainder_bound",
     "mc_tables",
     "mc_score",
@@ -33,7 +34,7 @@ _MC_DEFAULT_BUDGET = 200_000_000
 
 
 class BudgetError(RuntimeError):
-    """A Monte Carlo request has n * reps above the budget."""
+    """A Monte Carlo request draws reps * (r + 1) values, above the budget."""
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,15 @@ def _log1p_plus(s: float) -> float:
     return math.log1p(-s) + s
 
 
-def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
-                         n: float | None = None,
+def cdf_gap_from_deficit(r: int, x: float, deficit: float, *, n: float | None = None,
                          log_n: float | None = None) -> float:
-    """P(|M_{n,r}|^p <= z^p) - Lambda_r(x), evaluated without cancellation.
+    """:func:`cdf_gaps_from_deficit` at one rank."""
+    return cdf_gaps_from_deficit((r,), x, deficit, n=n, log_n=log_n)[0]
+
+
+def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = None,
+                          log_n: float | None = None) -> list[float]:
+    """P(|M_{n,r}|^p <= z^p) - Lambda_r(x) at the ascending ``ranks``, without cancellation.
 
     ``deficit`` is 1 - theta with theta = n e^x survival(z) at the normed
     point z.  Writing s = e^(-x)(1 - deficit)/n, every binomial addend
@@ -174,21 +180,22 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
     With ``log_n`` instead of ``n`` the Poisson-limit form is used and the
     lower-tail term is zero.  In exact-n mode s must be below 1.  Where A_j
     or e^(-x) overflows, Lambda_r(x) < 1e-130, so P - Lambda_r(x) is taken.
+    Each rank's sum is a prefix of one running sum to the largest rank.
     """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if ranks[0] < 1:
+        raise ValueError(f"r must be >= 1, got {ranks[0]}")
     if not deficit < 1.0:
         raise ValueError(f"deficit must be < 1, got {deficit}")
     if (n is None) == (log_n is None):
         raise ValueError("pass exactly one of n and log_n")
-    if n is not None and not r <= n:
-        raise ValueError(f"need r <= n, got r={r}, n={n:g}")
-    lams = _rank_weights(r, x)
+    if n is not None and not ranks[-1] <= n:
+        raise ValueError(f"need r <= n, got r={ranks[-1]}, n={n:g}")
+    lams = _rank_weights(ranks[-1], x)
     emx = exp_or_inf(-x)
     s = emx * (1.0 - deficit) / n if n is not None else 0.0
     if not s < 1.0:
         raise ValueError(f"need s = e^(-x)(1 - deficit)/n < 1, got s={s:g}")
-    gap = 0.0
+    gap, gaps = 0.0, []
     try:
         if n is not None:
             phi = _log1p_plus(s)
@@ -197,16 +204,22 @@ def cdf_gap_from_deficit(r: int, x: float, deficit: float, *,
                 a_j = (log_prod + j * math.log1p(-deficit) + (n - j) * phi
                        + j * s + emx * deficit)
                 gap += lam_j * math.expm1(a_j)
+                if j + 1 in ranks:
+                    gaps.append(gap - lower_tail_mass(n, j + 1, s))
                 log_prod += math.log1p(-j / n)
-            return gap - lower_tail_mass(n, r, s)
+            return gaps
         if emx < math.inf:
             for j, lam_j in enumerate(lams):
                 gap += lam_j * math.expm1(j * math.log1p(-deficit) + emx * deficit)
-            return gap
-    except OverflowError:
+                if j + 1 in ranks:
+                    gaps.append(gap)
+            return gaps
+    except OverflowError:  # the ranks past the addend that overflowed
         if n is not None:
-            return _upper_sum(n, r, s) - lower_tail_mass(n, r, s) - gumbel_r(r, x)
-    return gumbel_r(r, x - math.log1p(-deficit)) - gumbel_r(r, x)
+            return gaps + [_upper_sum(n, r, s) - lower_tail_mass(n, r, s) - gumbel_r(r, x)
+                           for r in ranks[len(gaps):]]
+    return gaps + [gumbel_r(r, x - math.log1p(-deficit)) - gumbel_r(r, x)
+                   for r in ranks[len(gaps):]]
 
 
 def poisson_remainder_bound(r: int, x: float, deficit: float,
@@ -226,17 +239,17 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
 
 def mc_tables(jobs: list) -> "list[np.ndarray | None]":
     """For each ``(n, r_max, reps, seed)`` job, the r_max smallest of n
-    uniforms in each of ``reps`` replications; a job over the budget
-    (n * reps above 2e8) gets ``None``.
+    uniforms in each of ``reps`` replications, or ``None`` for a job that
+    would draw reps * (r_max + 1) > 2e8 values.
 
-    A table is a (reps, r_max) array, ascending along each row.  It holds
-    tail probabilities U = survival(X), so it does not depend on the law:
-    the r-th largest X of a sample has the r-th smallest U, and column r - 1
-    stands for M_{n,r}.  A row is S_1, ..., S_r_max divided by
-    S_r_max + G, where S_k is the sum of the first k of r_max Exp(1) draws
-    and G ~ Gamma(n + 1 - r_max) (Renyi's representation of uniform order
-    statistics).  Each table has one generator, seeded by
-    ``SeedSequence(seed)``.  Every job is checked before any is drawn.
+    A table is a (reps, r_max) column-major array of tail probabilities
+    U = survival(X), so it does not depend on the law: the r-th largest X of
+    a sample has the r-th smallest U, and column r - 1 stands for M_{n,r}.
+    A replication is S_1, ..., S_r_max over S_r_max + G, where S_k sums the
+    first k of r_max Exp(1) draws and G ~ Gamma(n + 1 - r_max) (Renyi).
+    Each column is then sorted: no count changes and rows stay ascending, but
+    a row is one replication only at reps = 1.  One generator per table,
+    seeded by ``SeedSequence(seed)``; every job is checked before any draw.
     """
     import numpy as np
 
@@ -247,34 +260,39 @@ def mc_tables(jobs: list) -> "list[np.ndarray | None]":
             raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
     tables = []
     for n, r_max, reps, seed in jobs:
-        if n * reps > _MC_DEFAULT_BUDGET:
+        if reps * (r_max + 1) > _MC_DEFAULT_BUDGET:
             tables.append(None)
             continue
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        sums = np.cumsum(rng.standard_exponential((reps, r_max)), axis=1)
+        sums = np.asfortranarray(rng.standard_exponential((reps, r_max)))
+        np.cumsum(sums, axis=1, out=sums)
         sums /= (sums[:, -1] + rng.standard_gamma(n + 1 - r_max, reps))[:, None]
+        sums.sort(axis=0)
         tables.append(sums)
     return tables
 
 
-def mc_score(table: "np.ndarray", r: int, s: float) -> tuple[float, float]:
+def mc_score(table: "np.ndarray", r: int, s):
     """Estimate of P(|M_{n,r}| <= t) from a table of :func:`mc_tables`, with
-    its binomial stderr, where s = survival(t) for a t >= 0.
+    its binomial stderr, where s = survival(t) for a t >= 0 (a list of
+    pairs for a sequence of s).
 
-    |M_{n,r}| <= t holds exactly when s <= U_(r) <= 1 - s, so one table
-    serves every rank up to its width, every shape, power and threshold.
+    |M_{n,r}| <= t holds exactly when s <= U_(r) <= 1 - s, counted by
+    bisection on the sorted column r - 1; so one table serves every rank up
+    to its width, every shape, power and threshold.
     """
     import numpy as np
 
     reps, width = table.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
-    if not 0.0 <= s <= 1.0:
+    ss = np.asarray(s, dtype=float)
+    if ss.size and not 0.0 <= ss.min() <= ss.max() <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    column = table[:, r - 1]
-    est = int(np.count_nonzero((column >= s) & (column <= 1.0 - s))) / reps
-    stderr = math.sqrt(est * (1.0 - est) / reps)
-    return est, stderr
+    counts = table[:, r - 1].searchsorted(1.0 - ss, "right") - table[:, r - 1].searchsorted(ss)
+    scores = [(est, math.sqrt(est * (1.0 - est) / reps))
+              for est in (max(k, 0) / reps for k in np.atleast_1d(counts).tolist())]
+    return scores if ss.ndim else scores[0]
 
 
 def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
@@ -285,8 +303,7 @@ def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
         raise ValueError("threshold y must not be nan")
     [table] = mc_tables([(spec.n, spec.r, reps, seed)])
     if table is None:
-        raise BudgetError(f"n * reps = {spec.n * reps} exceeds the draw "
-                          f"budget {_MC_DEFAULT_BUDGET}")
+        raise BudgetError(f"reps * (r + 1) = {reps * (spec.r + 1)} exceeds {_MC_DEFAULT_BUDGET}")
     if y < 0.0:
         return 0.0, 0.0
     return mc_score(table, spec.r, survival(params, pow_or_inf(y, 1.0 / spec.p)))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import astuple
 import re
 import sys
 
@@ -20,6 +21,7 @@ from gedpower.expansions import (
     correction_s,
     exact_deficit,
     expand,
+    expand_ranks,
     gumbel_r,
     theorem_expansion,
 )
@@ -635,6 +637,71 @@ class TestBitsPinned:
         assert all(map(math.isfinite, values))
         text = " ".join(map(float.hex, values))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[tag, mode]
+
+
+class TestAllRanks:
+    """The all-ranks forms equal their one-rank wrappers bit for bit, on the
+    cases and modes of TestBitsPinned."""
+
+    RANKS = (1, 2, 3, 5, 20, 31, 32, 40, 171)
+    # w = 0 at every rank (x = -1e100, -800, 1000, 1e100) or at some (-8 to
+    # -6.6); at x = 1e100 the terms' x**4 would overflow if it were formed
+    XS = (-1e100, -800.0, -8.0, -7.0, -6.6, -2.0, -0.5, 0.0, 0.25, 3.0, 40.0,
+          1000.0, 1e100)
+
+    @staticmethod
+    def _bits(values) -> list[str]:
+        return [float.hex(v) for v in values]
+
+    @pytest.mark.parametrize("mode", TestBitsPinned.MODES)
+    @pytest.mark.parametrize("tag", TestBitsPinned.CASES)
+    def test_expand_ranks_equals_expand(self, tag, mode):
+        v, p, theorem = TestBitsPinned.CASES[tag]
+        cell = NormedCase(make_params(v), classify_case(v, p, theorem),
+                          **{mode: TestBitsPinned.MODES[mode]})
+        for x in self.XS:
+            for ranks in (self.RANKS, (3,), (2, 171)):
+                alone = [self._bits(astuple(expand(cell, r, x))) for r in ranks]
+                both = [self._bits(astuple(ee)) for ee in expand_ranks(cell, ranks, x)]
+                assert both == alone, (x, ranks)
+        with pytest.raises(ValueError, match="got r=172"):
+            expand_ranks(cell, (1, 172), 0.0)
+
+    @pytest.mark.parametrize("kw", [{"n": 1e6}, {"n": 200.0}, {"log_n": math.log(1e6)}],
+                             ids=["n", "n200", "log_n"])
+    def test_gaps_equal_one_rank_gaps(self, kw):
+        from gedpower.orderstats import cdf_gap_from_deficit, cdf_gaps_from_deficit
+
+        # around the mode, where n = 200 has a lower-tail mass at x = -2;
+        # then e^(-x) deficit past 709.78, where every addend's expm1
+        # overflows (s >= 1 at n = 200 and x = -10, deficit 0.1); then
+        # deficit -1e10 at x = 30, where the addends overflow from j = 31 on,
+        # so the ranks above 31 fall back alone
+        points = [(x, d) for x in (-2.0, -1.0, 0.0, 0.5, 3.0) for d in (-0.02, 0.0, 0.003)]
+        points += [(-10.0, 1.0 - math.exp(-10.0)), (-6.6, 0.999), (-10.0, 0.1),
+                   (30.0, -1e10)]
+        for x, d in points:
+            try:
+                alone = [cdf_gap_from_deficit(r, x, d, **kw) for r in self.RANKS]
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    cdf_gaps_from_deficit(self.RANKS, x, d, **kw)
+                continue
+            gaps = cdf_gaps_from_deficit(self.RANKS, x, d, **kw)
+            assert self._bits(gaps) == self._bits(alone), (x, d)
+            assert self._bits(cdf_gaps_from_deficit((2, 32), x, d, **kw)) == self._bits(
+                [alone[1], alone[6]])
+
+    def test_gaps_reject_a_rank_above_n(self):
+        # ranks that mix r <= n with r > n fail as the largest fails alone
+        from gedpower.orderstats import cdf_gap_from_deficit, cdf_gaps_from_deficit
+
+        with pytest.raises(ValueError, match=r"^need r <= n, got r=5, n=3$"):
+            cdf_gap_from_deficit(5, 0.0, 0.0, n=3.0)
+        with pytest.raises(ValueError, match=r"^need r <= n, got r=5, n=3$"):
+            cdf_gaps_from_deficit((1, 2, 5), 0.0, 0.0, n=3.0)
+        assert cdf_gaps_from_deficit((1, 2), 0.0, 0.0, n=3.0) == [
+            cdf_gap_from_deficit(r, 0.0, 0.0, n=3.0) for r in (1, 2)]
 
 
 class TestTransferConsistency:

@@ -375,6 +375,58 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="broken deficit"):
             run_sweep(t1i_config())
 
+    @pytest.mark.parametrize("theorem", [None, "1"])
+    @pytest.mark.parametrize("ladder", [{"n_ladder": (3, 10, 10**6)},
+                                        {"log_n_ladder": (10.0, 50.0)}])
+    def test_rows_equal_one_rank_sweeps(self, ladder, theorem):
+        # one (cell, x) evaluates every rank at once; its rows equal those of
+        # one-rank sweeps bit for bit, notes included: the normed point
+        # fails far left at n = 3, and r = 5 and 20 fail r <= n at n = 3 or 10
+        cfg = SweepConfig(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 5, 20),
+                          x_min=-7.0, x_max=3.0, x_step=0.5, theorem=theorem, **ladder)
+        rows = run_sweep(cfg)
+        alone = [run_sweep(dataclasses.replace(cfg, r_list=(r,))) for r in cfg.r_list]
+        block = len(cfg.x_grid()) * len(cfg.n_ladder or cfg.log_n_ladder)  # one (v, p, r)
+        expected = [row for vp in range(6) for one in alone
+                    for row in one[vp * block:(vp + 1) * block]]
+        assert repr(rows) == repr(expected)
+        if cfg.n_ladder:
+            notes = {row.error.split(" =")[0].split(";")[0] for row in rows}
+            assert {"ValueError: need r <= n", "ValueError: normed point scale*x+shift"} <= notes
+
+    def test_one_deficit_per_live_cell_and_x(self, monkeypatch):
+        # every rank of a (cell, x) shares its deficit, and every x of a
+        # (cell, r) shares one Monte Carlo score
+        import gedpower.harness as harness
+
+        deficits, scores = [], []
+
+        def counting_deficit(cell, x, real=harness.exact_deficit):
+            deficits.append(x)
+            return real(cell, x)
+
+        def counting_score(table, r, ss, real=harness.mc_score):
+            scores.append(len(ss))
+            return real(table, r, ss)
+
+        monkeypatch.setattr(harness, "exact_deficit", counting_deficit)
+        monkeypatch.setattr(harness, "mc_score", counting_score)
+        # the benchmark's mc-check grid: 108 rows on 36 (cell, x) points
+        rows = run_sweep(SweepConfig(
+            v_list=(0.5, 1.0, 2.0), p_list=(1.0,), r_list=(1, 2, 3), n_ladder=(100, 1000),
+            x_min=-0.5, x_max=2.0, x_step=0.5, mc_reps=2000, seed=5))
+        assert len(rows) == 108 and len(deficits) == 36
+        assert scores == [6] * 18
+        # the benchmark's sweep-logn grid: 12,852 rows, of which the 357 t1_i
+        # rows are cell notes and the rest lie on 4,165 (cell, x) points
+        deficits.clear()
+        rows = run_sweep(SweepConfig(
+            v_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0), p_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
+            r_list=(1, 2, 3),
+            log_n_ladder=tuple(e * math.log(10.0) for e in (6, 9, 12, 20, 50, 100, 300)),
+            x_min=-1.0, x_max=3.0, x_step=0.25, fmt="json", seed=5))
+        assert len(rows) == 12852 and len(deficits) <= 4165
+
     def test_mc_draws_once_per_v_n_cell(self, monkeypatch):
         # the tables take their params from the planned cells, so the sweep
         # builds one NormedCase per (v, p, n) cell and no other
@@ -498,13 +550,25 @@ class TestRunSweep:
             run_sweep(cfg)
 
     def test_mc_over_budget_is_noted_before_any_draw(self):
-        # n * reps = 2.01e8 exceeds the 2e8 draw budget
+        # reps * (r_max + 1) = 2.00000002e8 draws exceed the 2e8 budget
         cfg = t1i_config(n_ladder=(10**6,), r_list=(1,), x_min=0.0, x_max=0.0,
-                         mc_reps=201)
+                         mc_reps=10**8 + 1)
         assert [row.error for row in run_sweep(cfg)] == ["mc_skipped_budget"]
 
+    def test_mc_scores_no_rank_whose_rows_all_fail(self):
+        # at n = 3 every r = 5 row fails r <= n, so the width-3 table is not
+        # asked for column 5; those rows keep their own note
+        cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 5), n_ladder=(3, 100),
+                          x_min=0.0, x_max=1.0, x_step=0.5, mc_reps=200, seed=3)
+        rows = run_sweep(cfg)
+        assert {row.error for row in rows if (row.r, row.n) == (5, 3)} == {
+            "ValueError: need r <= n; got r=5; n=3"}
+        assert all(math.isfinite(row.exact) for row in rows if row.r == 1 or row.n == 100)
+
     def test_mc_miss_is_noted(self, monkeypatch):
-        monkeypatch.setattr("gedpower.harness.mc_score", lambda *args: (1.0, 0.0))
+        # the harness scores each (cell, r) once, at every x of the cell
+        monkeypatch.setattr("gedpower.harness.mc_score",
+                            lambda table, r, ss: [(1.0, 0.0)] * len(ss))
         cfg = t1i_config(n_ladder=(100,), r_list=(1,), x_min=0.0, x_max=0.0,
                          mc_reps=100)
         (row,) = run_sweep(cfg)

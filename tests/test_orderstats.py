@@ -399,11 +399,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n,widths,reps", [
         (1, (1,), 5000), (3, (1, 2, 3), 5000), (1000, (1, 3, 1000), 2000),
-        (10**6, (1, 3), 200)], ids=["n1", "n3", "n1000", "n1000000"])
+        (10**6, (1, 3), 2000)], ids=["n1", "n3", "n1000", "n1000000"])
     def test_columns_follow_the_beta_laws(self, n, widths, reps):
         # column k of a table is U_(k), the k-th smallest of n uniforms,
-        # whose law is Beta(k, n + 1 - k), at every width; n = 10^6 takes
-        # the 200 reps of the draw budget
+        # whose law is Beta(k, n + 1 - k), at every width
         for r_max in widths:
             top = _table(n, r_max, reps, seed=n + r_max)
             for k in {1, 2, 3, r_max // 2, r_max - 1, r_max} & set(range(1, r_max + 1)):
@@ -431,11 +430,14 @@ class TestMonteCarlo:
             _table(10, 1, reps=0, seed=0)
 
     def test_budget(self):
+        # a job draws reps * (r_max + 1) values, and the budget is 2e8 of them
         params = make_params(2.0)
-        spec = OrderStatSpec(n=10**6, r=1, p=1.0)
-        with pytest.raises(BudgetError):
-            mc_powered_cdf(params, spec, 1.0, reps=10**6, seed=0)
-        assert mc_tables([(10**6, 3, 10**6, 0)]) == [None]
+        spec = OrderStatSpec(n=10**6, r=1000, p=1.0)
+        with pytest.raises(BudgetError, match=r"reps \* \(r \+ 1\) = 200200000"):
+            mc_powered_cdf(params, spec, 1.0, reps=200000, seed=0)
+        assert mc_tables([(10**5, 10**5, 2000, 0)]) == [None]
+        [top] = mc_tables([(10**6, 3, 5000, 0)])
+        assert top.shape == (5000, 3)
 
     # (v, n, r, p, y, reps, seed) -> (est, se), pinned since tables hold
     # uniform order statistics, one generator per table (exact values
@@ -479,11 +481,11 @@ class TestMonteCarlo:
             assert mc_powered_cdf(params, spec, t ** p, reps, seed)[0] == own / reps
 
     @staticmethod
-    def _white_box_table(n, r_max, reps, seed):
-        """Rebuild a table from its two generator calls: a (reps, r_max)
-        block of Exp(1) draws, then reps draws of Gamma(n + 1 - r_max).  A
-        row is its running sums over its last running sum plus its gamma
-        draw, each formed in Python floats."""
+    def _white_box_replications(n, r_max, reps, seed) -> list[list[float]]:
+        """Rebuild a table's replications from its two generator calls: a
+        (reps, r_max) block of Exp(1) draws, then reps draws of
+        Gamma(n + 1 - r_max).  A replication is its running sums over its
+        last running sum plus its gamma draw, each formed in Python floats."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         exps = rng.standard_exponential((reps, r_max))
         gammas = rng.standard_gamma(n + 1 - r_max, reps)
@@ -491,7 +493,42 @@ class TestMonteCarlo:
         for row, g in zip(exps.tolist(), gammas.tolist()):
             sums = list(itertools.accumulate(row))
             rows.append([x / (sums[-1] + g) for x in sums])
-        return np.array(rows)
+        return rows
+
+    @classmethod
+    def _white_box_table(cls, n, r_max, reps, seed):
+        """The replications of a table with each column sorted."""
+        rows = cls._white_box_replications(n, r_max, reps, seed)
+        return np.array([sorted(column) for column in zip(*rows)]).T
+
+    def test_sorted_columns_count_as_the_replications(self):
+        # sorting each column changes no count of s <= U_(r) <= 1 - s, and
+        # every row of the sorted table stays ascending
+        n, r_max, reps, seed = 50, 4, 3000, 13
+        rows = self._white_box_replications(n, r_max, reps, seed)
+        top = _table(n, r_max, reps, seed)
+        assert top.flags["F_CONTIGUOUS"] and np.all(np.diff(top, axis=0) >= 0.0)
+        assert np.all(top[:, :-1] < top[:, 1:])
+        assert not np.array_equal(top, np.array(rows))
+        for r in range(1, r_max + 1):
+            for s in (0.0, 0.001, 0.01, 0.03, 0.08, 0.2, 0.5, 0.7, 1.0):
+                count = sum(s <= row[r - 1] <= 1.0 - s for row in rows)
+                assert mc_score(top, r, s)[0] == count / reps, (r, s)
+
+    def test_score_takes_a_sequence_of_thresholds(self):
+        # a sequence gets the pairs that its values get one at a time
+        top = _table(1000, 3, 2000, seed=4)
+        ss = [0.0, 1e-4, 0.0009, 0.001, 0.003, 0.5, 0.6, 1.0]
+        for r in (1, 2, 3):
+            alone = [mc_score(top, r, s) for s in ss]
+            assert mc_score(top, r, ss) == alone
+            assert mc_score(top, r, tuple(ss)) == alone
+            assert mc_score(top, r, np.array(ss)) == alone
+            assert mc_score(top, r, ss[2:3]) == alone[2:3]
+            assert mc_score(top, r, []) == []
+            assert all(type(est) is float and type(se) is float for est, se in alone)
+        with pytest.raises(ValueError, match=r"s must lie in \[0, 1\], got \[0.1, 1.5, 0.2\]"):
+            mc_score(top, 1, [0.1, 1.5, 0.2])
 
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
     def test_table_matches_the_white_box_rebuild(self, v):
@@ -546,7 +583,8 @@ class TestMonteCarlo:
             return real(seed_seq)
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        over, fits = (10**6, 3, 201, 0), (100, 2, 50, 1)
+        # the first job draws reps * (r_max + 1) = 200000004 values, over 2e8
+        over, fits = (10**6, 3, 5 * 10**7 + 1, 0), (100, 2, 50, 1)
         first, second = mc_tables([over, fits])
         assert first is None and second.shape == (50, 2)
         assert drawn == [1]
@@ -572,16 +610,18 @@ class TestMonteCarlo:
                 _table(n, n + 1, reps, seed)
 
     # sha256 of tables since they hold uniform order statistics, one
-    # generator per table; ids name the job, so a re-pin renames no test
+    # generator per table, re-pinned when each column came to be sorted (the
+    # digests are those of the earlier tables with their columns sorted); ids
+    # name the job, so a re-pin renames no test
     @pytest.mark.parametrize("job,digest", [
         ((1000, 3, 300, 11), 
-         "e14e29af796c5552bfbe454c9d61d6817a97bf37ed4c7dcd6f97e497d687cf92"),
+         "33ee10fd2beb0c439404e3228eb69572b92aed7c3fc6c5975f81d371d4a22f5b"),
         ((3, 3, 64, 1), 
-         "b944a5e38e56ef55ba55baea229082fd5639cb749885c3d05e6def4a4108f5d7"),
+         "8db7e8e0f8da5ba0c2bb82ca36b7b2f610b3954727232c44dc79230f6afefb9d"),
         ((1, 1, 64, 2), 
-         "1b4f33b6956d4a6b5250c82b6c492ed3b0ce8ffbe24c435afdc85d608d898623"),
+         "b7936b5ef12719f78bcdfeea30104d819a3f2a28a958b03fe4c19096554ae349"),
         ((1000, 1000, 2, 5), 
-         "5b054ed105bf3459165286eeb236f266b65e47f4bb7b827c02ffd6ba9f789090"),
+         "74f3609cd443d3594b999ada8eae6e4e5afc2a2c6553b50d9c5ecc20f2872553"),
     ], ids=["n1000-w3", "n3-w3", "n1-w1", "n1000-w1000"])
     def test_tables_are_unchanged(self, job, digest):
         top = _table(*job)
