@@ -52,10 +52,12 @@ def main():
     print()
 
     print("=== the Monte Carlo sampler agrees with the analytic law ===")
-    # one replication of a width-n table holds the n tail probabilities
-    # U = survival(X) of one sample, ascending; by symmetry X = -quantile(U)
+    # one replication of a width-n table holds Y = -log(1 - U) for the n
+    # tail probabilities U = survival(X) of one sample, ascending; so
+    # U = -expm1(-Y), and by symmetry X = -quantile(U)
     n = 2_000
-    [[us]] = mc_tables([(n, n, 1, 12345)])
+    [[ys]] = mc_tables([(n, n, 1, 12345)])
+    us = -np.expm1(-ys)
     for v in shapes:
         params = make_params(v)
         xs = -np.array([quantile(params, u) for u in us])

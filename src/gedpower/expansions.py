@@ -19,6 +19,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .ged import EQ_TOL, GedParams, log_survival
 from .norming import (
@@ -261,8 +262,7 @@ def correction_b(params: GedParams, x: float) -> float:
     return _poly_b(params, x) * math.exp(-x)
 
 
-@dataclass(frozen=True)
-class ExpansionEval:
+class ExpansionEval(NamedTuple):
     """Leading term and the additive first/second-order corrections.
 
     ``first_order`` and ``second_order`` are the terms as they enter the

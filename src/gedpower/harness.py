@@ -5,9 +5,9 @@ and emit the rows as CSV or JSON with deterministic bytes."""
 import json
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expansions import (
     _MAX_RANK,
@@ -41,11 +41,9 @@ _ROW_KEYS = CSV_HEADER.split(",")
 # .17g prints every integral float below 2^53 (so every exact n) as an integer
 _CELL_FORMATS = ["%d" if k == "r" else "%.17g" for k in _ROW_KEYS[:-1]]
 _ROW_FORMAT = ",".join(_CELL_FORMATS) + ",%s"
-_row_values = operator.attrgetter(*_ROW_KEYS)
 # one row's JSON object up to the error's value
 _JSON_FORMAT = "\n  {" + "".join(f"{json.dumps(k)}: {f}, " for k, f in
                                  zip(_ROW_KEYS, _CELL_FORMATS)) + '"error": '
-_row_numbers = operator.attrgetter(*_ROW_KEYS[:-1])
 
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
 _MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
@@ -132,8 +130,7 @@ class SweepConfig:
         return tuple(self.x_min + k * self.x_step for k in range(count))
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     """One sweep point with the double-limit bookkeeping columns."""
 
     v: float
@@ -208,22 +205,29 @@ def _eval_x(cell: NormedCase, ranks, x: float, deficit: float | None = None) -> 
 
 def _eval_cell(config: SweepConfig, cell: NormedCase | str, xs, table) -> list:
     """The rows of one (v, p, n) cell, per rank and then per x; each rank
-    scores its rows that hold numbers in one Monte Carlo call."""
+    scores its rows that hold numbers in one Monte Carlo call, at the s of
+    their x, which every rank shares."""
     if isinstance(cell, str):
         return [[(*_NO_NUMBERS, cell)] * len(xs)] * len(config.r_list)
-    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, config.r_list, x) for x in xs))]
-    for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
+    by_x = [_eval_x(cell, config.r_list, x) for x in xs]
+    by_rank = [list(rows) for rows in zip(*by_x)]
+    if config.mc_reps <= 0:
+        return by_rank
+    # the gap engine's s = survival(z) at each x, from the deficit of a row
+    # that holds numbers (exact at 0, deficit at 7), or None if there is none
+    ss = [next((exp_or_inf(-x) * (1.0 - row[7]) / float(cell.n)
+                for row in rows if not row[-1]), None) for x, rows in zip(xs, by_x)]
+    for r, rows in zip(config.r_list, by_rank):
         live = [i for i, row in enumerate(rows) if not row[-1]]
-        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
-        ss = [exp_or_inf(-xs[i]) * (1.0 - rows[i][7]) / float(cell.n) for i in live]
-        scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
+        scores = (mc_score(table, r, [ss[i] for i in live]) if table is not None and live
+                  else [None] * len(live))
         for i, score in zip(live, scores):
             rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
     return by_rank
 
 
 def _draw_tables(config: SweepConfig, plan) -> dict:
-    """One Monte Carlo table of uniform order statistics per (v, n) cell,
+    """One Monte Carlo table of exponential order statistics per (v, n) cell,
     keyed by (v index, n index) and shared by every r, p and x of the cell.
 
     A cell over the budget gets ``None``; a (v, n) cell with no live planned
@@ -286,10 +290,10 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
 def emit(rows: list[VerificationRow], fmt: str, path: str) -> str:
     """Write rows to ``path`` as csv or json; bytes are deterministic."""
     if fmt == "csv":
-        text = "\n".join([CSV_HEADER, *(_ROW_FORMAT % _row_values(r) for r in rows)]) + "\n"
+        text = "\n".join([CSV_HEADER, *(_ROW_FORMAT % r for r in rows)]) + "\n"
     elif fmt == "json":  # null replaces nan and inf before the free-text error
         text = "[" + ",".join(
-            (_JSON_FORMAT % _row_numbers(r)).replace(": nan,", ": null,")
+            (_JSON_FORMAT % r[:-1]).replace(": nan,", ": null,")
             .replace(": inf,", ": null,").replace(": -inf,", ": null,")
             + json.dumps(r.error) + "}" for r in rows) + "\n]\n"
     else:

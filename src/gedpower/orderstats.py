@@ -34,7 +34,7 @@ _MC_DEFAULT_BUDGET = 200_000_000
 
 
 class BudgetError(RuntimeError):
-    """A Monte Carlo request draws reps * (r + 1) values, above the budget."""
+    """A Monte Carlo request draws reps * r values, above the budget."""
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,16 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
 
 def mc_tables(jobs: list) -> "list[np.ndarray | None]":
     """For each ``(n, r_max, reps, seed)`` job, the r_max smallest of n
-    uniforms in each of ``reps`` replications, or ``None`` for a job that
-    would draw reps * (r_max + 1) > 2e8 values.
+    Exp(1) values in each of ``reps`` replications, or ``None`` for a job
+    that would draw reps * r_max > 2e8 values.
 
-    A table is a (reps, r_max) column-major array of tail probabilities
-    U = survival(X), so it does not depend on the law: the r-th largest X of
-    a sample has the r-th smallest U, and column r - 1 stands for M_{n,r}.
-    A replication is S_1, ..., S_r_max over S_r_max + G, where S_k sums the
-    first k of r_max Exp(1) draws and G ~ Gamma(n + 1 - r_max) (Renyi).
+    A table is a (reps, r_max) column-major array of Y = -log(1 - U), where
+    U = survival(X) is a tail probability, so it does not depend on the law:
+    the r-th largest X of a sample has the r-th smallest Y, and column r - 1
+    stands for M_{n,r}.  A replication is Y_(k) = sum_{i<=k} E_i/(n - i + 1)
+    over r_max Exp(1) draws E_i (Renyi), formed with + and / alone, so its
+    bits do not depend on the CPU's libm; a table narrower than its reps
+    sums column by column, a wider one by one cumsum, to the same bits.
     Each column is then sorted: no count changes and rows stay ascending, but
     a row is one replication only at reps = 1.  One generator per table,
     seeded by ``SeedSequence(seed)``; every job is checked before any draw.
@@ -260,15 +262,19 @@ def mc_tables(jobs: list) -> "list[np.ndarray | None]":
             raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
     tables = []
     for n, r_max, reps, seed in jobs:
-        if reps * (r_max + 1) > _MC_DEFAULT_BUDGET:
+        if reps * r_max > _MC_DEFAULT_BUDGET:
             tables.append(None)
             continue
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        sums = np.asfortranarray(rng.standard_exponential((reps, r_max)))
-        np.cumsum(sums, axis=1, out=sums)
-        sums /= (sums[:, -1] + rng.standard_gamma(n + 1 - r_max, reps))[:, None]
-        sums.sort(axis=0)
-        tables.append(sums)
+        ys = rng.standard_exponential((r_max, reps)).T  # column-major, E_i in column i - 1
+        ys /= n - np.arange(r_max, dtype=float)
+        if r_max < reps:
+            for k in range(1, r_max):
+                ys[:, k] += ys[:, k - 1]
+        else:
+            np.cumsum(ys, axis=1, out=ys)
+        ys.sort(axis=0)
+        tables.append(ys)
     return tables
 
 
@@ -277,9 +283,10 @@ def mc_score(table: "np.ndarray", r: int, s):
     its binomial stderr, where s = survival(t) for a t >= 0 (a list of
     pairs for a sequence of s).
 
-    |M_{n,r}| <= t holds exactly when s <= U_(r) <= 1 - s, counted by
-    bisection on the sorted column r - 1; so one table serves every rank up
-    to its width, every shape, power and threshold.
+    |M_{n,r}| <= t holds exactly when s <= U_(r) <= 1 - s, that is when
+    -log(1 - s) <= Y_(r) <= -log s, counted by bisection on the sorted
+    column r - 1; so one table serves every rank up to its width, every
+    shape, power and threshold.  s = 0 counts every row and s = 1 none.
     """
     import numpy as np
 
@@ -287,23 +294,27 @@ def mc_score(table: "np.ndarray", r: int, s):
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
     ss = np.asarray(s, dtype=float)
-    if ss.size and not 0.0 <= ss.min() <= ss.max() <= 1.0:
+    values = ss.ravel().tolist()
+    if not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    counts = table[:, r - 1].searchsorted(1.0 - ss, "right") - table[:, r - 1].searchsorted(ss)
+    lo = [-math.log1p(-v) if v < 1.0 else math.inf for v in values]
+    hi = [-math.log(v) if v else math.inf for v in values]
+    column = table[:, r - 1]
+    counts = column.searchsorted(hi, "right") - column.searchsorted(lo)
     scores = [(est, math.sqrt(est * (1.0 - est) / reps))
-              for est in (max(k, 0) / reps for k in np.atleast_1d(counts).tolist())]
+              for est in (max(k, 0) / reps for k in counts.tolist())]
     return scores if ss.ndim else scores[0]
 
 
 def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
                    reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of P(|M_{n,r}|^p <= y) with its binomial stderr,
-    drawn from a table of the r smallest tail probabilities."""
+    drawn from a table of the r smallest of n exponentials."""
     if math.isnan(y):
         raise ValueError("threshold y must not be nan")
     [table] = mc_tables([(spec.n, spec.r, reps, seed)])
     if table is None:
-        raise BudgetError(f"reps * (r + 1) = {reps * (spec.r + 1)} exceeds {_MC_DEFAULT_BUDGET}")
+        raise BudgetError(f"reps * r = {reps * spec.r} exceeds {_MC_DEFAULT_BUDGET}")
     if y < 0.0:
         return 0.0, 0.0
     return mc_score(table, spec.r, survival(params, pow_or_inf(y, 1.0 / spec.p)))

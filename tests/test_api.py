@@ -78,6 +78,25 @@ def test_stored_fields():
     assert "q_variant" not in [f.name for f in dataclasses.fields(gedpower.SweepConfig)]
 
 
+def test_records_are_immutable_and_keep_their_repr():
+    # rows and expansion terms are named tuples, with the fields, order,
+    # defaults and repr they had as frozen dataclasses
+    row = gedpower.VerificationRow(1.0, 2.0, 3, 100.0, -0.5)
+    ee = gedpower.ExpansionEval(0.5, -1e-3, 2.5e-7, 3.0, 9.0)
+    assert repr(row) == (
+        "VerificationRow(v=1.0, p=2.0, r=3, n=100.0, x=-0.5, exact=nan, limit=nan, "
+        "err=nan, scaled_err1=nan, target1=nan, scaled_err2=nan, target2=nan, "
+        "theta_deficit=nan, remainder_bound=nan, error='')")
+    assert repr(ee) == ("ExpansionEval(leading=0.5, first_order=-0.001, "
+                        "second_order=2.5e-07, scale_first=3.0, scale_second=9.0)")
+    for record, field in ((row, "exact"), (row, "error"), (ee, "leading")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.extra = 0.0
+    assert row.error == "" and ee.leading == 0.5
+
+
 def test_import_leaves_numpy_random_unloaded():
     # the Monte Carlo path loads numpy when it first runs and starts no
     # thread pool; importing numpy with the package costs every other caller

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import astuple
 import re
 import sys
 
@@ -661,8 +660,8 @@ class TestAllRanks:
                           **{mode: TestBitsPinned.MODES[mode]})
         for x in self.XS:
             for ranks in (self.RANKS, (3,), (2, 171)):
-                alone = [self._bits(astuple(expand(cell, r, x))) for r in ranks]
-                both = [self._bits(astuple(ee)) for ee in expand_ranks(cell, ranks, x)]
+                alone = [self._bits(tuple(expand(cell, r, x))) for r in ranks]
+                both = [self._bits(tuple(ee)) for ee in expand_ranks(cell, ranks, x)]
                 assert both == alone, (x, ranks)
         with pytest.raises(ValueError, match="got r=172"):
             expand_ranks(cell, (1, 172), 0.0)

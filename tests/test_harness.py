@@ -550,9 +550,9 @@ class TestRunSweep:
             run_sweep(cfg)
 
     def test_mc_over_budget_is_noted_before_any_draw(self):
-        # reps * (r_max + 1) = 2.00000002e8 draws exceed the 2e8 budget
+        # reps * r_max = 200000001 draws exceed the 2e8 budget
         cfg = t1i_config(n_ladder=(10**6,), r_list=(1,), x_min=0.0, x_max=0.0,
-                         mc_reps=10**8 + 1)
+                         mc_reps=2 * 10**8 + 1)
         assert [row.error for row in run_sweep(cfg)] == ["mc_skipped_budget"]
 
     def test_mc_scores_no_rank_whose_rows_all_fail(self):
@@ -640,7 +640,7 @@ class TestGoldenBytes:
     binomial sums as they were before those paths were merged, and from
     expand's terms on the one rank weight."""
 
-    # One Monte Carlo table per (v, n) cell; since tables hold uniform
+    # One Monte Carlo table per (v, n) cell; since tables hold exponential
     # order statistics, seed 4 puts no 3-sigma note on this grid; n = 8
     # gives error rows.
     EXACT_N = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 3),

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -327,10 +329,16 @@ def _exact_median(params, spec):
     return _exact_quantile(params, spec, 0.5)
 
 
-def _table(n, r_max, reps, seed):
-    """The table of a one-job :func:`mc_tables` call."""
+def _ys(n, r_max, reps, seed):
+    """The table of a one-job :func:`mc_tables` call: Y = -log(1 - U)."""
     [top] = mc_tables([(n, r_max, reps, seed)])
     return top
+
+
+def _table(n, r_max, reps, seed):
+    """The tail probabilities U = -expm1(-Y) of a one-job table, which the
+    law tests read."""
+    return -np.expm1(-_ys(n, r_max, reps, seed))
 
 
 def _ks_pvalue(sample, law_cdf) -> float:
@@ -368,7 +376,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", (1000, 10**6))
     def test_full_width_row_is_a_sorted_uniform_sample(self, n):
-        # one replication of a width-n table is a whole sample of U = S(X)
+        # one replication of a width-n table is a whole sample of Y, so of
+        # U = S(X) = -expm1(-Y)
         [us] = _table(n, n, 1, seed=n % 97)
         assert 0.0 < us[0] and us[-1] < 1.0
         assert np.all(np.diff(us) > 0.0)
@@ -401,8 +410,8 @@ class TestMonteCarlo:
         (1, (1,), 5000), (3, (1, 2, 3), 5000), (1000, (1, 3, 1000), 2000),
         (10**6, (1, 3), 2000)], ids=["n1", "n3", "n1000", "n1000000"])
     def test_columns_follow_the_beta_laws(self, n, widths, reps):
-        # column k of a table is U_(k), the k-th smallest of n uniforms,
-        # whose law is Beta(k, n + 1 - k), at every width
+        # column k of a table is Y_(k), so U_(k) = -expm1(-Y_(k)) is the k-th
+        # smallest of n uniforms, whose law is Beta(k, n + 1 - k), at every width
         for r_max in widths:
             top = _table(n, r_max, reps, seed=n + r_max)
             for k in {1, 2, 3, r_max // 2, r_max - 1, r_max} & set(range(1, r_max + 1)):
@@ -430,22 +439,23 @@ class TestMonteCarlo:
             _table(10, 1, reps=0, seed=0)
 
     def test_budget(self):
-        # a job draws reps * (r_max + 1) values, and the budget is 2e8 of them
+        # a job draws reps * r_max values, and the budget is 2e8 of them
         params = make_params(2.0)
         spec = OrderStatSpec(n=10**6, r=1000, p=1.0)
-        with pytest.raises(BudgetError, match=r"reps \* \(r \+ 1\) = 200200000"):
-            mc_powered_cdf(params, spec, 1.0, reps=200000, seed=0)
-        assert mc_tables([(10**5, 10**5, 2000, 0)]) == [None]
+        with pytest.raises(BudgetError, match=r"reps \* r = 200001000 exceeds 200000000"):
+            mc_powered_cdf(params, spec, 1.0, reps=200001, seed=0)
+        assert mc_tables([(10**5, 10**5, 2001, 0)]) == [None]
         [top] = mc_tables([(10**6, 3, 5000, 0)])
         assert top.shape == (5000, 3)
 
-    # (v, n, r, p, y, reps, seed) -> (est, se), pinned since tables hold
-    # uniform order statistics, one generator per table (exact values
-    # 0.504, 0.846 and 0.537)
+    # (v, n, r, p, y, reps, seed) -> (est, se), re-pinned when tables came
+    # to hold exponential order statistics drawn with no gamma draw, which
+    # changed every replication of a seed (exact values 0.504, 0.846 and
+    # 0.537; the estimates lie 0.44, 1.20 and 1.26 of their stderr away)
     @pytest.mark.parametrize("case,expected", [
-        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.5, 0.011180339887498949)),
-        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.864, 0.008850762679001173)),
-        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.5833333333333334, 0.06364688465216445)),
+        ((0.5, 100, 1, 1.0, 3.6, 2000, 3), (0.4995, 0.011180334297327607)),
+        ((2.0, 1000, 3, 2.0, 9.0, 1500, 17), (0.834, 0.009607080722050795)),
+        ((4.0, 100000, 2, 1.5, 4.8, 60, 5), (0.6166666666666667, 0.06276794416591015)),
     ])
     def test_pinned_estimates(self, case, expected):
         v, n, r, p, y, reps, seed = case
@@ -458,7 +468,7 @@ class TestMonteCarlo:
         params = make_params(v)
         spec = OrderStatSpec(n=n, r=r, p=p)
         assert mc_powered_cdf(params, spec, y, reps, seed) == mc_score(
-            _table(n, r, reps, seed), r, survival(params, y ** (1.0 / p)))
+            _ys(n, r, reps, seed), r, survival(params, y ** (1.0 / p)))
 
     def test_negative_threshold_scores_zero(self):
         spec = OrderStatSpec(n=10, r=2, p=1.5)
@@ -469,12 +479,12 @@ class TestMonteCarlo:
         # own width-r table: the rows with |X| = |quantile(U)| <= t
         params = make_params(1.5)
         n, r_max, reps, seed, p, t = 40, 6, 3000, 21, 1.5, 1.6
-        top = _table(n, r_max, reps, seed)
+        ys, top = _ys(n, r_max, reps, seed), _table(n, r_max, reps, seed)
         assert top.shape == (reps, r_max)
         assert np.all(top[:, :-1] < top[:, 1:])  # smallest U, largest X, first
         for r in range(1, r_max + 1):
             est = sum(abs(quantile(params, u)) <= t for u in top[:, r - 1]) / reps
-            assert mc_score(top, r, survival(params, t)) == (
+            assert mc_score(ys, r, survival(params, t)) == (
                 est, math.sqrt(est * (1.0 - est) / reps))
             own = sum(abs(quantile(params, u)) <= t for u in _table(n, r, reps, seed)[:, -1])
             spec = OrderStatSpec(n=n, r=r, p=p)
@@ -482,18 +492,14 @@ class TestMonteCarlo:
 
     @staticmethod
     def _white_box_replications(n, r_max, reps, seed) -> list[list[float]]:
-        """Rebuild a table's replications from its two generator calls: a
-        (reps, r_max) block of Exp(1) draws, then reps draws of
-        Gamma(n + 1 - r_max).  A replication is its running sums over its
-        last running sum plus its gamma draw, each formed in Python floats."""
+        """Rebuild a table's replications from its one generator call, an
+        (r_max, reps) block of Exp(1) draws whose row i - 1 holds each
+        replication's E_i.  A replication is Y_(k) = sum_{i<=k} E_i/(n - i + 1),
+        each quotient and running sum formed in Python floats."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        exps = rng.standard_exponential((reps, r_max))
-        gammas = rng.standard_gamma(n + 1 - r_max, reps)
-        rows = []
-        for row, g in zip(exps.tolist(), gammas.tolist()):
-            sums = list(itertools.accumulate(row))
-            rows.append([x / (sums[-1] + g) for x in sums])
-        return rows
+        exps = rng.standard_exponential((r_max, reps)).T.tolist()
+        return [list(itertools.accumulate(e / (n - i) for i, e in enumerate(row)))
+                for row in exps]
 
     @classmethod
     def _white_box_table(cls, n, r_max, reps, seed):
@@ -502,22 +508,22 @@ class TestMonteCarlo:
         return np.array([sorted(column) for column in zip(*rows)]).T
 
     def test_sorted_columns_count_as_the_replications(self):
-        # sorting each column changes no count of s <= U_(r) <= 1 - s, and
-        # every row of the sorted table stays ascending
+        # sorting each column changes no count of s <= U_(r) <= 1 - s, with
+        # U = -expm1(-Y), and every row of the sorted table stays ascending
         n, r_max, reps, seed = 50, 4, 3000, 13
         rows = self._white_box_replications(n, r_max, reps, seed)
-        top = _table(n, r_max, reps, seed)
+        top = _ys(n, r_max, reps, seed)
         assert top.flags["F_CONTIGUOUS"] and np.all(np.diff(top, axis=0) >= 0.0)
         assert np.all(top[:, :-1] < top[:, 1:])
         assert not np.array_equal(top, np.array(rows))
         for r in range(1, r_max + 1):
             for s in (0.0, 0.001, 0.01, 0.03, 0.08, 0.2, 0.5, 0.7, 1.0):
-                count = sum(s <= row[r - 1] <= 1.0 - s for row in rows)
+                count = sum(s <= -math.expm1(-row[r - 1]) <= 1.0 - s for row in rows)
                 assert mc_score(top, r, s)[0] == count / reps, (r, s)
 
     def test_score_takes_a_sequence_of_thresholds(self):
         # a sequence gets the pairs that its values get one at a time
-        top = _table(1000, 3, 2000, seed=4)
+        top = _ys(1000, 3, 2000, seed=4)
         ss = [0.0, 1e-4, 0.0009, 0.001, 0.003, 0.5, 0.6, 1.0]
         for r in (1, 2, 3):
             alone = [mc_score(top, r, s) for s in ss]
@@ -530,16 +536,32 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"s must lie in \[0, 1\], got \[0.1, 1.5, 0.2\]"):
             mc_score(top, 1, [0.1, 1.5, 0.2])
 
+    def test_score_edges_in_a_sequence(self):
+        # s = 0 counts every row and s = 1 none, alone or in a sequence, and
+        # a nan anywhere in a sequence is refused with the sequence named
+        top = _ys(1000, 3, 500, seed=6)
+        for r in (1, 3):
+            assert mc_score(top, r, [0.0, 1.0, 0.0]) == [(1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+            assert mc_score(top, r, [1.0]) == [mc_score(top, r, 1.0)]
+        for ss in ([math.nan, 0.5], [0.5, math.nan], [0.2, math.nan, 0.3], [1.0, math.nan]):
+            with pytest.raises(ValueError, match=r"s must lie in \[0, 1\], got \[.*nan"):
+                mc_score(top, 1, ss)
+        with pytest.raises(ValueError, match=r"s must lie in \[0, 1\]"):
+            mc_score(top, 1, np.array([0.2, math.nan]))
+
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
     def test_table_matches_the_white_box_rebuild(self, v):
-        # and mc_powered_cdf counts the rows whose |X| = |quantile(U)| is at
-        # most t = y^(1/p), at widths 1 to n
+        # bit for bit at narrow shapes (r_max < reps, summed column by
+        # column), at r_max = reps and at wide shapes (one cumsum); and
+        # mc_powered_cdf counts the rows whose |X| = |quantile(U)| is at most
+        # t = y^(1/p), U = -expm1(-Y), at widths 1 to n
         params, p = make_params(v), 1.5
-        for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500), (1, 1, 50)):
-            top = _table(n, r_max, reps, seed=11)
+        for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500),
+                               (300, 300, 300), (1000, 1000, 2), (1, 1, 50)):
+            top = _ys(n, r_max, reps, seed=11)
             assert np.array_equal(top, self._white_box_table(n, r_max, reps, 11))
             t = quantile(params, 1.0 - min(0.45, r_max / n))
-            est = sum(abs(quantile(params, u)) <= t for u in top[:, -1]) / reps
+            est = sum(abs(quantile(params, -math.expm1(-y))) <= t for y in top[:, -1]) / reps
             spec = OrderStatSpec(n=n, r=r_max, p=p)
             assert mc_powered_cdf(params, spec, t ** p, reps, 11)[0] == est
 
@@ -556,7 +578,7 @@ class TestMonteCarlo:
         # scored by exact binomial tails as criterion 8c scores its cells;
         # at n = 8 the table is the whole sample, negative X included
         params, reps = make_params(v), 20000
-        top = _table(n, r_max, reps, seed)
+        top = _ys(n, r_max, reps, seed)
         for r in range(1, r_max + 1):
             spec = OrderStatSpec(n=n, r=r, p=p)
             for u in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -571,7 +593,7 @@ class TestMonteCarlo:
         tables = mc_tables(jobs)
         assert len(tables) == len(jobs)
         for job, table in zip(jobs, tables):
-            assert np.array_equal(table, _table(*job))
+            assert np.array_equal(table, _ys(*job))
         assert mc_tables([]) == []
 
     def test_mc_tables_budget_job_is_none_and_not_drawn(self, monkeypatch):
@@ -583,8 +605,8 @@ class TestMonteCarlo:
             return real(seed_seq)
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        # the first job draws reps * (r_max + 1) = 200000004 values, over 2e8
-        over, fits = (10**6, 3, 5 * 10**7 + 1, 0), (100, 2, 50, 1)
+        # the first job draws reps * r_max = 200000001 values, over 2e8
+        over, fits = (10**6, 3, 66666667, 0), (100, 2, 50, 1)
         first, second = mc_tables([over, fits])
         assert first is None and second.shape == (50, 2)
         assert drawn == [1]
@@ -592,6 +614,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="reps must be >= 1"):
             mc_tables([fits, (10, 1, 0, 2)])
         assert drawn == [1]
+        # a job of exactly the budget is drawn, and one more replication is not
+        monkeypatch.setattr(orderstats, "_MC_DEFAULT_BUDGET", 100)
+        assert [t is None for t in mc_tables([(100, 2, 50, 2), (100, 2, 51, 3)])] == [
+            False, True]
+        assert drawn == [1, 2]
 
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
     def test_table_width_can_be_n(self, v):
@@ -609,29 +636,54 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 _table(n, n + 1, reps, seed)
 
-    # sha256 of tables since they hold uniform order statistics, one
-    # generator per table, re-pinned when each column came to be sorted (the
-    # digests are those of the earlier tables with their columns sorted); ids
-    # name the job, so a re-pin renames no test
+    # sha256 of tables, re-pinned when they came to hold Y = -log(1 - U)
+    # summed from E_i/(n - i + 1), with each replication's E_i drawn as row
+    # i - 1 of an (r_max, reps) block and no gamma draw; every value changed.
+    # ids name the job, so a re-pin renames no test
     @pytest.mark.parametrize("job,digest", [
-        ((1000, 3, 300, 11), 
-         "33ee10fd2beb0c439404e3228eb69572b92aed7c3fc6c5975f81d371d4a22f5b"),
-        ((3, 3, 64, 1), 
-         "8db7e8e0f8da5ba0c2bb82ca36b7b2f610b3954727232c44dc79230f6afefb9d"),
-        ((1, 1, 64, 2), 
-         "b7936b5ef12719f78bcdfeea30104d819a3f2a28a958b03fe4c19096554ae349"),
-        ((1000, 1000, 2, 5), 
-         "74f3609cd443d3594b999ada8eae6e4e5afc2a2c6553b50d9c5ecc20f2872553"),
+        ((1000, 3, 300, 11),
+         "ed2a110bd3072971c3d751a6dae6ec18c70c7e689141491a5808c3aaebe8f64c"),
+        ((3, 3, 64, 1),
+         "943d71c76a528a18ab3903a5df34241394d8d24169f104d923b0fc3a11a17f92"),
+        ((1, 1, 64, 2),
+         "3147c635d37079215b149920babeef0e2d528f8fdf48731629de9f1058070906"),
+        ((1000, 1000, 2, 5),
+         "9d38e662fafda3c74410229a7e4998cf72462c0cd89a3b00dbe42f866f0b2fb6"),
     ], ids=["n1000-w3", "n3-w3", "n1-w1", "n1000-w1000"])
     def test_tables_are_unchanged(self, job, digest):
-        top = _table(*job)
+        top = _ys(*job)
         assert hashlib.sha256(top.tobytes()).hexdigest() == digest
+
+    _LIBM_LIKE = ("exp", "expm1", "log", "log1p", "power")
+
+    def test_tables_and_scores_call_no_numpy_transcendental(self, monkeypatch):
+        # numpy's SIMD exp and log can differ from libm in the last bit, by
+        # CPU; tables are formed with + and / and scored at thresholds taken
+        # with math, so their bits and counts do not depend on the CPU
+        tree = ast.parse(inspect.getsource(orderstats))
+        bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name in ("mc_tables", "mc_score")]
+        assert len(bodies) == 2
+        for node in (n for body in bodies for n in ast.walk(body)):
+            assert not (isinstance(node, ast.Attribute) and node.attr in self._LIBM_LIKE
+                        and isinstance(node.value, ast.Name) and node.value.id == "np")
+            assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a numpy transcendental function was called")
+
+        for name in self._LIBM_LIKE:
+            monkeypatch.setattr(np, name, refused)
+        for job in ((1000, 3, 300, 1), (50, 50, 50, 2), (1000, 1000, 2, 3)):
+            [top] = mc_tables([job])
+            assert mc_score(top, 2, [0.0, 0.01, 0.3, 1.0])
+            assert mc_score(top, 1, np.float64(0.2))
 
     @pytest.mark.parametrize("v", (0.5, 2.0))
     def test_own_generator_law_three_sigma(self, v):
         # thresholds where P(|M_{1000,r}| <= t) spans about 0.06 to 0.96
         params, n, reps = make_params(v), 1000, 20000
-        top = _table(n, 3, reps, seed=77)
+        top = _ys(n, 3, reps, seed=77)
         for r in (1, 2, 3):
             spec = OrderStatSpec(n=n, r=r, p=1.0)
             for w in (0.5, 1.0, 2.0, 4.0):
@@ -645,7 +697,7 @@ class TestMonteCarlo:
     def test_tiny_n_every_column_three_sigma(self, v, n):
         # at r_max = n the lower columns hold the negative X
         params, reps = make_params(v), 20000
-        top = _table(n, n, reps, seed=40 + n)
+        top = _ys(n, n, reps, seed=40 + n)
         for r in range(1, n + 1):
             y_half = _exact_median(params, OrderStatSpec(n=n, r=r, p=1.0))
             est, se = mc_score(top, r, survival(params, y_half))
@@ -660,7 +712,7 @@ class TestMonteCarlo:
         assert abs(share - 7.0 / 8.0) <= 3.0 * math.sqrt(7.0 / 64.0 / reps)
 
     def test_score_rank_within_table_width(self):
-        top = _table(10, 2, 100, seed=0)
+        top = _ys(10, 2, 100, seed=0)
         for r in (1, 2):
             mc_score(top, r, 0.1)
         for r in (0, 3):
@@ -677,7 +729,7 @@ class TestMonteCarlo:
 
     def test_score_s_lies_in_the_unit_interval(self):
         # s = 0 is t = inf and counts every row; s = 1 counts none
-        top = _table(10, 2, 100, seed=0)
+        top = _ys(10, 2, 100, seed=0)
         assert mc_score(top, 2, 0.0) == (1.0, 0.0)
         assert mc_score(top, 2, 1.0) == (0.0, 0.0)
         for s in (-0.1, 1.5, math.nan):
