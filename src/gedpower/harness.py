@@ -205,22 +205,15 @@ def _eval_x(cell: NormedCase, ranks, x: float, deficit: float | None = None) -> 
 
 def _eval_cell(config: SweepConfig, cell: NormedCase | str, xs, table) -> list:
     """The rows of one (v, p, n) cell, per rank and then per x; each rank
-    scores its rows that hold numbers in one Monte Carlo call, at the s of
-    their x, which every rank shares."""
+    scores its rows that hold numbers in one Monte Carlo call."""
     if isinstance(cell, str):
         return [[(*_NO_NUMBERS, cell)] * len(xs)] * len(config.r_list)
-    by_x = [_eval_x(cell, config.r_list, x) for x in xs]
-    by_rank = [list(rows) for rows in zip(*by_x)]
-    if config.mc_reps <= 0:
-        return by_rank
-    # the gap engine's s = survival(z) at each x, from the deficit of a row
-    # that holds numbers (exact at 0, deficit at 7), or None if there is none
-    ss = [next((exp_or_inf(-x) * (1.0 - row[7]) / float(cell.n)
-                for row in rows if not row[-1]), None) for x, rows in zip(xs, by_x)]
-    for r, rows in zip(config.r_list, by_rank):
+    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, config.r_list, x) for x in xs))]
+    for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
         live = [i for i, row in enumerate(rows) if not row[-1]]
-        scores = (mc_score(table, r, [ss[i] for i in live]) if table is not None and live
-                  else [None] * len(live))
+        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
+        ss = [exp_or_inf(-xs[i]) * (1.0 - rows[i][7]) / float(cell.n) for i in live]
+        scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
         for i, score in zip(live, scores):
             rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
     return by_rank

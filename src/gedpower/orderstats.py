@@ -247,8 +247,7 @@ def mc_tables(jobs: list) -> "list[np.ndarray | None]":
     the r-th largest X of a sample has the r-th smallest Y, and column r - 1
     stands for M_{n,r}.  A replication is Y_(k) = sum_{i<=k} E_i/(n - i + 1)
     over r_max Exp(1) draws E_i (Renyi), formed with + and / alone, so its
-    bits do not depend on the CPU's libm; a table narrower than its reps
-    sums column by column, a wider one by one cumsum, to the same bits.
+    bits do not depend on the CPU's libm.
     Each column is then sorted: no count changes and rows stay ascending, but
     a row is one replication only at reps = 1.  One generator per table,
     seeded by ``SeedSequence(seed)``; every job is checked before any draw.
@@ -268,11 +267,7 @@ def mc_tables(jobs: list) -> "list[np.ndarray | None]":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         ys = rng.standard_exponential((r_max, reps)).T  # column-major, E_i in column i - 1
         ys /= n - np.arange(r_max, dtype=float)
-        if r_max < reps:
-            for k in range(1, r_max):
-                ys[:, k] += ys[:, k - 1]
-        else:
-            np.cumsum(ys, axis=1, out=ys)
+        np.cumsum(ys, axis=1, out=ys)
         ys.sort(axis=0)
         tables.append(ys)
     return tables
