@@ -17,7 +17,7 @@ from gedpower import (
     cdf,
     survival,
     quantile,
-    mc_tables,
+    mc_table,
     tail_survival_expansion,
 )
 
@@ -56,7 +56,7 @@ def main():
     # tail probabilities U = survival(X) of one sample, ascending; so
     # U = -expm1(-Y), and by symmetry X = -quantile(U)
     n = 2_000
-    [[ys]] = mc_tables([(n, n, 1, 12345)])
+    [ys] = mc_table(n, n, 1, 12345)
     us = -np.expm1(-ys)
     for v in shapes:
         params = make_params(v)

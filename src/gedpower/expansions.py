@@ -17,6 +17,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -44,7 +45,6 @@ __all__ = [
     "correction_q",
     "correction_s",
     "correction_b",
-    "expand",
     "expand_ranks",
     "theorem_expansion",
 ]
@@ -60,6 +60,13 @@ def _rank_weights(r: int, x: float) -> list[float]:
         return [0.0] * r
     return [math.exp(-emx - j * x - math.lgamma(j + 1.0)) if j else math.exp(-emx)
             for j in range(r)]
+
+
+def _check_ranks(ranks) -> None:
+    """Reject a rank list that is empty, starts below 1 or is not strictly
+    increasing; the all-rank functions read each rank once, in order."""
+    if not ranks or ranks[0] < 1 or any(map(operator.ge, ranks, ranks[1:])):
+        raise ValueError(f"ranks must be >= 1 and strictly increasing, got {tuple(ranks)}")
 
 
 def gumbel_r(r: int, x: float) -> float:
@@ -301,7 +308,7 @@ def _term_polys(params: GedParams, tag: str, p: float, ranks, x: float, emx: flo
 
 def expand_ranks(cell: NormedCase, ranks, x: float) -> list[ExpansionEval]:
     """Leading term, correction terms, and the cell's scale factors at x and
-    each of the ascending ``ranks``.
+    each of the strictly increasing ``ranks``.
 
     Each term is a polynomial of :func:`_term_polys` times the rank weight,
     formed as (poly w)(h/(r-1)!) with h = e^(-rx/2) and w = Lambda(x) h taken
@@ -311,9 +318,10 @@ def expand_ranks(cell: NormedCase, ranks, x: float) -> list[ExpansionEval]:
     can round into the subnormal range.  Both terms are 0.0 where w is; the
     ranks share the polynomials, formed only where some rank's w is not.
     """
-    if not 1 <= ranks[0] <= ranks[-1] <= _MAX_RANK:
-        raise ValueError(f"need 1 <= r <= {_MAX_RANK}, where (r-1)! is a finite "
-                         f"double; got r={ranks[0] if ranks[0] < 1 else ranks[-1]}")
+    _check_ranks(ranks)
+    if not ranks[-1] <= _MAX_RANK:
+        raise ValueError(f"need r <= {_MAX_RANK}, where (r-1)! is a finite double; "
+                         f"got r={ranks[-1]}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     s1, s2 = cell.scales
@@ -330,13 +338,8 @@ def expand_ranks(cell: NormedCase, ranks, x: float) -> list[ExpansionEval]:
     return out
 
 
-def expand(cell: NormedCase, r: int, x: float) -> ExpansionEval:
-    """:func:`expand_ranks` at one rank."""
-    return expand_ranks(cell, (r,), x)[0]
-
-
 def theorem_expansion(params: GedParams, case: TheoremCase, r: int,
                       n: int | float | None, x: float, *,
                       log_n: float | None = None) -> ExpansionEval:
-    """:func:`expand` at one point, on a one-off :class:`NormedCase`."""
-    return expand(NormedCase(params, case, n, log_n), r, x)
+    """:func:`expand_ranks` at one rank and x, on a one-off :class:`NormedCase`."""
+    return expand_ranks(NormedCase(params, case, n, log_n), (r,), x)[0]

@@ -21,7 +21,7 @@ from .ged import EQ_TOL, make_params
 from .orderstats import (
     cdf_gaps_from_deficit,
     mc_score,
-    mc_tables,
+    mc_table,
     poisson_remainder_bound,
 )
 from .specfun import ConvergenceError, exp_or_inf
@@ -228,15 +228,14 @@ def _draw_tables(config: SweepConfig, plan) -> dict:
     """
     import numpy as np
 
-    keys, jobs = [], []
+    tables = {}
     for vi, (_, by_p) in enumerate(plan):
         for ni, n in enumerate(map(int, config.n_ladder)):
             if all(isinstance(cells[ni], str) for _, cells in by_p):
                 continue
             seed = int(np.random.SeedSequence((config.seed, vi, ni)).generate_state(1)[0])
-            keys.append((vi, ni))
-            jobs.append((n, min(config.r_list[-1], n), config.mc_reps, seed))
-    return dict(zip(keys, mc_tables(jobs)))
+            tables[vi, ni] = mc_table(n, min(config.r_list[-1], n), config.mc_reps, seed)
+    return tables
 
 
 def _mc_note(config, score, exact) -> str:

@@ -11,7 +11,7 @@ floor of the two probabilities.
 import math
 from dataclasses import dataclass
 
-from .expansions import _rank_weights, gumbel_r
+from .expansions import _check_ranks, _rank_weights, gumbel_r
 from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
 from .specfun import exp_or_inf, pow_or_inf
@@ -22,10 +22,9 @@ __all__ = [
     "exact_powered_cdf",
     "poisson_powered_cdf",
     "lower_tail_mass",
-    "cdf_gap_from_deficit",
     "cdf_gaps_from_deficit",
     "poisson_remainder_bound",
-    "mc_tables",
+    "mc_table",
     "mc_score",
     "mc_powered_cdf",
 ]
@@ -154,15 +153,10 @@ def _log1p_plus(s: float) -> float:
     return math.log1p(-s) + s
 
 
-def cdf_gap_from_deficit(r: int, x: float, deficit: float, *, n: float | None = None,
-                         log_n: float | None = None) -> float:
-    """:func:`cdf_gaps_from_deficit` at one rank."""
-    return cdf_gaps_from_deficit((r,), x, deficit, n=n, log_n=log_n)[0]
-
-
 def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = None,
                           log_n: float | None = None) -> list[float]:
-    """P(|M_{n,r}|^p <= z^p) - Lambda_r(x) at the ascending ``ranks``, without cancellation.
+    """P(|M_{n,r}|^p <= z^p) - Lambda_r(x) at the strictly increasing ``ranks``,
+    without cancellation.
 
     ``deficit`` is 1 - theta with theta = n e^x survival(z) at the normed
     point z.  Writing s = e^(-x)(1 - deficit)/n, every binomial addend
@@ -182,8 +176,7 @@ def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = 
     or e^(-x) overflows, Lambda_r(x) < 1e-130, so P - Lambda_r(x) is taken.
     Each rank's sum is a prefix of one running sum to the largest rank.
     """
-    if ranks[0] < 1:
-        raise ValueError(f"r must be >= 1, got {ranks[0]}")
+    _check_ranks(ranks)
     if not deficit < 1.0:
         raise ValueError(f"deficit must be < 1, got {deficit}")
     if (n is None) == (log_n is None):
@@ -237,44 +230,38 @@ def poisson_remainder_bound(r: int, x: float, deficit: float,
     return 2.0 * exp_or_inf(log_le_cam) + exp_or_inf(log_two_sided)
 
 
-def mc_tables(jobs: list) -> "list[np.ndarray | None]":
-    """For each ``(n, r_max, reps, seed)`` job, the r_max smallest of n
-    Exp(1) values in each of ``reps`` replications, or ``None`` for a job
-    that would draw reps * r_max > 2e8 values.
+def mc_table(n: int, r_max: int, reps: int, seed: int) -> "np.ndarray | None":
+    """The r_max smallest of n Exp(1) values in each of ``reps`` replications,
+    or ``None`` where that would draw reps * r_max > 2e8 values.
 
-    A table is a (reps, r_max) column-major array of Y = -log(1 - U), where
+    The table is a (reps, r_max) column-major array of Y = -log(1 - U), where
     U = survival(X) is a tail probability, so it does not depend on the law:
     the r-th largest X of a sample has the r-th smallest Y, and column r - 1
     stands for M_{n,r}.  A replication is Y_(k) = sum_{i<=k} E_i/(n - i + 1)
     over r_max Exp(1) draws E_i (Renyi), formed with + and / alone, so its
     bits do not depend on the CPU's libm.
     Each column is then sorted: no count changes and rows stay ascending, but
-    a row is one replication only at reps = 1.  One generator per table,
-    seeded by ``SeedSequence(seed)``; every job is checked before any draw.
+    a row is one replication only at reps = 1.  The generator is seeded by
+    ``SeedSequence(seed)``.
     """
     import numpy as np
 
-    for n, r_max, reps, _ in jobs:
-        if reps < 1:
-            raise ValueError(f"reps must be >= 1, got {reps}")
-        if not 1 <= r_max <= n:
-            raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
-    tables = []
-    for n, r_max, reps, seed in jobs:
-        if reps * r_max > _MC_DEFAULT_BUDGET:
-            tables.append(None)
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        ys = rng.standard_exponential((r_max, reps)).T  # column-major, E_i in column i - 1
-        ys /= n - np.arange(r_max, dtype=float)
-        np.cumsum(ys, axis=1, out=ys)
-        ys.sort(axis=0)
-        tables.append(ys)
-    return tables
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= r_max <= n:
+        raise ValueError(f"need 1 <= r_max <= n, got r_max={r_max}, n={n}")
+    if reps * r_max > _MC_DEFAULT_BUDGET:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ys = rng.standard_exponential((r_max, reps)).T  # column-major, E_i in column i - 1
+    ys /= n - np.arange(r_max, dtype=float)
+    np.cumsum(ys, axis=1, out=ys)
+    ys.sort(axis=0)
+    return ys
 
 
 def mc_score(table: "np.ndarray", r: int, s):
-    """Estimate of P(|M_{n,r}| <= t) from a table of :func:`mc_tables`, with
+    """Estimate of P(|M_{n,r}| <= t) from a table of :func:`mc_table`, with
     its binomial stderr, where s = survival(t) for a t >= 0 (a list of
     pairs for a sequence of s).
 
@@ -307,7 +294,7 @@ def mc_powered_cdf(params: GedParams, spec: OrderStatSpec, y: float,
     drawn from a table of the r smallest of n exponentials."""
     if math.isnan(y):
         raise ValueError("threshold y must not be nan")
-    [table] = mc_tables([(spec.n, spec.r, reps, seed)])
+    table = mc_table(spec.n, spec.r, reps, seed)
     if table is None:
         raise BudgetError(f"reps * r = {reps * spec.r} exceeds {_MC_DEFAULT_BUDGET}")
     if y < 0.0:

@@ -4,28 +4,28 @@ them).  Tolerances are pinned here; the per-case x points of criteria 5
 and 6 are pre-registered at grid positions where the targets are
 well-conditioned (away from zeros of the correction polynomials)."""
 
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import bdtr, bdtrc
 
-from gedpower.expansions import (
-    NormedCase,
-    classify_case,
-    exact_deficit,
-    expand,
-)
+import gedpower
+from gedpower.cli import _sweep_config, build_parser
 from gedpower.ged import cdf, make_params, pdf, quantile, survival
-from gedpower.harness import SweepConfig, emit, run_sweep
+from gedpower.harness import CSV_HEADER, SweepConfig, emit, run_sweep
 from gedpower.norming import optimal_constants, power_constants, solve_bn
 from gedpower.orderstats import (
     OrderStatSpec,
-    cdf_gap_from_deficit,
     exact_powered_cdf,
     mc_score,
-    mc_tables,
+    mc_table,
 )
 from gedpower.specfun import reg_gamma_lower
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
 mp.mp.dps = 40
 
 LN10 = math.log(10.0)
+CRITERIA = Path(__file__).resolve().parent / "criteria"
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -48,23 +49,19 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def double_limit_point(v: float, p: float, r: int, x: float, theorem: int,
-                       n: int | None = None, log_n: float | None = None):
-    """(scaled_err1, target1, scaled_err2, target2) at one grid point."""
-    params = make_params(v)
-    case = classify_case(v, p, theorem=theorem)
-    cell = NormedCase(params, case, n, log_n)
-    deficit = exact_deficit(cell, x)
-    if n is not None:
-        gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
-    else:
-        gap = cdf_gap_from_deficit(r, x, deficit, log_n=log_n)
-    ee = expand(cell, r, x)
-    t1 = ee.first_order * ee.scale_first
-    t2 = ee.second_order * ee.scale_second
-    se1 = ee.scale_first * gap
-    se2 = (ee.scale_second / ee.scale_first) * (se1 - t1)
-    return se1, t1, se2, t2, gap
+def criterion_rows(k: int, ladder: tuple) -> dict:
+    """The rows of the sweep in ``criteria/<k>.json``, read through the CLI's
+    config reader, keyed by (v, p, r, ladder position, x).  The file's ladder
+    must be ``ladder`` double for double, and every row must hold numbers: a
+    nan would pass every tolerance check below."""
+    args = build_parser().parse_args(["verify", "--config", str(CRITERIA / f"{k}.json")])
+    config = _sweep_config(args)
+    assert (config.n_ladder or config.log_n_ladder) == ladder
+    rows = run_sweep(config)
+    assert [row.error for row in rows if row.error] == []
+    per_rung = len(config.x_grid())
+    return {(row.v, row.p, row.r, i // per_rung % len(ladder), row.x): row
+            for i, row in enumerate(rows)}
 
 
 def test_criterion_1_laplace_exactness():
@@ -87,14 +84,16 @@ def test_criterion_2_t1_i_double_limit():
     to within 3e-6 of the target counts as at the float64 noise floor
     (the n^2-amplified gap noise) rather than as a monotonicity break."""
     ladder = (10**4, 10**6, 10**8)
+    rows = criterion_rows(2, ladder)
     ok = True
     notes = []
     for r in (1, 2, 3):
         for x in (-0.5, 0.0, 1.0, 2.0):
             devs = []
             t2 = math.nan
-            for n in ladder:
-                se1, t1, se2, t2, gap = double_limit_point(1.0, 1.0, r, x, 1, n=n)
+            for k, n in enumerate(ladder):
+                row = rows[1.0, 1.0, r, k, x]
+                se1, t1, se2, t2 = row.scaled_err1, row.target1, row.scaled_err2, row.target2
                 if n == ladder[-1]:
                     if abs(t1) > 1e-12 and abs(se1 / t1 - 1.0) > 0.02:
                         ok = False
@@ -115,15 +114,16 @@ def test_criterion_2_t1_i_double_limit():
 def test_criterion_3_t1_ii_rate():
     """v=1, p != 1: scaled first-order error within 10% of its target at
     n=1e12 and |ratio - 1| decreasing along the ladder."""
-    ladder = [e * LN10 for e in (4, 6, 8, 10, 12)]
+    ladder = tuple(e * LN10 for e in (4, 6, 8, 10, 12))
+    rows = criterion_rows(3, ladder)
     ok = True
     notes = []
     for p, r in ((0.5, 1), (2.0, 1), (3.0, 2)):
         x = 1.0
         rel = []
-        for ln in ladder:
-            se1, t1, _, _, _ = double_limit_point(1.0, p, r, x, 1, log_n=ln)
-            rel.append(abs(se1 / t1 - 1.0))
+        for k in range(len(ladder)):
+            row = rows[1.0, p, r, k, x]
+            rel.append(abs(row.scaled_err1 / row.target1 - 1.0))
         if rel[-1] > 0.10:
             ok = False
             notes.append(f"final ratio p={p} r={r}: {rel[-1]:.3f}")
@@ -137,15 +137,17 @@ def test_criterion_3_t1_ii_rate():
 def test_criterion_4_t1_iii_trend():
     """v != 1 under the powered-family norming: slow loglog rate; require
     sign agreement and monotone approach, and document the final gap."""
-    ladder = [e * LN10 for e in (6, 8, 10, 12)]
+    ladder = tuple(e * LN10 for e in (6, 8, 10, 12))
+    rows = criterion_rows(4, ladder)
     ok = True
     finals = []
     for v in (0.5, 2.0, 4.0):
         for p in (1.0, 2.0):
             x = 0.0
             devs = []
-            for ln in ladder:
-                se1, t1, _, _, _ = double_limit_point(v, p, 1, x, 1, log_n=ln)
+            for k in range(len(ladder)):
+                row = rows[v, p, 1, k, x]
+                se1, t1 = row.scaled_err1, row.target1
                 if math.copysign(1.0, se1) != math.copysign(1.0, t1):
                     ok = False
                 devs.append(abs(se1 - t1))
@@ -178,17 +180,17 @@ T2I_POINTS = {
 def test_criterion_5_t2_i_double_limit():
     """hall-constants case at n=1e12 (log-n mode): first order within 5%,
     second order within 15% of the adjudicated (eq34) target."""
-    ln = 12 * LN10
+    rows = criterion_rows(5, (12 * LN10,))
     ok = True
     notes = []
     for (v, p, r), (x1, x2) in T2I_POINTS.items():
-        se1, t1, _, _, _ = double_limit_point(v, p, r, x1, 2, log_n=ln)
-        rel1 = abs(se1 / t1 - 1.0)
+        first = rows[v, p, r, 0, x1]
+        rel1 = abs(first.scaled_err1 / first.target1 - 1.0)
         if rel1 > 0.05:
             ok = False
             notes.append(f"first v={v} p={p} r={r}: {rel1:.4f}")
-        _, _, se2, t2, _ = double_limit_point(v, p, r, x2, 2, log_n=ln)
-        rel2 = abs(se2 / t2 - 1.0)
+        second = rows[v, p, r, 0, x2]
+        rel2 = abs(second.scaled_err2 / second.target2 - 1.0)
         if rel2 > 0.15:
             ok = False
             notes.append(f"second v={v} p={p} r={r}: {rel2:.4f}")
@@ -196,17 +198,38 @@ def test_criterion_5_t2_i_double_limit():
            ok, "; ".join(notes) if notes else "12 combos x 2 orders")
 
 
+def test_criterion_5_rows_rerun_from_the_cli(tmp_path):
+    """``gedpower verify --config tests/criteria/5.json`` writes the rows, and
+    so the cells, that criterion 5 reads."""
+    out = tmp_path / "c5.csv"
+    src = str(Path(gedpower.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "gedpower", "verify", "--config",
+                           str(CRITERIA / "5.json"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        written = list(csv.reader(fh))
+    assert ",".join(written[0]) == CSV_HEADER
+    rows = criterion_rows(5, (12 * LN10,)).values()
+    assert len(written) == 1 + len(rows)
+    for cells, row in zip(written[1:], rows):
+        assert [float(c) for c in cells[:-1]] == list(row[:-1]) and cells[-1] == ""
+
+
 def test_criterion_6_t2_ii_double_limit():
     """optimal-constants case at n=1e12: first order within 10%; the
     third-order residual tracks its target in sign and magnitude; at v=2
     the constants reproduce the classical corrected normal pair."""
-    ln = 12 * LN10
+    rows = criterion_rows(6, (12 * LN10,))
     ok = True
     notes = []
     for v in (0.5, 2.0, 4.0):
         for r in (1, 2):
             x = 0.0
-            se1, t1, se2, t2, _ = double_limit_point(v, v, r, x, 2, log_n=ln)
+            row = rows[v, v, r, 0, x]
+            se1, t1, se2, t2 = row.scaled_err1, row.target1, row.scaled_err2, row.target2
             rel1 = abs(se1 / t1 - 1.0)
             if rel1 > 0.10:
                 ok = False
@@ -295,7 +318,7 @@ def test_criterion_8c_monte_carlo_grid():
     standard error.
     """
     reps = 5000
-    points, jobs = [], []
+    points, tables = [], []
     for vi, v in enumerate((0.5, 1.0, 2.0)):
         params = make_params(v)
         for ni, n in enumerate((100, 1000)):
@@ -305,10 +328,10 @@ def test_criterion_8c_monte_carlo_grid():
                     t = quantile(params, 1.0 - min(0.45, r / (w * n)))
                     points.append((r, survival(params, t), exact_powered_cdf(params, spec, t)))
                     seed = 1000 * vi + 100 * ni + 10 * r + wi
-                    jobs.append((n, r, reps, seed))
+                    tables.append(mc_table(n, r, reps, seed))
     misses = 0
-    total = len(jobs)
-    for (r, s, exact), table in zip(points, mc_tables(jobs)):
+    total = len(tables)
+    for (r, s, exact), table in zip(points, tables):
         k = round(mc_score(table, r, s)[0] * reps)
         lower = bdtr(k, reps, exact)  # P(K <= k)
         upper = bdtrc(k - 1, reps, exact) if k > 0 else 1.0  # P(K >= k)

@@ -21,7 +21,9 @@ from oracles import gumbel_r_identities
 
 SUBMODULES = (specfun, ged, norming, orderstats, expansions, harness)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+CRITERIA_HEADING = "## Re-running the acceptance criteria"
 
 
 def _env() -> dict:
@@ -52,7 +54,8 @@ def test_all_is_the_union_of_the_submodules():
     "upper_orderstat_cdf", "TailExpansion", "lemma3_transfer",
     "powered_abs_survival", "Accuracy", "DEFAULT_ACCURACY", "DEFAULT_Q_VARIANT",
     "rows_from_json", "normed_threshold", "mc_top_order_stats", "theta_deficit",
-    "sample_stream", "gumbel", "gumbel_r_identities",
+    "sample_stream", "gumbel", "gumbel_r_identities", "expand",
+    "cdf_gap_from_deficit", "mc_tables",
 ])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
@@ -166,7 +169,7 @@ def test_overflow_is_caught_in_four_places():
 
 
 def test_rank_bound_is_written_once():
-    # expand and SweepConfig both read expansions._MAX_RANK
+    # expand_ranks and SweepConfig both read expansions._MAX_RANK
     package = Path(gedpower.__file__).resolve().parent
     found = [path.stem for path in package.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
@@ -210,8 +213,8 @@ def _readme_block(heading: str, lang: str) -> str:
     return section[start:section.index("```", start)]
 
 
-def _readme_cli_lines() -> list[list[str]]:
-    block = _readme_block("## CLI", "bash").replace("\\\n", " ")
+def _readme_cli_lines(heading: str = "## CLI") -> list[list[str]]:
+    block = _readme_block(heading, "bash").replace("\\\n", " ")
     return [shlex.split(line) for line in block.splitlines() if line.strip()]
 
 
@@ -234,3 +237,22 @@ def test_readme_cli_example_runs(monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)  # verify writes its output here
     assert argv[0] == "gedpower"
     assert main(argv[1:]) == 0
+
+
+def test_readme_criteria_commands_found():
+    # one command per config file, each writing its own output
+    lines = _readme_cli_lines(CRITERIA_HEADING)
+    files = sorted(path.relative_to(ROOT).as_posix()
+                   for path in (ROOT / "tests" / "criteria").glob("*.json"))
+    assert len(files) == 5
+    assert sorted(argv[3] for argv in lines) == files
+    assert len({argv[-1] for argv in lines}) == len(lines)
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(CRITERIA_HEADING),
+                         ids=lambda argv: Path(argv[3]).stem)
+def test_readme_criteria_command_runs(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # the output goes here; the config is found from the root
+    assert argv[:3] == ["gedpower", "verify", "--config"] and argv[4] == "--out"
+    assert main([*argv[1:3], str(ROOT / argv[3]), *argv[4:]]) == 0
+    assert (tmp_path / argv[5]).read_text().startswith(harness.CSV_HEADER + "\n")

@@ -19,7 +19,6 @@ from gedpower.expansions import (
     correction_q,
     correction_s,
     exact_deficit,
-    expand,
     expand_ranks,
     gumbel_r,
     theorem_expansion,
@@ -550,13 +549,13 @@ class TestTheoremExpansion:
 
     def test_rank_bound_and_finite_x(self):
         cell = NormedCase(make_params(2.0), classify_case(2.0, 1.0, 2), log_n=10.0)
-        ee = expand(cell, 171, 0.0)
+        [ee] = expand_ranks(cell, (171,), 0.0)
         assert all(map(math.isfinite, (ee.leading, ee.first_order, ee.second_order)))
         with pytest.raises(ValueError, match="r <= 171"):
-            expand(cell, 172, 0.0)
+            expand_ranks(cell, (172,), 0.0)
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="x must be finite"):
-                expand(cell, 1, x)
+                expand_ranks(cell, (1,), x)
 
     @pytest.mark.parametrize("theorem,v,p", [(1, 1.0, 1.0), (1, 1.0, 2.0),
                                              (1, 2.0, 1.0), (2, 2.0, 1.0),
@@ -567,7 +566,7 @@ class TestTheoremExpansion:
         # the weight Lambda(-7) e^(-1197)/170! is
         cell = NormedCase(make_params(v), classify_case(v, p, theorem), log_n=10.0)
         for r, x in ((1, -800.0), (8, -100.0), (171, -7.0)):
-            ee = expand(cell, r, x)
+            [ee] = expand_ranks(cell, (r,), x)
             if r < 171:
                 assert (ee.first_order, ee.second_order) == (0.0, 0.0)
             else:
@@ -588,10 +587,10 @@ class TestTheoremExpansion:
 
 
 class TestBitsPinned:
-    """expand with every term on the one rank weight, and cdf_gap_from_deficit
-    as it was before the rank weights and (r-1)! were built once: the sha256
-    of their hex floats over five cases, both modes, r in RANKS and x from
-    -2 to 4."""
+    """expand_ranks with every term on the one rank weight, and
+    cdf_gaps_from_deficit, one rank per call, as they were before the rank
+    weights and (r-1)! were built once: the sha256 of their hex floats over
+    five cases, both modes, r in RANKS and x from -2 to 4."""
 
     RANKS = (1, 2, 3, 5, 20, 171)
     XS = [k / 2 for k in range(-4, 9)]
@@ -617,20 +616,20 @@ class TestBitsPinned:
 
     @pytest.mark.parametrize("tag,mode", DIGESTS)
     def test_hex_digest(self, tag, mode):
-        from gedpower.orderstats import cdf_gap_from_deficit
+        from gedpower.orderstats import cdf_gaps_from_deficit
 
         size = self.MODES[mode]
         values = []
         if tag == "gap":
             kw = {mode: float(size)}
-            values = [cdf_gap_from_deficit(r, x, d, **kw)
+            values = [cdf_gaps_from_deficit((r,), x, d, **kw)[0]
                       for r in self.RANKS for x in self.XS for d in (-0.02, 0.003)]
         else:
             v, p, theorem = self.CASES[tag]
             cell = NormedCase(make_params(v), classify_case(v, p, theorem), **{mode: size})
             for r in self.RANKS:
                 for x in self.XS:
-                    ee = expand(cell, r, x)
+                    [ee] = expand_ranks(cell, (r,), x)
                     values += [ee.leading, ee.first_order, ee.second_order,
                                ee.scale_first, ee.scale_second]
         assert all(map(math.isfinite, values))
@@ -639,7 +638,7 @@ class TestBitsPinned:
 
 
 class TestAllRanks:
-    """The all-ranks forms equal their one-rank wrappers bit for bit, on the
+    """The all-ranks forms equal their one-rank calls bit for bit, on the
     cases and modes of TestBitsPinned."""
 
     RANKS = (1, 2, 3, 5, 20, 31, 32, 40, 171)
@@ -660,7 +659,7 @@ class TestAllRanks:
                           **{mode: TestBitsPinned.MODES[mode]})
         for x in self.XS:
             for ranks in (self.RANKS, (3,), (2, 171)):
-                alone = [self._bits(tuple(expand(cell, r, x))) for r in ranks]
+                alone = [self._bits(tuple(expand_ranks(cell, (r,), x)[0])) for r in ranks]
                 both = [self._bits(tuple(ee)) for ee in expand_ranks(cell, ranks, x)]
                 assert both == alone, (x, ranks)
         with pytest.raises(ValueError, match="got r=172"):
@@ -669,7 +668,7 @@ class TestAllRanks:
     @pytest.mark.parametrize("kw", [{"n": 1e6}, {"n": 200.0}, {"log_n": math.log(1e6)}],
                              ids=["n", "n200", "log_n"])
     def test_gaps_equal_one_rank_gaps(self, kw):
-        from gedpower.orderstats import cdf_gap_from_deficit, cdf_gaps_from_deficit
+        from gedpower.orderstats import cdf_gaps_from_deficit
 
         # around the mode, where n = 200 has a lower-tail mass at x = -2;
         # then e^(-x) deficit past 709.78, where every addend's expm1
@@ -681,7 +680,7 @@ class TestAllRanks:
                    (30.0, -1e10)]
         for x, d in points:
             try:
-                alone = [cdf_gap_from_deficit(r, x, d, **kw) for r in self.RANKS]
+                alone = [cdf_gaps_from_deficit((r,), x, d, **kw)[0] for r in self.RANKS]
             except ValueError as exc:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                     cdf_gaps_from_deficit(self.RANKS, x, d, **kw)
@@ -693,14 +692,29 @@ class TestAllRanks:
 
     def test_gaps_reject_a_rank_above_n(self):
         # ranks that mix r <= n with r > n fail as the largest fails alone
-        from gedpower.orderstats import cdf_gap_from_deficit, cdf_gaps_from_deficit
+        from gedpower.orderstats import cdf_gaps_from_deficit
 
         with pytest.raises(ValueError, match=r"^need r <= n, got r=5, n=3$"):
-            cdf_gap_from_deficit(5, 0.0, 0.0, n=3.0)
+            cdf_gaps_from_deficit((5,), 0.0, 0.0, n=3.0)
         with pytest.raises(ValueError, match=r"^need r <= n, got r=5, n=3$"):
             cdf_gaps_from_deficit((1, 2, 5), 0.0, 0.0, n=3.0)
         assert cdf_gaps_from_deficit((1, 2), 0.0, 0.0, n=3.0) == [
-            cdf_gap_from_deficit(r, 0.0, 0.0, n=3.0) for r in (1, 2)]
+            cdf_gaps_from_deficit((r,), 0.0, 0.0, n=3.0)[0] for r in (1, 2)]
+
+    @pytest.mark.parametrize("ranks", [(3, 1), (1, 1), (3, 0), (1, 3, 2), (0,), ()])
+    @pytest.mark.parametrize("form", ["gaps", "expand"])
+    def test_ranks_that_are_not_increasing_from_one_are_rejected(self, form, ranks):
+        # each rank is read once, in order, so any other list would lose or
+        # merge ranks
+        from gedpower.orderstats import cdf_gaps_from_deficit
+
+        cell = NormedCase(make_params(2.0), classify_case(2.0, 1.0, 2), log_n=10.0)
+        message = f"ranks must be >= 1 and strictly increasing, got {ranks}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if form == "gaps":
+                cdf_gaps_from_deficit(ranks, 0.5, 0.0, n=100.0)
+            else:
+                expand_ranks(cell, ranks, 0.5)
 
 
 class TestTransferConsistency:
@@ -710,7 +724,7 @@ class TestTransferConsistency:
         (1.0, 2.0, 1), (2.0, 1.0, 2), (0.5, 0.5, 2), (4.0, 2.0, 1),
     ])
     def test_gap_matches_transfer(self, v, p, theorem):
-        from gedpower.orderstats import cdf_gap_from_deficit
+        from gedpower.orderstats import cdf_gaps_from_deficit
 
         params = make_params(v)
         case = classify_case(v, p, theorem=theorem)
@@ -719,7 +733,7 @@ class TestTransferConsistency:
         for r in (1, 2):
             for x in (-0.5, 0.0, 1.0):
                 d = exact_deficit(cell, x)
-                gap = cdf_gap_from_deficit(r, x, d, n=float(n))
+                [gap] = cdf_gaps_from_deficit((r,), x, d, n=float(n))
                 transfer = lemma3_transfer(d, r, x)
                 bound = 5.0 * (abs(d) ** 3 + 1.0 / n)
                 assert abs(gap - transfer) <= bound
@@ -734,7 +748,7 @@ def _mp_t2_i_terms(params, p: float, r: int, x: float) -> tuple[mp.mpf, mp.mpf]:
 
 
 class TestFarRightOfTheMode:
-    """expand where e^x, e^(2x) or a power of x leaves the double range."""
+    """expand_ranks where e^x, e^(2x) or a power of x leaves the double range."""
 
     RANKS = (1, 2, 3, 20, 171)
     XS = (340.0, 346.7, 354.9, 360.0, 700.0, 704.7, 709.7, 709.8, 720.0, 745.0,
@@ -746,7 +760,7 @@ class TestFarRightOfTheMode:
         cell = NormedCase(make_params(v), classify_case(v, p, theorem), n=10**6)
         for r in self.RANKS:
             for x in (*self.XS, 1e78, 1e103, 1e160, sys.float_info.max):
-                ee = expand(cell, r, x)
+                [ee] = expand_ranks(cell, (r,), x)
                 assert math.isfinite(ee.first_order), (r, x)
                 assert math.isfinite(ee.second_order), (r, x)
 
@@ -758,7 +772,7 @@ class TestFarRightOfTheMode:
         cell = NormedCase(params, classify_case(v, p, theorem), n=10**6)
         for r in self.RANKS:
             for x in self.XS[2 if tag == "t1_i" else 0:]:
-                ee = expand(cell, r, x)
+                [ee] = expand_ranks(cell, (r,), x)
                 want = _mp_t1_i_terms(r, x) if tag == "t1_i" else _mp_t2_i_terms(params, p, r, x)
                 for got, term, scale in ((ee.first_order, want[0], ee.scale_first),
                                          (ee.second_order, want[1], ee.scale_second)):
@@ -773,7 +787,7 @@ class TestFarRightOfTheMode:
         cell = NormedCase(params, classify_case(v, p, theorem=2), log_n=30.0)
         normal = 0
         for x in (709.79, 712.0, 716.0, 720.0, 725.0, 730.0, 735.0, 740.0, 745.0):
-            ee = expand(cell, 1, x)
+            [ee] = expand_ranks(cell, (1,), x)
             t1, t2 = _mp_t2_i_terms(params, p, 1, x)
             for got, term, scale in ((ee.first_order, t1, ee.scale_first),
                                      (ee.second_order, t2, ee.scale_second)):
@@ -787,7 +801,7 @@ class TestFarRightOfTheMode:
 
 
 class TestTermsAgainstMpmath:
-    """expand's terms against the 50-digit oracle on both sides of the mode,
+    """expand_ranks' terms against the 50-digit oracle on both sides of the mode,
     up to r = 171, where e^(-rx) alone leaves the double range."""
 
     RANKS = (1, 2, 3, 20, 107, 171)
@@ -799,7 +813,7 @@ class TestTermsAgainstMpmath:
     def _check(cell: NormedCase, r: int, x: float) -> None:
         """Finite terms; a term whose true value is a normal double within
         2e-12 relative."""
-        ee = expand(cell, r, x)
+        [ee] = expand_ranks(cell, (r,), x)
         want = mp_expansion_terms(cell.params, cell.case.tag, cell.case.p, r, x)
         for got, term, scale in ((ee.first_order, want[0], ee.scale_first),
                                  (ee.second_order, want[1], ee.scale_second)):
@@ -834,4 +848,4 @@ class TestTermsAgainstMpmath:
     def test_point(self, v, p, theorem, mode, r, x):
         cell = NormedCase(make_params(v), classify_case(v, p, theorem), **mode)
         self._check(cell, r, x)
-        assert abs(expand(cell, r, x).first_order) >= sys.float_info.min
+        assert abs(expand_ranks(cell, (r,), x)[0].first_order) >= sys.float_info.min

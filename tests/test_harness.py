@@ -433,17 +433,17 @@ class TestRunSweep:
         import gedpower.harness as harness
 
         calls, built = [], []
-        real = harness.mc_tables
+        real = harness.mc_table
 
-        def counting(jobs):
-            calls.extend(jobs)
-            return real(jobs)
+        def counting(n, r_max, reps, seed):
+            calls.append((n, r_max, reps, seed))
+            return real(n, r_max, reps, seed)
 
         def counting_case(params, case, n=None, log_n=None, real=harness.NormedCase):
             built.append((params.v, case.p, n))
             return real(params, case, n, log_n)
 
-        monkeypatch.setattr(harness, "mc_tables", counting)
+        monkeypatch.setattr(harness, "mc_table", counting)
         monkeypatch.setattr(harness, "NormedCase", counting_case)
         n_ladder, reps = (30, 200), 50
         cfg = SweepConfig(
@@ -464,13 +464,13 @@ class TestRunSweep:
         import gedpower.harness as harness
 
         calls = []
-        real = harness.mc_tables
+        real = harness.mc_table
 
-        def counting(jobs):
-            calls.extend((n, seed) for n, _, _, seed in jobs)
-            return real(jobs)
+        def counting(n, r_max, reps, seed):
+            calls.append((n, seed))
+            return real(n, r_max, reps, seed)
 
-        monkeypatch.setattr(harness, "mc_tables", counting)
+        monkeypatch.setattr(harness, "mc_table", counting)
         cfg = SweepConfig(v_list=(1.0, 2.0), p_list=(1.0,), r_list=(1, 2),
                           n_ladder=(1000,), x_min=0.0, x_max=1.0, x_step=0.5,
                           theorem="t1_i", mc_reps=500, seed=7)
@@ -490,13 +490,13 @@ class TestRunSweep:
         import gedpower.harness as harness
 
         calls = []
-        real = harness.mc_tables
+        real = harness.mc_table
 
-        def counting(jobs):
-            calls.extend((n, seed) for n, _, _, seed in jobs)
-            return real(jobs)
+        def counting(n, r_max, reps, seed):
+            calls.append((n, seed))
+            return real(n, r_max, reps, seed)
 
-        monkeypatch.setattr(harness, "mc_tables", counting)
+        monkeypatch.setattr(harness, "mc_table", counting)
         cfg = SweepConfig(v_list=(2.0,), p_list=(1.0,), r_list=(1, 2),
                           n_ladder=(2, 100), x_min=0.0, x_max=1.0, x_step=0.5,
                           mc_reps=200, seed=3)
@@ -638,7 +638,7 @@ class TestEmit:
 class TestGoldenBytes:
     """sha256 of emitted sweeps, pinned from the formatter, sampler and
     binomial sums as they were before those paths were merged, and from
-    expand's terms on the one rank weight."""
+    expand_ranks' terms on the one rank weight."""
 
     # One Monte Carlo table per (v, n) cell; since tables hold exponential
     # order statistics, seed 4 puts no 3-sigma note on this grid; n = 8

@@ -16,12 +16,12 @@ from gedpower.orderstats import (
     BudgetError,
     OrderStatSpec,
     _binom_head,
-    cdf_gap_from_deficit,
+    cdf_gaps_from_deficit,
     exact_powered_cdf,
     lower_tail_mass,
     mc_powered_cdf,
     mc_score,
-    mc_tables,
+    mc_table,
     poisson_powered_cdf,
     poisson_remainder_bound,
 )
@@ -226,7 +226,7 @@ class TestGapEngine:
                 z = nm.scale * x + nm.shift
                 s = survival(params, z)
                 deficit = 1.0 - n * math.exp(x) * s
-                gap = cdf_gap_from_deficit(r, x, deficit, n=float(n))
+                [gap] = cdf_gaps_from_deficit((r,), x, deficit, n=float(n))
                 naive = (
                     exact_powered_cdf(params, OrderStatSpec(n=n, r=r, p=p), z**p)
                     - gumbel_r(r, x)
@@ -247,14 +247,14 @@ class TestGapEngine:
                         mp.e ** (-mp.e ** (-xm)) * mp.e ** (-j * xm) / mp.factorial(j)
                         for j in range(r)
                     )
-                    got = cdf_gap_from_deficit(r, x, deficit, log_n=50.0)
+                    [got] = cdf_gaps_from_deficit((r,), x, deficit, log_n=50.0)
                     assert got == pytest.approx(float(exact - lam_r), rel=1e-12, abs=1e-18)
 
     def test_zero_deficit_binomial_gap_is_poisson_binomial_difference(self):
         # with deficit 0 the gap is exactly the binomial-vs-Gumbel O(1/n) term
         n = 10**8
         x = 0.0
-        gap = cdf_gap_from_deficit(1, x, 0.0, n=float(n))
+        [gap] = cdf_gaps_from_deficit((1,), x, 0.0, n=float(n))
         # analytic: Lambda(0) (e^{n phi(s)} - 1), phi = log(1-s)+s, s = 1/n
         expected = -math.exp(-1.0) * 0.5 / n
         assert gap == pytest.approx(expected, rel=3e-8)
@@ -268,8 +268,8 @@ class TestGapEngine:
                     for d in (-0.3, -1e-3, 0.0, 1e-3, 0.3):
                         if r > n or math.exp(-x) * (1.0 - d) / n >= 1.0:
                             continue
-                        diff = (cdf_gap_from_deficit(r, x, d, log_n=math.log(n))
-                                - cdf_gap_from_deficit(r, x, d, n=float(n)))
+                        diff = (cdf_gaps_from_deficit((r,), x, d, log_n=math.log(n))[0]
+                                - cdf_gaps_from_deficit((r,), x, d, n=float(n))[0])
                         bound = poisson_remainder_bound(r, x, d, math.log(n))
                         assert abs(diff) <= bound, (n, r, x, d)
 
@@ -277,22 +277,22 @@ class TestGapEngine:
         # e^(-x) deficit past 709.78 overflows expm1; Lambda_r(x) is tiny there
         xm, dm = mp.mpf(-6.6), mp.mpf(0.999)
         expected = mp.exp(-mp.exp(-xm) * (1 - dm)) - mp.exp(-mp.exp(-xm))
-        got = cdf_gap_from_deficit(1, -6.6, 0.999, log_n=10.0)
+        [got] = cdf_gaps_from_deficit((1,), -6.6, 0.999, log_n=10.0)
         assert got == pytest.approx(float(expected), rel=1e-14)
         for x in (-10.0, -1000.0, -math.inf):
-            assert cdf_gap_from_deficit(2, x, 0.1, log_n=10.0) == 0.0
+            assert cdf_gaps_from_deficit((2,), x, 0.1, log_n=10.0) == [0.0]
         # exact n: s = e^(-x)(1 - d)/n = 1e-6, so P is about Poisson(1)'s
         n, x, r = 10**6, -10.0, 3
         d = 1.0 - n * 1e-6 * math.exp(x)
         sm = mp.e ** (-mp.mpf(x)) * (1 - mp.mpf(d)) / n
         expected = mp.fsum(mp.binomial(n, j) * sm**j * (1 - sm) ** (n - j)
                            for j in range(r)) - mp_gumbel_r(r, x)
-        got = cdf_gap_from_deficit(r, x, d, n=float(n))
+        [got] = cdf_gaps_from_deficit((r,), x, d, n=float(n))
         assert got == pytest.approx(float(expected), rel=1e-12)
         assert poisson_remainder_bound(2, -1000.0, 0.1, 10.0) == math.inf
         for x in (-10.0, -1000.0, -math.inf):  # s >= 1 is not a survival
             with pytest.raises(ValueError, match="got s="):
-                cdf_gap_from_deficit(2, x, 0.1, n=1000.0)
+                cdf_gaps_from_deficit((2,), x, 0.1, n=1000.0)
 
     def test_remainder_bound_keeps_the_two_sided_term_at_s_one(self):
         # both terms are 2 e^700 here, and n = e^700 is a finite double
@@ -303,11 +303,11 @@ class TestGapEngine:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            cdf_gap_from_deficit(0, 0.0, 0.0, n=100.0)
+            cdf_gaps_from_deficit((0,), 0.0, 0.0, n=100.0)
         with pytest.raises(ValueError):
-            cdf_gap_from_deficit(1, 0.0, 1.5, n=100.0)
+            cdf_gaps_from_deficit((1,), 0.0, 1.5, n=100.0)
         with pytest.raises(ValueError):
-            cdf_gap_from_deficit(1, 0.0, 0.0)
+            cdf_gaps_from_deficit((1,), 0.0, 0.0)
 
 
 def _exact_quantile(params, spec, u):
@@ -327,16 +327,10 @@ def _exact_median(params, spec):
     return _exact_quantile(params, spec, 0.5)
 
 
-def _ys(n, r_max, reps, seed):
-    """The table of a one-job :func:`mc_tables` call: Y = -log(1 - U)."""
-    [top] = mc_tables([(n, r_max, reps, seed)])
-    return top
-
-
 def _table(n, r_max, reps, seed):
-    """The tail probabilities U = -expm1(-Y) of a one-job table, which the
-    law tests read."""
-    return -np.expm1(-_ys(n, r_max, reps, seed))
+    """The tail probabilities U = -expm1(-Y) of a table, which the law tests
+    read."""
+    return -np.expm1(-mc_table(n, r_max, reps, seed))
 
 
 def _ks_pvalue(sample, law_cdf) -> float:
@@ -442,8 +436,8 @@ class TestMonteCarlo:
         spec = OrderStatSpec(n=10**6, r=1000, p=1.0)
         with pytest.raises(BudgetError, match=r"reps \* r = 200001000 exceeds 200000000"):
             mc_powered_cdf(params, spec, 1.0, reps=200001, seed=0)
-        assert mc_tables([(10**5, 10**5, 2001, 0)]) == [None]
-        [top] = mc_tables([(10**6, 3, 5000, 0)])
+        assert mc_table(10**5, 10**5, 2001, 0) is None
+        top = mc_table(10**6, 3, 5000, 0)
         assert top.shape == (5000, 3)
 
     # (v, n, r, p, y, reps, seed) -> (est, se), re-pinned when tables came
@@ -466,7 +460,7 @@ class TestMonteCarlo:
         params = make_params(v)
         spec = OrderStatSpec(n=n, r=r, p=p)
         assert mc_powered_cdf(params, spec, y, reps, seed) == mc_score(
-            _ys(n, r, reps, seed), r, survival(params, y ** (1.0 / p)))
+            mc_table(n, r, reps, seed), r, survival(params, y ** (1.0 / p)))
 
     def test_negative_threshold_scores_zero(self):
         spec = OrderStatSpec(n=10, r=2, p=1.5)
@@ -479,7 +473,7 @@ class TestMonteCarlo:
         n, r_max, reps, seed, p, t = 40, 6, 3000, 21, 1.5, 1.6
         # U = -expm1(-Y) is formed with math, value by value, since these
         # counts must equal the scores exactly
-        ys = _ys(n, r_max, reps, seed)
+        ys = mc_table(n, r_max, reps, seed)
         assert ys.shape == (reps, r_max)
         assert np.all(ys[:, :-1] < ys[:, 1:])  # smallest U, largest X, first
         for r in range(1, r_max + 1):
@@ -487,7 +481,7 @@ class TestMonteCarlo:
             assert mc_score(ys, r, survival(params, t)) == (
                 est, math.sqrt(est * (1.0 - est) / reps))
             own = sum(abs(quantile(params, -math.expm1(-y))) <= t
-                      for y in _ys(n, r, reps, seed)[:, -1])
+                      for y in mc_table(n, r, reps, seed)[:, -1])
             spec = OrderStatSpec(n=n, r=r, p=p)
             assert mc_powered_cdf(params, spec, t ** p, reps, seed)[0] == own / reps
 
@@ -513,7 +507,7 @@ class TestMonteCarlo:
         # U = -expm1(-Y), and every row of the sorted table stays ascending
         n, r_max, reps, seed = 50, 4, 3000, 13
         rows = self._white_box_replications(n, r_max, reps, seed)
-        top = _ys(n, r_max, reps, seed)
+        top = mc_table(n, r_max, reps, seed)
         assert top.flags["F_CONTIGUOUS"] and np.all(np.diff(top, axis=0) >= 0.0)
         assert np.all(top[:, :-1] < top[:, 1:])
         assert not np.array_equal(top, np.array(rows))
@@ -524,7 +518,7 @@ class TestMonteCarlo:
 
     def test_score_takes_a_sequence_of_thresholds(self):
         # a sequence gets the pairs that its values get one at a time
-        top = _ys(1000, 3, 2000, seed=4)
+        top = mc_table(1000, 3, 2000, seed=4)
         ss = [0.0, 1e-4, 0.0009, 0.001, 0.003, 0.5, 0.6, 1.0]
         for r in (1, 2, 3):
             alone = [mc_score(top, r, s) for s in ss]
@@ -540,7 +534,7 @@ class TestMonteCarlo:
     def test_score_edges_in_a_sequence(self):
         # s = 0 counts every row and s = 1 none, alone or in a sequence, and
         # a nan anywhere in a sequence is refused with the sequence named
-        top = _ys(1000, 3, 500, seed=6)
+        top = mc_table(1000, 3, 500, seed=6)
         for r in (1, 3):
             assert mc_score(top, r, [0.0, 1.0, 0.0]) == [(1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
             assert mc_score(top, r, [1.0]) == [mc_score(top, r, 1.0)]
@@ -559,7 +553,7 @@ class TestMonteCarlo:
         params, p = make_params(v), 1.5
         for n, r_max, reps in ((100000, 3, 90), (1000, 3, 300), (40, 40, 500),
                                (300, 300, 300), (1000, 1000, 2), (1, 1, 50)):
-            top = _ys(n, r_max, reps, seed=11)
+            top = mc_table(n, r_max, reps, seed=11)
             assert np.array_equal(top, self._white_box_table(n, r_max, reps, 11))
             t = quantile(params, 1.0 - min(0.45, r_max / n))
             est = sum(abs(quantile(params, -math.expm1(-y))) <= t for y in top[:, -1]) / reps
@@ -579,7 +573,7 @@ class TestMonteCarlo:
         # scored by exact binomial tails as criterion 8c scores its cells;
         # at n = 8 the table is the whole sample, negative X included
         params, reps = make_params(v), 20000
-        top = _ys(n, r_max, reps, seed)
+        top = mc_table(n, r_max, reps, seed)
         for r in range(1, r_max + 1):
             spec = OrderStatSpec(n=n, r=r, p=p)
             for u in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -588,16 +582,7 @@ class TestMonteCarlo:
                 k = round(mc_score(top, r, survival(params, y ** (1.0 / p)))[0] * reps)
                 assert min(bdtr(k, reps, exact), bdtrc(k - 1, reps, exact)) > 1e-4
 
-    def test_mc_tables_equal_lone_calls(self):
-        jobs = [(100, 1, 2000, 3), (1000, 3, 1500, 17), (3, 3, 777, 8),
-                (100000, 2, 60, 5)]
-        tables = mc_tables(jobs)
-        assert len(tables) == len(jobs)
-        for job, table in zip(jobs, tables):
-            assert np.array_equal(table, _ys(*job))
-        assert mc_tables([]) == []
-
-    def test_mc_tables_budget_job_is_none_and_not_drawn(self, monkeypatch):
+    def test_mc_table_over_budget_is_none_and_not_drawn(self, monkeypatch):
         drawn = []
         real = np.random.default_rng
 
@@ -606,19 +591,14 @@ class TestMonteCarlo:
             return real(seed_seq)
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        # the first job draws reps * r_max = 200000001 values, over 2e8
-        over, fits = (10**6, 3, 66666667, 0), (100, 2, 50, 1)
-        first, second = mc_tables([over, fits])
-        assert first is None and second.shape == (50, 2)
+        # the first table draws reps * r_max = 200000001 values, over 2e8
+        assert mc_table(10**6, 3, 66666667, 0) is None
+        assert mc_table(100, 2, 50, 1).shape == (50, 2)
         assert drawn == [1]
-        # a job that fails its checks stops the call before any draw
-        with pytest.raises(ValueError, match="reps must be >= 1"):
-            mc_tables([fits, (10, 1, 0, 2)])
-        assert drawn == [1]
-        # a job of exactly the budget is drawn, and one more replication is not
+        # a table of exactly the budget is drawn, and one more replication is not
         monkeypatch.setattr(orderstats, "_MC_DEFAULT_BUDGET", 100)
-        assert [t is None for t in mc_tables([(100, 2, 50, 2), (100, 2, 51, 3)])] == [
-            False, True]
+        assert mc_table(100, 2, 50, 2) is not None
+        assert mc_table(100, 2, 51, 3) is None
         assert drawn == [1, 2]
 
     @pytest.mark.parametrize("v", (0.5, 1.0, 2.0, 4.0))
@@ -652,7 +632,7 @@ class TestMonteCarlo:
          "9d38e662fafda3c74410229a7e4998cf72462c0cd89a3b00dbe42f866f0b2fb6"),
     ], ids=["n1000-w3", "n3-w3", "n1-w1", "n1000-w1000"])
     def test_tables_are_unchanged(self, job, digest):
-        top = _ys(*job)
+        top = mc_table(*job)
         assert hashlib.sha256(top.tobytes()).hexdigest() == digest
 
     _LIBM_LIKE = ("exp", "expm1", "log", "log1p", "power")
@@ -667,7 +647,7 @@ class TestMonteCarlo:
         for name in self._LIBM_LIKE:
             monkeypatch.setattr(np, name, refused)
         for job in ((1000, 3, 300, 1), (50, 50, 50, 2), (1000, 1000, 2, 3)):
-            [top] = mc_tables([job])
+            top = mc_table(*job)
             assert mc_score(top, 2, [0.0, 0.01, 0.3, 1.0])
             assert mc_score(top, 1, np.float64(0.2))
 
@@ -675,7 +655,7 @@ class TestMonteCarlo:
     def test_own_generator_law_three_sigma(self, v):
         # thresholds where P(|M_{1000,r}| <= t) spans about 0.06 to 0.96
         params, n, reps = make_params(v), 1000, 20000
-        top = _ys(n, 3, reps, seed=77)
+        top = mc_table(n, 3, reps, seed=77)
         for r in (1, 2, 3):
             spec = OrderStatSpec(n=n, r=r, p=1.0)
             for w in (0.5, 1.0, 2.0, 4.0):
@@ -689,7 +669,7 @@ class TestMonteCarlo:
     def test_tiny_n_every_column_three_sigma(self, v, n):
         # at r_max = n the lower columns hold the negative X
         params, reps = make_params(v), 20000
-        top = _ys(n, n, reps, seed=40 + n)
+        top = mc_table(n, n, reps, seed=40 + n)
         for r in range(1, n + 1):
             y_half = _exact_median(params, OrderStatSpec(n=n, r=r, p=1.0))
             est, se = mc_score(top, r, survival(params, y_half))
@@ -704,7 +684,7 @@ class TestMonteCarlo:
         assert abs(share - 7.0 / 8.0) <= 3.0 * math.sqrt(7.0 / 64.0 / reps)
 
     def test_score_rank_within_table_width(self):
-        top = _ys(10, 2, 100, seed=0)
+        top = mc_table(10, 2, 100, seed=0)
         for r in (1, 2):
             mc_score(top, r, 0.1)
         for r in (0, 3):
@@ -721,7 +701,7 @@ class TestMonteCarlo:
 
     def test_score_s_lies_in_the_unit_interval(self):
         # s = 0 is t = inf and counts every row; s = 1 counts none
-        top = _ys(10, 2, 100, seed=0)
+        top = mc_table(10, 2, 100, seed=0)
         assert mc_score(top, 2, 0.0) == (1.0, 0.0)
         assert mc_score(top, 2, 1.0) == (0.0, 0.0)
         for s in (-0.1, 1.5, math.nan):
