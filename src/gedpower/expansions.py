@@ -18,6 +18,7 @@ a ``t2_*`` case under branch 2, which use different norming families.
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -74,6 +75,22 @@ def gumbel_r(r: int, x: float) -> float:
     r <= 0.  At most 1: each weight's exponent carries an error of about
     |exponent| eps, which at large r can lift the sum past 1."""
     return min(math.fsum(_rank_weights(r, x)), 1.0)
+
+
+_XTerms = namedtuple("_XTerms", "ranks x emx weights limits ws tails")
+
+
+def _x_terms(ranks, x: float) -> _XTerms:
+    """What the rows of ``ranks`` at x share in every cell: e^(-x), the rank
+    weights, and per rank Lambda_r(x) and the w and tail of :func:`expand_ranks`
+    (0.0 past rank 171, where (r-1)! is not a double)."""
+    emx = exp_or_inf(-x)
+    weights = _rank_weights(ranks[-1], x)
+    ws = [math.exp(-emx - 0.5 * r * x) if r <= _MAX_RANK else 0.0 for r in ranks]
+    return _XTerms(ranks, x, emx, weights,
+                   [min(math.fsum(weights[:r]), 1.0) for r in ranks], ws,
+                   [math.exp(-0.5 * r * x) / math.factorial(r - 1) if w else 0.0
+                    for r, w in zip(ranks, ws)])
 
 
 @dataclass(frozen=True)
@@ -324,17 +341,20 @@ def expand_ranks(cell: NormedCase, ranks, x: float) -> list[ExpansionEval]:
                          f"got r={ranks[-1]}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
+    return _expand(cell, _x_terms(ranks, x))
+
+
+def _expand(cell: NormedCase, terms: _XTerms) -> list[ExpansionEval]:
+    """:func:`expand_ranks` on :func:`_x_terms`."""
     s1, s2 = cell.scales
-    emx = exp_or_inf(-x)
-    ws = [math.exp(-emx - 0.5 * r * x) for r in ranks]
+    ranks, x, emx, _, limits, ws, tails = terms
     polys = _term_polys(cell.params, cell.case.tag, cell.case.p, ranks, x, emx) if any(ws) else ws
     out = []
-    for r, w, poly in zip(ranks, ws, polys):
+    for limit, w, tail, poly in zip(limits, ws, tails, polys):
         t1 = t2 = 0.0
         if w:
-            tail = math.exp(-0.5 * r * x) / math.factorial(r - 1)
             t1, t2 = poly[0] * w * tail / s1, poly[1] * w * tail / s2
-        out.append(ExpansionEval(gumbel_r(r, x), t1, t2, s1, s2))
+        out.append(ExpansionEval(limit, t1, t2, s1, s2))
     return out
 
 

@@ -13,14 +13,16 @@ from .expansions import (
     _MAX_RANK,
     NormedCase,
     TheoremCase,
+    _expand,
+    _x_terms,
     classify_case,
     exact_deficit,
-    expand_ranks,
 )
 from .ged import EQ_TOL, make_params
 from .orderstats import (
-    cdf_gaps_from_deficit,
-    mc_score,
+    _gaps_from_deficit,
+    _mc_bounds,
+    _mc_counts,
     mc_table,
     poisson_remainder_bound,
 )
@@ -179,15 +181,15 @@ def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
         return _note(exc)
 
 
-def _eval_x(cell: NormedCase, ranks, x: float, deficit: float | None = None) -> list:
-    """The cells, exact through the note, of the rows of ``ranks`` at one x, which
-    share all rank-free work; past the deficit, a failing rank list goes rank by rank."""
+def _eval_x(cell: NormedCase, terms, deficit: float | None = None) -> list:
+    """The cells, exact through the note, of the rows of ``terms``' ranks at its x,
+    which share all rank-free work; past the deficit, a failing rank list goes rank by rank."""
+    ranks, x = terms.ranks, terms.x
     try:
         deficit = exact_deficit(cell, x) if deficit is None else deficit
-        mode = {"n": float(cell.n)} if cell.n is not None else {"log_n": cell.log_n}
-        gaps = cdf_gaps_from_deficit(ranks, x, deficit, **mode)
+        gaps = _gaps_from_deficit(terms, deficit, float(cell.n) if cell.n is not None else None)
         rows = []
-        for r, gap, ee in zip(ranks, gaps, expand_ranks(cell, ranks, x)):
+        for r, gap, ee in zip(ranks, gaps, _expand(cell, terms)):
             target1 = ee.first_order * ee.scale_first
             target2 = ee.second_order * ee.scale_second
             scaled_err1 = ee.scale_first * gap
@@ -200,20 +202,25 @@ def _eval_x(cell: NormedCase, ranks, x: float, deficit: float | None = None) -> 
     except _ROW_ERRORS as exc:
         if deficit is None or len(ranks) == 1:
             return [(*_NO_NUMBERS, _note(exc))] * len(ranks)
-        return [row for r in ranks for row in _eval_x(cell, (r,), x, deficit)]
+        return [row for r in ranks for row in _eval_x(cell, _x_terms((r,), x), deficit)]
 
 
-def _eval_cell(config: SweepConfig, cell: NormedCase | str, xs, table) -> list:
-    """The rows of one (v, p, n) cell, per rank and then per x; each rank
-    scores its rows that hold numbers in one Monte Carlo call."""
+def _eval_cell(config: SweepConfig, cell: NormedCase | str, terms, table) -> list:
+    """The rows of one (v, p, n) cell, per rank and then per x's terms; each rank
+    counts its rows that hold numbers in one Monte Carlo call, on bounds formed once per x."""
     if isinstance(cell, str):
-        return [[(*_NO_NUMBERS, cell)] * len(xs)] * len(config.r_list)
-    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, config.r_list, x) for x in xs))]
-    for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
+        return [[(*_NO_NUMBERS, cell)] * len(terms)] * len(config.r_list)
+    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, t) for t in terms))]
+    if config.mc_reps == 0:
+        return by_rank
+    # s = e^(-x)(1 - deficit)/n is rank-free: every row with numbers at x holds its deficit at 7
+    deficits = {i: row[7] for rows in by_rank for i, row in enumerate(rows) if not row[-1]}
+    bounds = dict(zip(deficits, _mc_bounds(
+        [terms[i].emx * (1.0 - d) / float(cell.n) for i, d in deficits.items()])))
+    for r, rows in zip(config.r_list, by_rank):
         live = [i for i, row in enumerate(rows) if not row[-1]]
-        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
-        ss = [exp_or_inf(-xs[i]) * (1.0 - rows[i][7]) / float(cell.n) for i in live]
-        scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
+        scores = (_mc_counts(table, r, [bounds[i] for i in live])
+                  if table is not None and live else [None] * len(live))
         for i, score in zip(live, scores):
             rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
     return by_rank
@@ -263,9 +270,10 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
                  for p in config.p_list])
             for v in config.v_list]
     tables = _draw_tables(config, plan) if config.mc_reps > 0 else {}
+    terms = [_x_terms(config.r_list, x) for x in xs]
     for vi, (v, by_p) in enumerate(plan):
         for p, cells in by_p:
-            by_cell = [_eval_cell(config, cell, xs, tables.get((vi, ni)))
+            by_cell = [_eval_cell(config, cell, terms, tables.get((vi, ni)))
                        for ni, cell in enumerate(cells)]
             for ri, r in enumerate(config.r_list):
                 for n, by_rank in zip(n_column, by_cell):

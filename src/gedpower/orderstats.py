@@ -11,7 +11,7 @@ floor of the two probabilities.
 import math
 from dataclasses import dataclass
 
-from .expansions import _check_ranks, _rank_weights, gumbel_r
+from .expansions import _check_ranks, _x_terms, _XTerms, gumbel_r
 from .ged import GedParams, log_survival, survival
 from .norming import resolve_log_n
 from .specfun import exp_or_inf, pow_or_inf
@@ -177,14 +177,24 @@ def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = 
     Each rank's sum is a prefix of one running sum to the largest rank.
     """
     _check_ranks(ranks)
-    if not deficit < 1.0:
-        raise ValueError(f"deficit must be < 1, got {deficit}")
+    _check_gap_args(ranks, deficit, n)  # before the record, whose size is ranks[-1]
     if (n is None) == (log_n is None):
         raise ValueError("pass exactly one of n and log_n")
+    return _gaps_from_deficit(_x_terms(ranks, x), deficit, n)
+
+
+def _check_gap_args(ranks, deficit: float, n: float | None) -> None:
+    """The deficit and r <= n checks of :func:`cdf_gaps_from_deficit`."""
+    if not deficit < 1.0:
+        raise ValueError(f"deficit must be < 1, got {deficit}")
     if n is not None and not ranks[-1] <= n:
         raise ValueError(f"need r <= n, got r={ranks[-1]}, n={n:g}")
-    lams = _rank_weights(ranks[-1], x)
-    emx = exp_or_inf(-x)
+
+
+def _gaps_from_deficit(terms: _XTerms, deficit: float, n: float | None) -> list[float]:
+    """:func:`cdf_gaps_from_deficit` on :func:`_x_terms`; n is None in log-n mode."""
+    ranks, x, emx, lams = terms.ranks, terms.x, terms.emx, terms.weights
+    _check_gap_args(ranks, deficit, n)
     s = emx * (1.0 - deficit) / n if n is not None else 0.0
     if not s < 1.0:
         raise ValueError(f"need s = e^(-x)(1 - deficit)/n < 1, got s={s:g}")
@@ -209,10 +219,10 @@ def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = 
             return gaps
     except OverflowError:  # the ranks past the addend that overflowed
         if n is not None:
-            return gaps + [_upper_sum(n, r, s) - lower_tail_mass(n, r, s) - gumbel_r(r, x)
-                           for r in ranks[len(gaps):]]
-    return gaps + [gumbel_r(r, x - math.log1p(-deficit)) - gumbel_r(r, x)
-                   for r in ranks[len(gaps):]]
+            return gaps + [_upper_sum(n, r, s) - lower_tail_mass(n, r, s) - limit
+                           for r, limit in zip(ranks[len(gaps):], terms.limits[len(gaps):])]
+    return gaps + [gumbel_r(r, x - math.log1p(-deficit)) - limit
+                   for r, limit in zip(ranks[len(gaps):], terms.limits[len(gaps):])]
 
 
 def poisson_remainder_bound(r: int, x: float, deficit: float,
@@ -239,7 +249,9 @@ def mc_table(n: int, r_max: int, reps: int, seed: int) -> "np.ndarray | None":
     the r-th largest X of a sample has the r-th smallest Y, and column r - 1
     stands for M_{n,r}.  A replication is Y_(k) = sum_{i<=k} E_i/(n - i + 1)
     over r_max Exp(1) draws E_i (Renyi), formed with + and / alone, so its
-    bits do not depend on the CPU's libm.
+    bits do not depend on the CPU's libm.  A table narrower than its reps adds
+    row by row; a wider one takes one ``cumsum``, whose loop per replication
+    costs more on a narrow table.  Both give the same bits.
     Each column is then sorted: no count changes and rows stay ascending, but
     a row is one replication only at reps = 1.  The generator is seeded by
     ``SeedSequence(seed)``.
@@ -253,11 +265,31 @@ def mc_table(n: int, r_max: int, reps: int, seed: int) -> "np.ndarray | None":
     if reps * r_max > _MC_DEFAULT_BUDGET:
         return None
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ys = rng.standard_exponential((r_max, reps)).T  # column-major, E_i in column i - 1
-    ys /= n - np.arange(r_max, dtype=float)
-    np.cumsum(ys, axis=1, out=ys)
-    ys.sort(axis=0)
-    return ys
+    ys = rng.standard_exponential((r_max, reps))  # E_i in row i - 1
+    ys /= (n - np.arange(r_max, dtype=float))[:, None]
+    if r_max < reps:
+        for k in range(1, r_max):
+            ys[k] += ys[k - 1]
+    else:
+        np.cumsum(ys, axis=0, out=ys)
+    ys.T.sort(axis=0)
+    return ys.T  # column-major
+
+
+def _mc_bounds(ss) -> list:
+    """The bounds (-log(1 - s), -log s) on Y_(r) of each s in [0, 1], whatever r."""
+    return [(-math.log1p(-s) if s < 1.0 else math.inf, -math.log(s) if s else math.inf)
+            for s in ss]
+
+
+def _mc_counts(table: "np.ndarray", r: int, bounds) -> list:
+    """The estimate and stderr of column r - 1 within each pair of bounds."""
+    reps = table.shape[0]
+    column = table[:, r - 1]
+    counts = column.searchsorted([b for _, b in bounds], "right") - column.searchsorted(
+        [a for a, _ in bounds])
+    return [(est, math.sqrt(est * (1.0 - est) / reps))
+            for est in (max(k, 0) / reps for k in counts.tolist())]
 
 
 def mc_score(table: "np.ndarray", r: int, s):
@@ -272,19 +304,14 @@ def mc_score(table: "np.ndarray", r: int, s):
     """
     import numpy as np
 
-    reps, width = table.shape
+    width = table.shape[1]
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
     ss = np.asarray(s, dtype=float)
     values = ss.ravel().tolist()
     if not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    lo = [-math.log1p(-v) if v < 1.0 else math.inf for v in values]
-    hi = [-math.log(v) if v else math.inf for v in values]
-    column = table[:, r - 1]
-    counts = column.searchsorted(hi, "right") - column.searchsorted(lo)
-    scores = [(est, math.sqrt(est * (1.0 - est) / reps))
-              for est in (max(k, 0) / reps for k in counts.tolist())]
+    scores = _mc_counts(table, r, _mc_bounds(values))
     return scores if ss.ndim else scores[0]
 
 

@@ -690,9 +690,15 @@ class TestAllRanks:
             assert self._bits(cdf_gaps_from_deficit((2, 32), x, d, **kw)) == self._bits(
                 [alone[1], alone[6]])
 
-    def test_gaps_reject_a_rank_above_n(self):
-        # ranks that mix r <= n with r > n fail as the largest fails alone
+    def test_gaps_reject_a_rank_above_n(self, monkeypatch):
+        # ranks that mix r <= n with r > n fail as the largest fails alone,
+        # before any rank weight is formed; ranks past 171 are fine up to n
+        import gedpower.expansions as expansions
         from gedpower.orderstats import cdf_gaps_from_deficit
+
+        assert math.isfinite(cdf_gaps_from_deficit((500,), 0.0, 0.0, n=1000.0)[0])
+        assert cdf_gaps_from_deficit((2, 500), 0.0, 0.0, n=1000.0) == [
+            cdf_gaps_from_deficit((r,), 0.0, 0.0, n=1000.0)[0] for r in (2, 500)]
 
         with pytest.raises(ValueError, match=r"^need r <= n, got r=5, n=3$"):
             cdf_gaps_from_deficit((5,), 0.0, 0.0, n=3.0)
@@ -700,6 +706,9 @@ class TestAllRanks:
             cdf_gaps_from_deficit((1, 2, 5), 0.0, 0.0, n=3.0)
         assert cdf_gaps_from_deficit((1, 2), 0.0, 0.0, n=3.0) == [
             cdf_gaps_from_deficit((r,), 0.0, 0.0, n=3.0)[0] for r in (1, 2)]
+        monkeypatch.setattr(expansions, "_rank_weights", None)
+        with pytest.raises(ValueError, match=r"^need r <= n, got r=1000000000, n=3$"):
+            cdf_gaps_from_deficit((10**9,), 0.0, 0.0, n=3.0)
 
     @pytest.mark.parametrize("ranks", [(3, 1), (1, 1), (3, 0), (1, 3, 2), (0,), ()])
     @pytest.mark.parametrize("form", ["gaps", "expand"])

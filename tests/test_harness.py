@@ -394,38 +394,93 @@ class TestRunSweep:
             notes = {row.error.split(" =")[0].split(";")[0] for row in rows}
             assert {"ValueError: need r <= n", "ValueError: normed point scale*x+shift"} <= notes
 
+    @pytest.mark.parametrize("x", [-720.0, -7.5, 0.5, 800.0])
+    @pytest.mark.parametrize("ladder", [{"n_ladder": (10**6, 10**15)},
+                                        {"log_n_ladder": (30.0, 1000.0, 5000.0)}])
+    def test_public_functions_equal_sweep_rows(self, ladder, x):
+        # a sweep forms the x-only terms once per x for every cell, while
+        # cdf_gaps_from_deficit and expand_ranks form their own per call; the
+        # two must agree bit for bit.  e^(-x) overflows at x = -720 (rows hold
+        # numbers there only at log n >= 1000), and at x = -7.5 the rank-171
+        # weight e^(-e^(-x) - rx/2) underflows
+        from gedpower.expansions import exact_deficit, expand_ranks
+        from gedpower.orderstats import cdf_gaps_from_deficit
+
+        (key, rungs), = ladder.items()
+        mode = "n" if key == "n_ladder" else "log_n"
+        compared = 0
+        for theorem in (None, "1"):
+            cfg = SweepConfig(v_list=(0.5, 1.0, 2.0), p_list=(1.0, 2.0), r_list=(1, 2, 171),
+                              x_min=x, x_max=x, theorem=theorem, **ladder)
+            rows = iter(run_sweep(cfg))
+            for v in cfg.v_list:
+                for p in cfg.p_list:
+                    by_rank = [[next(rows) for _ in rungs] for _ in cfg.r_list]
+                    branch = 1 if theorem == "1" or v == 1.0 else 2
+                    for got, rung in zip(zip(*by_rank), rungs):
+                        if any(row.error for row in got):
+                            continue
+                        cell = NormedCase(make_params(v), classify_case(v, p, branch),
+                                          **{mode: rung})
+                        d = exact_deficit(cell, x)
+                        gaps = cdf_gaps_from_deficit(cfg.r_list, x, d, **{mode: float(rung)})
+                        expected = [(ee.leading, gap, ee.first_order * ee.scale_first,
+                                     ee.second_order * ee.scale_second, d)
+                                    for gap, ee in zip(gaps, expand_ranks(cell, cfg.r_list, x))]
+                        assert repr(expected) == repr([(row.limit, row.err, row.target1,
+                                                        row.target2, row.theta_deficit)
+                                                       for row in got]), (v, p, rung)
+                        compared += 1
+        # at exact n the normed point of x = -720 is negative in every cell
+        assert compared or (mode, x) == ("n", -720.0)
+
     def test_one_deficit_per_live_cell_and_x(self, monkeypatch):
-        # every rank of a (cell, x) shares its deficit, and every x of a
-        # (cell, r) shares one Monte Carlo score
+        # every rank of a (cell, x) shares its deficit and its Monte Carlo
+        # bounds, every x of a (cell, r) shares one Monte Carlo count, and
+        # every cell of a sweep x shares its rank weights
+        import gedpower.expansions as expansions
         import gedpower.harness as harness
 
-        deficits, scores = [], []
+        deficits, weights, bounds, counts = [], [], [], []
 
         def counting_deficit(cell, x, real=harness.exact_deficit):
             deficits.append(x)
             return real(cell, x)
 
-        def counting_score(table, r, ss, real=harness.mc_score):
-            scores.append(len(ss))
-            return real(table, r, ss)
+        def counting_weights(r, x, real=expansions._rank_weights):
+            weights.append(x)
+            return real(r, x)
+
+        def counting_bounds(ss, real=harness._mc_bounds):
+            bounds.extend(ss)
+            return real(ss)
+
+        def counting_counts(table, r, pairs, real=harness._mc_counts):
+            counts.append(len(pairs))
+            return real(table, r, pairs)
 
         monkeypatch.setattr(harness, "exact_deficit", counting_deficit)
-        monkeypatch.setattr(harness, "mc_score", counting_score)
-        # the benchmark's mc-check grid: 108 rows on 36 (cell, x) points
+        monkeypatch.setattr(expansions, "_rank_weights", counting_weights)
+        monkeypatch.setattr(harness, "_mc_bounds", counting_bounds)
+        monkeypatch.setattr(harness, "_mc_counts", counting_counts)
+        # the benchmark's mc-check grid: 108 rows on 36 (cell, x) points and 6 x
         rows = run_sweep(SweepConfig(
             v_list=(0.5, 1.0, 2.0), p_list=(1.0,), r_list=(1, 2, 3), n_ladder=(100, 1000),
             x_min=-0.5, x_max=2.0, x_step=0.5, mc_reps=2000, seed=5))
         assert len(rows) == 108 and len(deficits) == 36
-        assert scores == [6] * 18
-        # the benchmark's sweep-logn grid: 12,852 rows, of which the 357 t1_i
-        # rows are cell notes and the rest lie on 4,165 (cell, x) points
+        assert len(weights) == 6 and len(bounds) == 36
+        assert counts == [6] * 18
+        # the benchmark's sweep-logn grid: 12,852 rows on 17 x, of which the
+        # 357 t1_i rows are cell notes and the rest lie on 4,165 (cell, x) points
         deficits.clear()
+        weights.clear()
         rows = run_sweep(SweepConfig(
             v_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0), p_list=(0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
             r_list=(1, 2, 3),
             log_n_ladder=tuple(e * math.log(10.0) for e in (6, 9, 12, 20, 50, 100, 300)),
             x_min=-1.0, x_max=3.0, x_step=0.25, fmt="json", seed=5))
         assert len(rows) == 12852 and len(deficits) <= 4165
+        assert len(weights) == 17
 
     def test_mc_draws_once_per_v_n_cell(self, monkeypatch):
         # the tables take their params from the planned cells, so the sweep
@@ -567,8 +622,8 @@ class TestRunSweep:
 
     def test_mc_miss_is_noted(self, monkeypatch):
         # the harness scores each (cell, r) once, at every x of the cell
-        monkeypatch.setattr("gedpower.harness.mc_score",
-                            lambda table, r, ss: [(1.0, 0.0)] * len(ss))
+        monkeypatch.setattr("gedpower.harness._mc_counts",
+                            lambda table, r, bounds: [(1.0, 0.0)] * len(bounds))
         cfg = t1i_config(n_ladder=(100,), r_list=(1,), x_min=0.0, x_max=0.0,
                          mc_reps=100)
         (row,) = run_sweep(cfg)
@@ -682,6 +737,33 @@ class TestGoldenBytes:
         path = tmp_path / f"rows.{fmt}"
         emit(rows, fmt, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[grid, fmt]
+
+    # the benchmark's mc-check grid; its CSV shows a score only through a
+    # 3-sigma note, so the same bytes can hide a changed table or count
+    MC_CHECK = dict(v_list=(0.5, 1.0, 2.0), p_list=(1.0,), r_list=(1, 2, 3),
+                    n_ladder=(100, 1000), x_min=-0.5, x_max=2.0, x_step=0.5,
+                    mc_reps=2000)
+    MC_SCORE_DIGESTS = {
+        1: "ad86f58821f248b48f981a220ed362be159d28018f5fa0615c5f5bdcfb67bfa1",
+        5: "e42113c2de3ab01e78e41b035a4cf8b7df4422014081cf4758e778252d0b827c",
+    }
+
+    @pytest.mark.parametrize("seed", MC_SCORE_DIGESTS)
+    def test_mc_scores_digest(self, monkeypatch, seed):
+        # every (estimate, stderr) the sweep computes passes through _mc_note
+        import gedpower.harness as harness
+
+        scores = []
+
+        def spy(config, score, exact, real=harness._mc_note):
+            scores.append(score)
+            return real(config, score, exact)
+
+        monkeypatch.setattr(harness, "_mc_note", spy)
+        run_sweep(SweepConfig(**self.MC_CHECK, seed=seed))
+        assert len(scores) == 108
+        digest = hashlib.sha256(repr(scores).encode()).hexdigest()
+        assert digest == self.MC_SCORE_DIGESTS[seed]
 
 
 class TestCli:
