@@ -19,13 +19,7 @@ from .expansions import (
     exact_deficit,
 )
 from .ged import EQ_TOL, make_params
-from .orderstats import (
-    _gaps_from_deficit,
-    _mc_bounds,
-    _mc_counts,
-    mc_table,
-    poisson_remainder_bound,
-)
+from .orderstats import _gaps_from_deficit, mc_score, mc_table, poisson_remainder_bound
 from .specfun import ConvergenceError, exp_or_inf
 
 __all__ = [
@@ -207,20 +201,15 @@ def _eval_x(cell: NormedCase, terms, deficit: float | None = None) -> list:
 
 def _eval_cell(config: SweepConfig, cell: NormedCase | str, terms, table) -> list:
     """The rows of one (v, p, n) cell, per rank and then per x's terms; each rank
-    counts its rows that hold numbers in one Monte Carlo call, on bounds formed once per x."""
+    scores its rows that hold numbers in one Monte Carlo call."""
     if isinstance(cell, str):
         return [[(*_NO_NUMBERS, cell)] * len(terms)] * len(config.r_list)
     by_rank = [list(rows) for rows in zip(*(_eval_x(cell, t) for t in terms))]
-    if config.mc_reps == 0:
-        return by_rank
-    # s = e^(-x)(1 - deficit)/n is rank-free: every row with numbers at x holds its deficit at 7
-    deficits = {i: row[7] for rows in by_rank for i, row in enumerate(rows) if not row[-1]}
-    bounds = dict(zip(deficits, _mc_bounds(
-        [terms[i].emx * (1.0 - d) / float(cell.n) for i, d in deficits.items()])))
-    for r, rows in zip(config.r_list, by_rank):
+    for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
         live = [i for i, row in enumerate(rows) if not row[-1]]
-        scores = (_mc_counts(table, r, [bounds[i] for i in live])
-                  if table is not None and live else [None] * len(live))
+        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
+        ss = [terms[i].emx * (1.0 - rows[i][7]) / float(cell.n) for i in live]
+        scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
         for i, score in zip(live, scores):
             rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
     return by_rank

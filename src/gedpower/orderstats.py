@@ -178,6 +178,8 @@ def cdf_gaps_from_deficit(ranks, x: float, deficit: float, *, n: float | None = 
     """
     _check_ranks(ranks)
     _check_gap_args(ranks, deficit, n)  # before the record, whose size is ranks[-1]
+    if math.isnan(x):
+        raise ValueError("x must not be nan")
     if (n is None) == (log_n is None):
         raise ValueError("pass exactly one of n and log_n")
     return _gaps_from_deficit(_x_terms(ranks, x), deficit, n)
@@ -187,6 +189,8 @@ def _check_gap_args(ranks, deficit: float, n: float | None) -> None:
     """The deficit and r <= n checks of :func:`cdf_gaps_from_deficit`."""
     if not deficit < 1.0:
         raise ValueError(f"deficit must be < 1, got {deficit}")
+    if not deficit > -math.inf:
+        raise ValueError(f"deficit must be > -inf, got {deficit}")
     if n is not None and not ranks[-1] <= n:
         raise ValueError(f"need r <= n, got r={ranks[-1]}, n={n:g}")
 
@@ -276,22 +280,6 @@ def mc_table(n: int, r_max: int, reps: int, seed: int) -> "np.ndarray | None":
     return ys.T  # column-major
 
 
-def _mc_bounds(ss) -> list:
-    """The bounds (-log(1 - s), -log s) on Y_(r) of each s in [0, 1], whatever r."""
-    return [(-math.log1p(-s) if s < 1.0 else math.inf, -math.log(s) if s else math.inf)
-            for s in ss]
-
-
-def _mc_counts(table: "np.ndarray", r: int, bounds) -> list:
-    """The estimate and stderr of column r - 1 within each pair of bounds."""
-    reps = table.shape[0]
-    column = table[:, r - 1]
-    counts = column.searchsorted([b for _, b in bounds], "right") - column.searchsorted(
-        [a for a, _ in bounds])
-    return [(est, math.sqrt(est * (1.0 - est) / reps))
-            for est in (max(k, 0) / reps for k in counts.tolist())]
-
-
 def mc_score(table: "np.ndarray", r: int, s):
     """Estimate of P(|M_{n,r}| <= t) from a table of :func:`mc_table`, with
     its binomial stderr, where s = survival(t) for a t >= 0 (a list of
@@ -304,14 +292,19 @@ def mc_score(table: "np.ndarray", r: int, s):
     """
     import numpy as np
 
-    width = table.shape[1]
+    reps, width = table.shape
     if not 1 <= r <= width:
         raise ValueError(f"need 1 <= r <= {width}, the table width, got r={r}")
     ss = np.asarray(s, dtype=float)
     values = ss.ravel().tolist()
     if not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"s must lie in [0, 1], got {s}")
-    scores = _mc_counts(table, r, _mc_bounds(values))
+    lo = [-math.log1p(-v) if v < 1.0 else math.inf for v in values]
+    hi = [-math.log(v) if v else math.inf for v in values]
+    column = table[:, r - 1]
+    counts = column.searchsorted(hi, "right") - column.searchsorted(lo)
+    scores = [(est, math.sqrt(est * (1.0 - est) / reps))
+              for est in (max(k, 0) / reps for k in counts.tolist())]
     return scores if ss.ndim else scores[0]
 
 

@@ -435,13 +435,13 @@ class TestRunSweep:
         assert compared or (mode, x) == ("n", -720.0)
 
     def test_one_deficit_per_live_cell_and_x(self, monkeypatch):
-        # every rank of a (cell, x) shares its deficit and its Monte Carlo
-        # bounds, every x of a (cell, r) shares one Monte Carlo count, and
-        # every cell of a sweep x shares its rank weights
+        # every rank of a (cell, x) shares its deficit, every x of a (cell, r)
+        # shares one Monte Carlo score, and every cell of a sweep x shares its
+        # rank weights
         import gedpower.expansions as expansions
         import gedpower.harness as harness
 
-        deficits, weights, bounds, counts = [], [], [], []
+        deficits, weights, counts = [], [], []
 
         def counting_deficit(cell, x, real=harness.exact_deficit):
             deficits.append(x)
@@ -451,24 +451,19 @@ class TestRunSweep:
             weights.append(x)
             return real(r, x)
 
-        def counting_bounds(ss, real=harness._mc_bounds):
-            bounds.extend(ss)
-            return real(ss)
-
-        def counting_counts(table, r, pairs, real=harness._mc_counts):
-            counts.append(len(pairs))
-            return real(table, r, pairs)
+        def counting_score(table, r, ss, real=harness.mc_score):
+            counts.append(len(ss))
+            return real(table, r, ss)
 
         monkeypatch.setattr(harness, "exact_deficit", counting_deficit)
         monkeypatch.setattr(expansions, "_rank_weights", counting_weights)
-        monkeypatch.setattr(harness, "_mc_bounds", counting_bounds)
-        monkeypatch.setattr(harness, "_mc_counts", counting_counts)
+        monkeypatch.setattr(harness, "mc_score", counting_score)
         # the benchmark's mc-check grid: 108 rows on 36 (cell, x) points and 6 x
         rows = run_sweep(SweepConfig(
             v_list=(0.5, 1.0, 2.0), p_list=(1.0,), r_list=(1, 2, 3), n_ladder=(100, 1000),
             x_min=-0.5, x_max=2.0, x_step=0.5, mc_reps=2000, seed=5))
         assert len(rows) == 108 and len(deficits) == 36
-        assert len(weights) == 6 and len(bounds) == 36
+        assert len(weights) == 6
         assert counts == [6] * 18
         # the benchmark's sweep-logn grid: 12,852 rows on 17 x, of which the
         # 357 t1_i rows are cell notes and the rest lie on 4,165 (cell, x) points
@@ -622,8 +617,8 @@ class TestRunSweep:
 
     def test_mc_miss_is_noted(self, monkeypatch):
         # the harness scores each (cell, r) once, at every x of the cell
-        monkeypatch.setattr("gedpower.harness._mc_counts",
-                            lambda table, r, bounds: [(1.0, 0.0)] * len(bounds))
+        monkeypatch.setattr("gedpower.harness.mc_score",
+                            lambda table, r, ss: [(1.0, 0.0)] * len(ss))
         cfg = t1i_config(n_ladder=(100,), r_list=(1,), x_min=0.0, x_max=0.0,
                          mc_reps=100)
         (row,) = run_sweep(cfg)

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gedpower import norming, specfun
 from gedpower.ged import make_params, survival
@@ -208,6 +211,40 @@ class TestSolveBn:
         # for v < 1 and tiny n the increasing branch never reaches n
         with pytest.raises(ConvergenceError):
             solve_bn(make_params(0.5), 2)
+
+    # make_params rejects v below 0.00860301..., where lambda is subnormal
+    @given(v=st.floats(min_value=0.0086031, max_value=20.0),
+           log_n=st.floats(min_value=math.log(2.0), max_value=1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_residual_within_target_or_a_named_failure(self, v, log_n):
+        # a root within the stated target; no root, where the log LHS at its
+        # minimum b_stat = (2 lam^v (1 - v)/v)^(1/v) is above log n; or a
+        # root past the double range, which no bracket reaches
+        params = make_params(v)
+        lam = params.lam
+        head = math.log(2.0) / v + (1.0 - v) * math.log(lam) + math.lgamma(1.0 / v)
+
+        def f(log_b):  # log LHS(b) - log n
+            return head + (v - 1.0) * log_b + math.exp(v * log_b) / (2.0 * lam**v) - log_n
+
+        f_stat = f(math.log(2.0 * lam**v * (1.0 - v) / v) / v) if v < 1.0 else -math.inf
+        assume(abs(f_stat) >= 1e-9)
+        no_root = f_stat > 0.0
+        # f increases past b_stat, so f(log max) < 0 puts the root past the
+        # double range; a root in [max/2, max] may or may not be bracketed.
+        # At v >= 1 the root is below 1e7 on this log n range.
+        big = math.log(sys.float_info.max)
+        overflows = v < 1.0 and f(big) < 0.0
+        assume(overflows or v >= 1.0 or f(big - math.log(2.0)) > 0.0)
+        try:
+            sol = solve_bn(params, log_n=log_n)
+        except ConvergenceError:
+            assert no_root and not overflows
+        except ValueError:
+            assert overflows
+        else:
+            assert not no_root and not overflows
+            assert abs(math.log1p(sol.residual)) <= max(1e-13, 5e-15 * log_n)
 
     def test_huge_log_n(self):
         # at log n = 1e6 the log-form itself carries ~log n * eps noise,

@@ -294,6 +294,20 @@ class TestGapEngine:
             with pytest.raises(ValueError, match="got s="):
                 cdf_gaps_from_deficit((2,), x, 0.1, n=1000.0)
 
+    def test_nan_x_and_infinite_deficit_are_named(self):
+        # both used to return nan gaps in log-n mode; at exact n a nan x blamed s
+        for kw in ({"log_n": 10.0}, {"n": 1000.0}):
+            with pytest.raises(ValueError, match="^x must not be nan$"):
+                cdf_gaps_from_deficit((1, 2), math.nan, 0.0, **kw)
+            with pytest.raises(ValueError, match="^deficit must be > -inf, got -inf$"):
+                cdf_gaps_from_deficit((1,), 0.0, -math.inf, **kw)
+        # an infinite x keeps its answer; x = -inf at exact n is s = inf
+        for x in (math.inf, -math.inf):
+            assert cdf_gaps_from_deficit((1, 2), x, 0.0, log_n=10.0) == [0.0, 0.0]
+        assert cdf_gaps_from_deficit((1, 2), math.inf, 0.0, n=1000.0) == [0.0, 0.0]
+        with pytest.raises(ValueError, match="got s=inf"):
+            cdf_gaps_from_deficit((1, 2), -math.inf, 0.0, n=1000.0)
+
     def test_remainder_bound_keeps_the_two_sided_term_at_s_one(self):
         # both terms are 2 e^700 here, and n = e^700 is a finite double
         assert poisson_remainder_bound(2, -700.0, 0.0, 700.0) == pytest.approx(
