@@ -209,8 +209,13 @@ def exact_deficit(cell: NormedCase, x: float) -> float:
         )
     if cell.case.tag == "t1_i":
         return 0.0
-    z = arg ** (1.0 / cell.case.p)
-    return -math.expm1(norming.log_n + x + log_survival(cell.params, z))
+    z = pow_or_inf(arg, 1.0 / cell.case.p)
+    if z == math.inf:
+        raise ValueError(f"z = (scale*x+shift)^(1/p) overflows a double at x={x}")
+    log_theta = norming.log_n + x + log_survival(cell.params, z)
+    if exp_or_inf(log_theta) == math.inf:
+        raise ValueError(f"theta = n e^x S(z) overflows a double at x={x}")
+    return -math.expm1(log_theta)
 
 
 def _check_v_not_one(v: float, name: str) -> None:

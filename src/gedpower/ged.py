@@ -47,7 +47,7 @@ class GedParams:
 
 
 def make_params(v: float) -> GedParams:
-    """Build GedParams from 0 < v <= 20; v < 0.0086 (lambda not a normal double) is rejected."""
+    """Build GedParams from 0.008603013 <= v <= 20; below it lambda is not a normal double."""
     if not 0.0 < v <= _MAX_SHAPE:
         raise ValueError(f"shape parameter v must be in (0, {_MAX_SHAPE:g}], got {v}")
     lam = math.exp(0.5 * (-2.0 / v * _LOG2 + log_gamma(1.0 / v) - log_gamma(3.0 / v)))

@@ -31,22 +31,11 @@ __all__ = [
     "emit",
 ]
 
-CSV_HEADER = ("v,p,r,n,x,exact,limit,err,scaled_err1,target1,"
-              "scaled_err2,target2,theta_deficit,remainder_bound,error")
-_ROW_KEYS = CSV_HEADER.split(",")
-# .17g prints every integral float below 2^53 (so every exact n) as an integer
-_CELL_FORMATS = ["%d" if k == "r" else "%.17g" for k in _ROW_KEYS[:-1]]
-_ROW_FORMAT = ",".join(_CELL_FORMATS) + ",%s"
-# one row's JSON object up to the error's value
-_JSON_FORMAT = "\n  {" + "".join(f"{json.dumps(k)}: {f}, " for k, f in
-                                 zip(_ROW_KEYS, _CELL_FORMATS)) + '"error": '
-
 _CASE_TAGS = ("t1_i", "t1_ii", "t1_iii", "t2_i", "t2_ii")
 _MAX_X_POINTS = 10**6  # largest x grid a sweep accepts
 # numerical and domain failures, recorded on their rows; any other
 # exception is a program bug and stops the sweep
 _ROW_ERRORS = (ValueError, ArithmeticError, ConvergenceError)
-_NO_NUMBERS = (math.nan,) * 9  # exact through remainder_bound of a failed row
 
 
 class ConfigError(ValueError):
@@ -146,6 +135,15 @@ class VerificationRow(NamedTuple):
     error: str = ""
 
 
+CSV_HEADER = ",".join(VerificationRow._fields)
+# .17g prints every integral float below 2^53 (so every exact n) as an integer
+_CELL_FORMATS = ["%d" if k == "r" else "%.17g" for k in VerificationRow._fields[:-1]]
+_ROW_FORMAT = ",".join(_CELL_FORMATS) + ",%s"
+# one row's JSON object up to the error's value
+_JSON_FORMAT = "\n  {" + "".join(f"{json.dumps(k)}: {f}, " for k, f in
+                                 zip(VerificationRow._fields, _CELL_FORMATS)) + '"error": '
+
+
 def _resolve_theorem(theorem: str | None, v: float, p: float) -> TheoremCase:
     """The filter's case at (v, p); NormedCase rejects a tag (v, p) misses."""
     if theorem in _CASE_TAGS:
@@ -175,10 +173,10 @@ def _plan_cell(theorem: str | None, v: float, p: float, n: int | None,
         return _note(exc)
 
 
-def _eval_x(cell: NormedCase, terms, deficit: float | None = None) -> list:
-    """The cells, exact through the note, of the rows of ``terms``' ranks at its x,
-    which share all rank-free work; past the deficit, a failing rank list goes rank by rank."""
-    ranks, x = terms.ranks, terms.x
+def _eval_x(cell: NormedCase, key, terms, deficit: float | None = None) -> list:
+    """The rows at ``key`` = (v, p, n) of ``terms``' ranks at its x, which share
+    all rank-free work; past the deficit, a failing rank list goes rank by rank."""
+    (v, p, n), ranks, x = key, terms.ranks, terms.x
     try:
         deficit = exact_deficit(cell, x) if deficit is None else deficit
         gaps = _gaps_from_deficit(terms, deficit, float(cell.n) if cell.n is not None else None)
@@ -190,28 +188,31 @@ def _eval_x(cell: NormedCase, terms, deficit: float | None = None) -> list:
             scaled_err2 = ee.scale_second / ee.scale_first * (scaled_err1 - target1)
             exact = min(1.0, max(0.0, ee.leading + gap))
             bound = 0.0 if cell.n else poisson_remainder_bound(r, x, deficit, cell.log_n)
-            rows.append((exact, ee.leading, gap, scaled_err1, target1, scaled_err2,
-                         target2, deficit, bound, ""))
+            rows.append(VerificationRow(v, p, r, n, x, exact, ee.leading, gap, scaled_err1,
+                                        target1, scaled_err2, target2, deficit, bound))
         return rows
     except _ROW_ERRORS as exc:
         if deficit is None or len(ranks) == 1:
-            return [(*_NO_NUMBERS, _note(exc))] * len(ranks)
-        return [row for r in ranks for row in _eval_x(cell, _x_terms((r,), x), deficit)]
+            return [VerificationRow(v, p, r, n, x, error=_note(exc)) for r in ranks]
+        return [row for r in ranks for row in _eval_x(cell, key, _x_terms((r,), x), deficit)]
 
 
-def _eval_cell(config: SweepConfig, cell: NormedCase | str, terms, table) -> list:
-    """The rows of one (v, p, n) cell, per rank and then per x's terms; each rank
-    scores its rows that hold numbers in one Monte Carlo call."""
+def _eval_cell(config: SweepConfig, cell: NormedCase | str, key, terms, table) -> list:
+    """The rows at ``key`` = (v, p, n) of one cell, per rank and then per x's terms;
+    each rank scores its rows that hold numbers in one Monte Carlo call."""
     if isinstance(cell, str):
-        return [[(*_NO_NUMBERS, cell)] * len(terms)] * len(config.r_list)
-    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, t) for t in terms))]
+        v, p, n = key
+        return [[VerificationRow(v, p, r, n, t.x, error=cell) for t in terms]
+                for r in config.r_list]
+    by_rank = [list(rows) for rows in zip(*(_eval_x(cell, key, t) for t in terms))]
     for r, rows in zip(config.r_list, by_rank if config.mc_reps > 0 else ()):
-        live = [i for i, row in enumerate(rows) if not row[-1]]
-        # the gap engine's s = survival(z); a row holds exact at 0, deficit at 7
-        ss = [terms[i].emx * (1.0 - rows[i][7]) / float(cell.n) for i in live]
+        live = [i for i, row in enumerate(rows) if not row.error]
+        # the gap engine's s = survival(z)
+        ss = [terms[i].emx * (1.0 - rows[i].theta_deficit) / float(cell.n) for i in live]
         scores = mc_score(table, r, ss) if table is not None and live else [None] * len(live)
         for i, score in zip(live, scores):
-            rows[i] = (*rows[i][:-1], _mc_note(config, score, rows[i][0]))
+            if note := _mc_note(config, score, rows[i].exact):
+                rows[i] = rows[i]._replace(error=note)
     return by_rank
 
 
@@ -251,9 +252,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     else:
         ladder = [(None, float(ln)) for ln in config.log_n_ladder]
     n_column = [float(n) if n is not None else exp_or_inf(log_n) for n, log_n in ladder]
-    total = (len(config.v_list) * len(config.p_list) * len(config.r_list)
-             * len(ladder) * len(xs))
-    done = 0
+    total = len(config.v_list) * len(config.p_list) * len(config.r_list) * len(ladder) * len(xs)
     # per v, its p and their cells, one per ladder entry, all in sweep order
     plan = [(v, [(p, [_plan_cell(config.theorem, v, p, *rung) for rung in ladder])
                  for p in config.p_list])
@@ -262,17 +261,13 @@ def run_sweep(config: SweepConfig, progress=None) -> list[VerificationRow]:
     terms = [_x_terms(config.r_list, x) for x in xs]
     for vi, (v, by_p) in enumerate(plan):
         for p, cells in by_p:
-            by_cell = [_eval_cell(config, cell, terms, tables.get((vi, ni)))
-                       for ni, cell in enumerate(cells)]
-            for ri, r in enumerate(config.r_list):
-                for n, by_rank in zip(n_column, by_cell):
-                    for x, values in zip(xs, by_rank[ri]):
-                        rows.append(VerificationRow(v, p, r, n, x, *values))
-                        done += 1
-                        if progress is not None and done % 50 == 0:
-                            print(f"{done}/{total} points", file=progress)
-    if progress is not None:
-        print(f"{done}/{total} points", file=progress)
+            by_cell = [_eval_cell(config, cell, (v, p, n), terms, tables.get((vi, ni)))
+                       for ni, (cell, n) in enumerate(zip(cells, n_column))]
+            for by_n in zip(*by_cell):  # one rank's x rows, per n
+                for block in by_n:
+                    rows.extend(block)
+            if progress is not None:
+                print(f"{len(rows)}/{total} points", file=progress)
     return rows
 
 

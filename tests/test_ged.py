@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -65,10 +66,11 @@ class TestParams:
                 make_params(v)
 
     def test_scale_underflow_rejected(self):
-        # lambda is 0.0 at v = 1e-3 and a subnormal at v = 0.0085
-        for v in (1e-3, 0.0085):
+        # lambda is 0.0 at v = 1e-3 and a subnormal below v = 0.00860301288385596
+        for v in (1e-3, 0.0085, 0.0086, 0.008603012):
             with pytest.raises(ValueError, match="normal double range"):
                 make_params(v)
+        assert make_params(0.008603013).lam >= sys.float_info.min
         assert make_params(0.01).lam == pytest.approx(7.545036871186963e-259, rel=1e-10)
 
 

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gedpower.cli import _VERIFY_KEYS, _sweep_config, build_parser, main
 from gedpower.expansions import NormedCase, classify_case
@@ -585,6 +587,52 @@ class TestRunSweep:
                 expected = exact_powered_cdf(params, OrderStatSpec(n=n, r=row.r, p=1.0), y)
             assert abs(row.exact - expected) <= 1e-12
 
+    @pytest.mark.parametrize("v,p,ranks,ladder,xs,note", [
+        (2.0, 0.001, (1,), {"n_ladder": (3,)}, (966.0,),
+         "z = (scale*x+shift)^(1/p) overflows a double at x="),
+        (0.5, 1.0, (1, 2), {"log_n_ladder": (50.0,)}, (1000.0, 1001.0, 1002.0),
+         "theta = n e^x S(z) overflows a double at x="),
+        (0.5, 1.0, (1, 2), {"n_ladder": (10**6,)}, (1000.0, 1001.0, 1002.0),
+         "theta = n e^x S(z) overflows a double at x="),
+        (2.0, 289.0, (1,), {"n_ladder": (2_800_000_000_000_000_000,)}, (2764.0,),
+         "theta = n e^x S(z) overflows a double at x="),
+    ], ids=["z-power", "theta-log-n", "theta-exact-n", "theta-p-289"])
+    def test_deficit_overflow_names_its_quantity_and_x(self, v, p, ranks, ladder, xs, note):
+        # z^(1/p) or theta = n e^x S(z) past the double range is a ValueError
+        # naming it, not a raw OverflowError
+        cfg = SweepConfig(v_list=(v,), p_list=(p,), r_list=ranks, x_min=xs[0],
+                          x_max=xs[-1], **ladder)
+        rows = run_sweep(cfg)
+        assert len(rows) == len(ranks) * len(xs)
+        for row in rows:
+            assert row.error == f"ValueError: {note}{row.x}"
+
+    @given(v=st.floats(min_value=0.0086031, max_value=20.0),
+           p=st.floats(min_value=1e-3, max_value=1e3),
+           ranks=st.sets(st.integers(min_value=1, max_value=171), min_size=1, max_size=3),
+           ladder=st.one_of(
+               st.builds(lambda n: {"n_ladder": (n,)},
+                         st.integers(min_value=1, max_value=9 * 10**18)),
+               st.builds(lambda ln: {"log_n_ladder": (ln,)},
+                         st.floats(min_value=1e-3, max_value=1e6))),
+           theorem=st.sampled_from([None, "1", "2"]),
+           x_min=st.floats(min_value=-1000.0, max_value=3000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_hold_numbers_or_a_named_note(self, v, p, ranks, ladder, theorem, x_min):
+        # over the supported domain every row holds probabilities and a
+        # finite error, or a note that opens with its exception's name
+        cfg = SweepConfig(v_list=(v,), p_list=(p,), r_list=tuple(sorted(ranks)),
+                          x_min=x_min, x_max=x_min + 4.0, theorem=theorem, **ladder)
+        rows = run_sweep(cfg)
+        assert len(rows) == 5 * len(ranks)
+        for row in rows:
+            if row.error:
+                assert re.match(r"[A-Z]\w*Error: ", row.error), row.error
+                assert "math range error" not in row.error and "(34" not in row.error
+            else:
+                assert 0.0 <= row.exact <= 1.0 and 0.0 <= row.limit <= 1.0
+                assert math.isfinite(row.err)
+
     def test_mc_draw_error_stops_the_sweep_and_no_thread_is_started(self, monkeypatch):
         def no_thread(*args):
             raise AssertionError("the sweep started a thread")
@@ -976,6 +1024,15 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 4
+
+    def test_verify_prints_one_progress_line_per_v_p_block(self, tmp_path, capsys):
+        # 2 v by 2 p blocks of 2 r, 2 log n and 3 x each
+        assert main(["verify", "--v", "0.5,2", "--p", "1,2", "--r", "1,2",
+                     "--ln-n", "10,20", "--x-min", "-1", "--x-max", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.endswith(" points")] == [
+            "12/48 points", "24/48 points", "36/48 points", "48/48 points"]
 
     def test_verify_config_file_with_override(self, tmp_path):
         cfg = {
