@@ -25,9 +25,10 @@ from typing import NamedTuple
 
 from .ged import EQ_TOL, GedParams, log_survival
 from .norming import (
+    BnSolution,
     LinearNorming,
-    hall_constants,
-    optimal_constants,
+    _corrected,
+    _hall_pair,
     power_constants,
     resolve_log_n,
     solve_bn,
@@ -145,12 +146,18 @@ class NormedCase:
                              f"{expected.tag!r}, not {tag!r}")
 
     @cached_property
+    def root(self) -> BnSolution:
+        """A t2 cell's calibration root b_n, solved once; norming and scales read it."""
+        return solve_bn(self.params, self.n, log_n=self.log_n)
+
+    @cached_property
     def norming(self) -> LinearNorming:
-        """The norming family the case verifies against."""
-        if self.case.tag == "t2_ii":
-            return optimal_constants(self.params, self.n, log_n=self.log_n)
-        family = power_constants if self.case.tag.startswith("t1") else hall_constants
-        return family(self.params, self.case.p, self.n, log_n=self.log_n)
+        """The norming family the case verifies against; a t2 pair reads :attr:`root`."""
+        if self.case.tag.startswith("t1"):
+            return power_constants(self.params, self.case.p, self.n, log_n=self.log_n)
+        if self.case.tag == "t2_i":
+            return _hall_pair(self.params, self.case.p, self.root)
+        return _corrected(self.params, _hall_pair(self.params, self.params.v, self.root))
 
     @cached_property
     def scales(self) -> tuple[float, float]:
@@ -165,7 +172,6 @@ class NormedCase:
         """
         ln = resolve_log_n(self.n, self.log_n, min_n=3)
         tag, v = self.case.tag, self.params.v
-        b = solve_bn(self.params, log_n=ln).b_n if tag.startswith("t2") else 0.0
         if tag == "t1_i":
             nn = float(self.n) if self.n is not None else exp_or_inf(ln)
             s1, s2 = nn, nn * nn
@@ -177,7 +183,7 @@ class NormedCase:
             s1 = ln / (ll * ll)
             s2 = s1 * ll
         else:
-            bv = pow_or_inf(b, v)
+            bv = pow_or_inf(self.root.b_n, v)
             s1, s2 = (bv, bv * bv) if tag == "t2_i" else (bv * bv, pow_or_inf(bv, 3))
         if not (math.isfinite(s1) and math.isfinite(s2)):
             raise ValueError(f"{tag} scales overflow a double for v={v}, log_n={ln}")

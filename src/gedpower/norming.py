@@ -205,12 +205,14 @@ def hall_constants(params: GedParams, p: float, n: int | float | None = None, *,
     """Norming built on the calibration root: (2 p lam^v b^(p-v) / v, b^p)."""
     if not 0.0 < p < math.inf:
         raise ValueError(f"power index must be positive and finite, got {p}")
-    sol = solve_bn(params, n, log_n=log_n)
-    v, lam = params.v, params.lam
-    b = sol.b_n
-    scale = 2.0 * p / v * lam**v * pow_or_inf(b, p - v)
-    shift = pow_or_inf(b, p)
-    return _finite_norming("hall", v, p, scale, shift, sol.log_n)
+    return _hall_pair(params, p, solve_bn(params, n, log_n=log_n))
+
+
+def _hall_pair(params: GedParams, p: float, sol: BnSolution) -> LinearNorming:
+    """Hall's pair of :func:`hall_constants` on the calibration root ``sol``."""
+    v, b = params.v, sol.b_n
+    scale = 2.0 * p / v * params.lam**v * pow_or_inf(b, p - v)
+    return _finite_norming("hall", v, p, scale, pow_or_inf(b, p), sol.log_n)
 
 
 def optimal_constants(params: GedParams, n: int | float | None = None, *,
@@ -222,11 +224,15 @@ def optimal_constants(params: GedParams, n: int | float | None = None, *,
     to the plain pair.  The v = 1 case is rejected: there the correction
     vanishes identically and the powered family already covers it.
     """
-    v, lam = params.v, params.lam
-    if abs(v - 1.0) <= EQ_TOL:
+    if abs(params.v - 1.0) <= EQ_TOL:
         raise ValueError(
             "optimal constants are undefined at v = 1; use power_constants"
         )
-    hall = hall_constants(params, v, n, log_n=log_n)
-    corr = 4.0 * (1.0 / v - 1.0) * lam ** (2.0 * v) / hall.shift
+    return _corrected(params, hall_constants(params, params.v, n, log_n=log_n))
+
+
+def _corrected(params: GedParams, hall: LinearNorming) -> LinearNorming:
+    """Hall's pair at p = v with 4 (1/v - 1) lam^(2v) / b^v added to both values."""
+    v = params.v
+    corr = 4.0 * (1.0 / v - 1.0) * params.lam ** (2.0 * v) / hall.shift
     return LinearNorming(hall.scale + corr, hall.shift + corr, hall.log_n)

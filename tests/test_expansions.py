@@ -24,7 +24,7 @@ from gedpower.expansions import (
     theorem_expansion,
 )
 from gedpower.ged import make_params
-from gedpower.norming import solve_bn
+from gedpower.norming import hall_constants, optimal_constants, solve_bn
 from oracles import (
     brute_upper_orderstat_cdf,
     gumbel_r_identities,
@@ -422,8 +422,9 @@ class TestTheoremExpansion:
 
     @pytest.mark.parametrize("v,p", [(2.0, 1.0), (0.5, 0.5)])  # t2_i, t2_ii
     def test_t2_theta_deficit_solves_once_per_cell(self, monkeypatch, v, p):
-        # one solve for the norming, one for the scales; the predicted
-        # deficit reads the scales instead of solving at each x
+        # one solve for the cell's root, which its norming and its scales
+        # share; the predicted deficit reads the scales instead of solving
+        # at each x
         cell = NormedCase(make_params(v), classify_case(v, p, theorem=2), log_n=30.0)
         calls = []
 
@@ -436,7 +437,28 @@ class TestTheoremExpansion:
                 monkeypatch.setattr(module, "solve_bn", counting)
         for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
             theta_deficit(cell, x)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", [{"n": 10**6}, {"log_n": 30.0}, {"log_n": 1e4}])
+    @pytest.mark.parametrize("v,p", [(2.0, 1.0), (0.5, 1.0),  # t2_i
+                                     (0.5, 0.5), (2.0, 2.0)])  # t2_ii
+    def test_t2_cell_equals_the_public_functions(self, v, p, mode):
+        # the cell builds its norming and its scales on its one root; both
+        # keep the bits of the public norming and of b^v from solve_bn
+        params, case = make_params(v), classify_case(v, p, theorem=2)
+        cell = NormedCase(params, case, **mode)
+        if case.tag == "t2_i":
+            public = hall_constants(params, p, **mode)
+        else:
+            public = optimal_constants(params, **mode)
+        got = (cell.norming.scale, cell.norming.shift, cell.norming.log_n)
+        assert [x.hex() for x in got] == [
+            x.hex() for x in (public.scale, public.shift, public.log_n)]
+        b = solve_bn(params, **mode).b_n
+        assert cell.root.b_n.hex() == b.hex()
+        bv = b**v
+        expected = (bv, bv * bv) if case.tag == "t2_i" else (bv * bv, bv**3)
+        assert [x.hex() for x in cell.scales] == [x.hex() for x in expected]
 
     def test_params_and_case_of_different_shapes_rejected(self):
         # b_n from v = 2 with b^v at v = 3 would mix two laws

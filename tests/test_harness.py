@@ -214,6 +214,11 @@ class TestRunSweep:
             assert "is not positive at x=-5.0" in row.error
         assert second.error == "" and math.isfinite(second.exact)
         assert fourth.error == "ValueError: need r <= n; got r=5; n=3"
+        # the plan reads the norming before the scales: the t2_ii pair at
+        # n = 2 has a negative scale, which is its note, not n >= 3
+        t2_ii = run_sweep(dataclasses.replace(cfg, p_list=(2.0,), n_ladder=(2,)))
+        assert [row.error for row in t2_ii] == 4 * [
+            "ValueError: norming scale must be positive; got -2.775619554141084"]
 
     def test_a_failing_norming_is_built_once_per_cell(self, monkeypatch):
         # the plan builds the norming, so its overflow is one note for all
@@ -237,8 +242,8 @@ class TestRunSweep:
 
     def test_failing_scales_are_built_once_per_cell(self, monkeypatch):
         # the t2_i scales overflow at log n = 1e160; the cell keeps that
-        # failure, so b_n is solved once for the norming and once for the
-        # scales, not once per row
+        # failure, so b_n is solved once, as the root that the norming and
+        # the scales share, not once per row
         import gedpower.expansions as expansions
         import gedpower.norming as norming
 
@@ -254,7 +259,7 @@ class TestRunSweep:
                           log_n_ladder=(1e160,), x_min=-1.0, x_max=3.0,
                           x_step=0.25)
         rows = run_sweep(cfg)
-        assert len(rows) == 51 and len(calls) <= 2
+        assert len(rows) == 51 and len(calls) == 1
         assert {row.error for row in rows} == {
             "ValueError: t2_i scales overflow a double for v=2.0; log_n=1e+160"}
 
@@ -309,7 +314,7 @@ class TestRunSweep:
 
     def test_one_plan_per_cell(self, monkeypatch):
         # every (v, p, log n) cell makes its params once and solves b_n
-        # twice: once for the norming, once for the scales
+        # once, as its root, which its norming and its scales share
         import gedpower.expansions as expansions
         import gedpower.harness as harness
         import gedpower.norming as norming
@@ -332,9 +337,9 @@ class TestRunSweep:
                           x_step=0.5)
         rows = run_sweep(cfg)
         assert len(rows) == 72 and all(row.error == "" for row in rows)
-        assert sorted(solves) == sorted(2 * [(v, ln) for v in (0.5, 2.0)
-                                             for _ in (1.0, 2.0)
-                                             for ln in (10.0, 30.0)])
+        assert sorted(solves) == sorted([(v, ln) for v in (0.5, 2.0)
+                                         for _ in (1.0, 2.0)
+                                         for ln in (10.0, 30.0)])
         assert len(shapes) == 8
 
     def test_a_failing_cell_is_planned_once(self, monkeypatch):
@@ -402,11 +407,11 @@ class TestRunSweep:
     def test_public_functions_equal_sweep_rows(self, ladder, x):
         # a sweep forms the x-only terms once per x for every cell, while
         # cdf_gaps_from_deficit and expand_ranks form their own per call; the
-        # two must agree bit for bit.  e^(-x) overflows at x = -720 (rows hold
-        # numbers there only at log n >= 1000), and at x = -7.5 the rank-171
-        # weight e^(-e^(-x) - rx/2) underflows
+        # two must agree bit for bit in every numeric column.  e^(-x) overflows
+        # at x = -720 (rows hold numbers there only at log n >= 1000), and at
+        # x = -7.5 the rank-171 weight e^(-e^(-x) - rx/2) underflows
         from gedpower.expansions import exact_deficit, expand_ranks
-        from gedpower.orderstats import cdf_gaps_from_deficit
+        from gedpower.orderstats import cdf_gaps_from_deficit, poisson_remainder_bound
 
         (key, rungs), = ladder.items()
         mode = "n" if key == "n_ladder" else "log_n"
@@ -426,12 +431,18 @@ class TestRunSweep:
                                           **{mode: rung})
                         d = exact_deficit(cell, x)
                         gaps = cdf_gaps_from_deficit(cfg.r_list, x, d, **{mode: float(rung)})
-                        expected = [(ee.leading, gap, ee.first_order * ee.scale_first,
-                                     ee.second_order * ee.scale_second, d)
-                                    for gap, ee in zip(gaps, expand_ranks(cell, cfg.r_list, x))]
-                        assert repr(expected) == repr([(row.limit, row.err, row.target1,
-                                                        row.target2, row.theta_deficit)
-                                                       for row in got]), (v, p, rung)
+                        expected = []
+                        for row, gap, ee in zip(got, gaps, expand_ranks(cell, cfg.r_list, x)):
+                            t1 = ee.first_order * ee.scale_first
+                            s1 = ee.scale_first * gap
+                            expected.append(row._replace(
+                                exact=min(1.0, max(0.0, ee.leading + gap)), limit=ee.leading,
+                                err=gap, scaled_err1=s1, target1=t1,
+                                scaled_err2=ee.scale_second / ee.scale_first * (s1 - t1),
+                                target2=ee.second_order * ee.scale_second, theta_deficit=d,
+                                remainder_bound=(poisson_remainder_bound(row.r, x, d, rung)
+                                                 if mode == "log_n" else 0.0)))
+                        assert repr(expected) == repr(list(got)), (v, p, rung)
                         compared += 1
         # at exact n the normed point of x = -720 is negative in every cell
         assert compared or (mode, x) == ("n", -720.0)
@@ -712,6 +723,22 @@ class TestEmit:
         assert again.read_bytes() == path.read_bytes()
         raw = json.loads(text)
         assert list(raw[0].keys()) == CSV_HEADER.split(",")
+
+    def test_json_writes_null_for_nan_and_inf(self, tmp_path):
+        # NaN and Infinity are not JSON; every such cell must read null
+        def no_constants(name):
+            raise AssertionError(f"emit wrote {name}")
+
+        rows = [VerificationRow(2.0, 1.0, 1, math.inf, 0.5, exact=math.nan, limit=math.inf,
+                                err=-math.inf, theta_deficit=0.25, error="note"),
+                VerificationRow(2.0, 1.0, 2, 10.0, -math.inf, remainder_bound=math.inf)]
+        path = tmp_path / "rows.json"
+        emit(rows, "json", str(path))
+        first, second = json.loads(path.read_text(), parse_constant=no_constants)
+        assert [first[k] for k in ("n", "exact", "limit", "err", "theta_deficit")] == [
+            None, None, None, None, 0.25]
+        assert first["error"] == "note" and second["error"] == ""
+        assert all(second[k] is None for k in CSV_HEADER.split(",")[4:-1])  # x onwards
 
     def test_determinism_including_mc(self, tmp_path):
         cfg = dict(
